@@ -31,11 +31,8 @@ Both files must declare the schema-2 layout (``{"schema": 2,
 incomparable numbers.
 
 Schema-2 context fields: alongside the timings, records may carry
-search-configuration context — ``kernel``, ``batch_width`` (candidate
-capacities per speculative probe block), and
-``probe_worker_utilisation`` (fraction of speculative probe verdicts
-the bisection actually consumed; 1.0 on serial searches).  Sharded
-records add ``pods`` (resolved pod count), ``pod_assign`` (job
+search-configuration context — ``kernel`` (the packing backend the
+search resolved to).  Sharded records add ``pods`` (resolved pod count), ``pod_assign`` (job
 splitter policy), ``pod_solve_ms_max`` (the slowest single pod — the
 critical path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the
 serial-equivalent pod cost), ``shard_bound_ratio``

@@ -104,15 +104,13 @@ def test_bench_fleet_scale_full_pass(record_scheduler_bench):
         bisection_steps=result.bisection_steps,
         shortcircuit_skips=result.shortcircuit_skips,
         kernel=result.kernel,
-        batch_width=result.batch_width,
-        probe_worker_utilisation=round(result.probe_worker_utilisation, 3),
     )
     print(
         f"\nfleet scale (1000x5000): build {build_s:.1f}s, "
         f"bounds {bounds_s:.1f}s, search {search_s:.1f}s "
         f"({result.packer_passes} packs, "
         f"{result.shortcircuit_skips} certificate skips, "
-        f"kernel={result.kernel}, batch_width={result.batch_width})"
+        f"kernel={result.kernel})"
     )
 
 

@@ -41,7 +41,8 @@ Nine commands cover the operator workflows:
 ``schedule`` and ``simulate`` take ``--pods N|auto`` +
 ``--pod-assign lp|greedy|hash`` to shard the fleet into concurrently
 solved pods (the greedy scheduler only; ``--pods 1`` is byte-identical
-to the monolithic search).
+to the monolithic search), and ``--pod-workers N`` to size the pod
+worker pool.
 
 Commands accept ``--output`` to write machine-readable results so they
 can feed other tools.
@@ -89,45 +90,22 @@ _SCHEDULERS = {
 }
 
 
-def _batch_width(text: str):
-    """``--batch-width`` value: 'auto' or a positive int."""
-    if text == "auto":
-        return text
+def _positive_int(text: str) -> int:
+    """A positive integer command-line value."""
     try:
-        width = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
+            f"expected a positive integer, got {text!r}"
         ) from None
-    if width < 1:
-        raise argparse.ArgumentTypeError("batch width must be >= 1")
-    return width
-
-
-def _shared_mem(text: str):
-    """``--shared-mem`` value: 'auto', 'on', or 'off'."""
-    if text == "auto":
-        return text
-    if text in ("on", "off"):
-        return text == "on"
-    raise argparse.ArgumentTypeError(
-        f"expected 'auto', 'on', or 'off', got {text!r}"
-    )
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected >= 1, got {value}")
+    return value
 
 
 def _pods(text: str):
     """``--pods`` value: 'auto' or a positive int."""
-    if text == "auto":
-        return text
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("pod count must be >= 1")
-    return count
+    return text if text == "auto" else _positive_int(text)
 
 
 def _add_pod_arguments(parser) -> None:
@@ -146,29 +124,24 @@ def _add_pod_arguments(parser) -> None:
         "processing-time greedy ('greedy', default), or stable "
         "hashing ('hash'); ignored without --pods",
     )
+    parser.add_argument(
+        "--pod-workers", type=_positive_int, metavar="N",
+        help="solve pods on N worker processes (requires --pods; "
+        "default: one per pod, capped by the CPU budget; 1 solves "
+        "in-process); schedules are identical either way",
+    )
 
 
-def _add_probe_arguments(parser) -> None:
-    """Speculative-probe knobs shared by ``schedule`` and ``simulate``."""
-    parser.add_argument(
-        "--probe-workers", type=int, metavar="N",
-        help="probe candidate capacities speculatively on N worker "
-        "processes (greedy scheduler only; schedules are identical to "
-        "the serial search)",
-    )
-    parser.add_argument(
-        "--batch-width", type=_batch_width, default="auto", metavar="K",
-        help="candidate capacities probed per speculative block "
-        "('auto' sizes the block from the worker pool; ignored without "
-        "--probe-workers)",
-    )
-    parser.add_argument(
-        "--shared-mem", type=_shared_mem, default="auto",
-        metavar="auto|on|off",
-        help="publish the dense cost matrix to probe workers through "
-        "POSIX shared memory instead of pickling it per worker "
-        "(default auto: on whenever the pool is active)",
-    )
+def _pod_workers_without_pods(args) -> bool:
+    """True (after saying why) when ``--pod-workers`` lacks ``--pods``."""
+    if args.pod_workers is not None and args.pods is None:
+        print(
+            "--pod-workers requires --pods: pods are the only parallel "
+            "axis, a monolithic search always runs in-process",
+            file=sys.stderr,
+        )
+        return True
+    return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "only; both produce byte-identical schedules, 'auto' picks by "
         "instance size)",
     )
-    _add_probe_arguments(schedule)
     _add_pod_arguments(schedule)
     schedule.add_argument("--output", help="write the schedule as JSON here")
 
@@ -271,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "only; both produce byte-identical schedules, 'auto' picks by "
         "instance size)",
     )
-    _add_probe_arguments(simulate)
     _add_pod_arguments(simulate)
     simulate.add_argument("--output", help="write the run summary JSON here")
     simulate.add_argument(
@@ -453,11 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(--crash-restore only; default: a temporary directory)",
     )
     fuzz.add_argument(
-        "--probe-workers", type=int, metavar="N",
-        help="run every drill leg through the speculative probe pool "
-        "(--crash-restore only): digests are unchanged, and the "
-        "campaign additionally asserts no cwc-probe-* shared-memory "
-        "segment survives the killed runs",
+        "--pods", type=_positive_int, metavar="N",
+        help="run every drill leg through the sharded scheduler with N "
+        "pods on a pod worker pool (--crash-restore only), so kills "
+        "land on a scheduler that forks workers every round",
     )
     fuzz.add_argument("--output", help="write the campaign report JSON here")
 
@@ -527,6 +497,8 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    if _pod_workers_without_pods(args):
+        return 2
     phones = tuple(phone_from_dict(p) for p in _load_json(args.phones))
     jobs = tuple(job_from_dict(j) for j in _load_json(args.jobs))
 
@@ -565,17 +537,11 @@ def _cmd_schedule(args) -> int:
             scheduler = ShardedScheduler(
                 pods=args.pods,
                 pod_assign=args.pod_assign,
-                pod_workers=args.probe_workers or "auto",
+                pod_workers=args.pod_workers or "auto",
                 kernel=args.kernel,
-                shared_mem=args.shared_mem,
             )
         else:
-            scheduler = scheduler_cls(
-                kernel=args.kernel,
-                probe_workers=args.probe_workers,
-                batch_width=args.batch_width,
-                shared_mem=args.shared_mem,
-            )
+            scheduler = scheduler_cls(kernel=args.kernel)
     else:
         if args.pods is not None:
             print(
@@ -642,14 +608,11 @@ def _cmd_simulate_campaign(args) -> int:
         arrival_rate_per_hour=args.arrival_rate,
         churn=churn,
         kernel=args.kernel,
-        probe_workers=args.probe_workers,
-        batch_width=args.batch_width,
-        shared_mem=args.shared_mem,
         warm_start=True,
         checkpoint_dir=args.checkpoint_dir,
         pods=args.pods,
         pod_assign=args.pod_assign,
-        pod_workers=args.probe_workers or "auto",
+        pod_workers=args.pod_workers or "auto",
     )
 
     class _Killed(RuntimeError):
@@ -718,6 +681,8 @@ def _cmd_simulate_campaign(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if _pod_workers_without_pods(args):
+        return 2
     if args.nights is not None:
         return _cmd_simulate_campaign(args)
     if args.resume or args.checkpoint_dir or args.kill_after_night is not None:
@@ -785,19 +750,15 @@ def _cmd_simulate(args) -> int:
             scheduler = ShardedScheduler(
                 pods=args.pods,
                 pod_assign=args.pod_assign,
-                pod_workers=args.probe_workers or "auto",
+                pod_workers=args.pod_workers or "auto",
                 warm_start=args.warm_start,
                 kernel=args.kernel,
-                shared_mem=args.shared_mem,
                 telemetry=telemetry,
             )
         else:
             scheduler = scheduler_cls(
                 warm_start=args.warm_start,
                 kernel=args.kernel,
-                probe_workers=args.probe_workers,
-                batch_width=args.batch_width,
-                shared_mem=args.shared_mem,
                 telemetry=telemetry,
             )
     else:
@@ -1108,7 +1069,7 @@ def _cmd_fuzz(args) -> int:
             args.runs,
             seed=args.seed,
             store_root=args.store_root,
-            probe_workers=args.probe_workers,
+            pods=args.pods,
         )
         print(
             f"crash/restore-drilled {report.runs} scenarios from seed "
@@ -1117,12 +1078,6 @@ def _cmd_fuzz(args) -> int:
             f"{len(report.failures)} failing"
         )
         print(f"campaign digest: {report.campaign_digest}")
-        if report.leaked_shm:
-            print(
-                "leaked shared-memory segments: "
-                + ", ".join(report.leaked_shm),
-                file=sys.stderr,
-            )
         for outcome in report.failures:
             print(
                 f"  seed {outcome.seed} (killed at instant "
@@ -1144,7 +1099,6 @@ def _cmd_fuzz(args) -> int:
                 "campaign_digest": report.campaign_digest,
                 "kills": report.kills,
                 "cold_restarts": report.cold_restarts,
-                "leaked_shm": list(report.leaked_shm),
                 "failures": [
                     {
                         "seed": outcome.seed,

@@ -40,9 +40,9 @@ _MAX_PER_KEY = 4
 class ArrayPool:
     """A keyed free list of reusable numpy buffers.
 
-    Not thread-safe; the capacity search is single-threaded on the
-    owner side (probe workers build their own packers in their own
-    processes and never see the owner's pool).
+    Not thread-safe; the capacity search is single-threaded (pod
+    workers own their own searches, and pools, in their own
+    processes).
     """
 
     def __init__(self) -> None:
@@ -51,9 +51,8 @@ class ArrayPool:
         self.hits = 0
         self.misses = 0
         #: Buffers currently checked out (taken, not yet given back).
-        #: The leak assertion mirroring :func:`repro.core.shm.
-        #: leaked_segments`: after ``release_buffers()`` this must be 0
-        #: or a pooled mirror escaped the recycling discipline.
+        #: The leak assertion: after ``release_buffers()`` this must be
+        #: 0 or a pooled mirror escaped the recycling discipline.
         self.outstanding = 0
 
     @staticmethod
@@ -91,9 +90,8 @@ class ArrayPool:
     def leaked_buffers(self) -> int:
         """Buffers taken and never returned (0 when the pool is clean).
 
-        The array-pool analogue of :func:`repro.core.shm.
-        leaked_segments`: pod workers and the capacity search assert
-        this is 0 after ``release_buffers()``.
+        Pod workers and the capacity search assert this is 0 after
+        ``release_buffers()``.
         """
         return self.outstanding
 

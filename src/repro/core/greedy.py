@@ -55,25 +55,9 @@ class SchedulingStats:
     shortcircuit_skips: int = 0
     assumed_feasible: int = 0
     warm_start_hits: int = 0
-    speculative_packs: int = 0
     last_wall_ms: float = 0.0
     #: Packing backend the most recent round resolved to.
     kernel: str = ""
-    #: Candidate-block width the most recent round's search resolved to.
-    batch_width: int = 1
-    #: Fraction of speculative probes whose verdicts the bisection
-    #: consumed in the most recent round.  1.0 when probing was serial
-    #: (no pool ⇒ every pack is consumed), matching
-    #: :class:`~repro.core.capacity.CapacitySearchResult` and
-    #: ``RoundRecord`` — the convention everywhere is "no pool means
-    #: nothing speculated, so nothing was wasted".
-    probe_worker_utilisation: float = 1.0
-    #: Wall ms blocked on pool verdicts across rounds (tracing-only
-    #: diagnostic; stays 0.0 unless a tracer is armed).
-    probe_wait_ms: float = 0.0
-    #: Wall ms probe workers spent in consumed packs across rounds
-    #: (tracing-only diagnostic; stays 0.0 unless a tracer is armed).
-    probe_exec_ms: float = 0.0
 
     def record(self, result: CapacitySearchResult, wall_ms: float) -> None:
         self.rounds += 1
@@ -84,12 +68,7 @@ class SchedulingStats:
         self.shortcircuit_skips += result.shortcircuit_skips
         self.assumed_feasible += result.assumed_feasible
         self.warm_start_hits += 1 if result.warm_start_used else 0
-        self.speculative_packs += result.speculative_packs
         self.kernel = result.kernel
-        self.batch_width = result.batch_width
-        self.probe_worker_utilisation = result.probe_worker_utilisation
-        self.probe_wait_ms += result.probe_wait_ms
-        self.probe_exec_ms += result.probe_exec_ms
 
     def as_dict(self) -> dict:
         return {
@@ -100,12 +79,7 @@ class SchedulingStats:
             "shortcircuit_skips": self.shortcircuit_skips,
             "assumed_feasible": self.assumed_feasible,
             "warm_start_hits": self.warm_start_hits,
-            "speculative_packs": self.speculative_packs,
             "kernel": self.kernel,
-            "batch_width": self.batch_width,
-            "probe_worker_utilisation": self.probe_worker_utilisation,
-            "probe_wait_ms": self.probe_wait_ms,
-            "probe_exec_ms": self.probe_exec_ms,
         }
 
 
@@ -127,17 +101,6 @@ class CwcScheduler:
         Packing backend for the capacity probes: ``'python'`` (exact
         scalar reference), ``'numpy'`` (vectorized, byte-identical
         schedules), or ``'auto'`` (default: pick by instance size).
-    probe_workers:
-        When >= 2, probe candidate capacities speculatively on a
-        process pool; schedules are identical to the serial search.
-    batch_width:
-        Candidate capacities probed per speculative block when the
-        worker pool is active (``'auto'`` sizes it from the pool).
-        Serial searches ignore it; schedules never change.
-    shared_mem:
-        Publish the dense cost matrix to probe workers through a
-        ``multiprocessing.shared_memory`` segment instead of pickling
-        it per worker (``'auto'``: on whenever the pool is active).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade, also
         threaded into the capacity search.  Records per-round wall
@@ -169,9 +132,6 @@ class CwcScheduler:
         ram=None,
         warm_start: bool = False,
         kernel: str = "auto",
-        probe_workers: int | None = None,
-        batch_width: int | str = "auto",
-        shared_mem: bool | str = "auto",
         telemetry=None,
     ) -> None:
         self._search = CapacitySearch(
@@ -180,9 +140,6 @@ class CwcScheduler:
             min_partition_kb=min_partition_kb,
             ram=ram,
             kernel=kernel,
-            probe_workers=probe_workers,
-            batch_width=batch_width,
-            shared_mem=shared_mem,
             telemetry=telemetry,
         )
         self._warm_start = warm_start

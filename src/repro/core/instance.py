@@ -23,8 +23,8 @@ matrix (Equation 1), its transpose, the row lists the scalar packer
 reads, the capacity bracket — is computed lazily from it with exactly
 the same floating-point operation order as the original dict-chain code.
 Schedulers built on these caches therefore produce byte-identical
-schedules (see ``tests/core/test_golden_schedule.py``); the matrix also
-travels through :mod:`repro.core.shm` to probe workers without pickling
+schedules (see ``tests/core/test_golden_schedule.py``); pod workers
+inherit the matrix copy-on-write through ``fork`` instead of pickling
 the cost table element by element.
 """
 

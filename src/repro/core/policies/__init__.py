@@ -56,9 +56,6 @@ _SEARCH_ONLY_KWARGS = frozenset(
     {
         "kernel",
         "warm_start",
-        "probe_workers",
-        "batch_width",
-        "shared_mem",
         "epsilon_ms",
         "min_partition_kb",
         "max_iterations",
@@ -78,7 +75,7 @@ def make_policy(
 
     ``unreliable`` (phone ids to distrust) only reaches the
     replication policy.  Capacity-search knobs (``kernel``,
-    ``warm_start``, ``probe_workers``, ...) configure the CWC-backed
+    ``warm_start``, ``epsilon_ms``, ...) configure the CWC-backed
     policies and are ignored by the searchless ones; any *other*
     unknown keyword is rejected by the policy's constructor.
     """

@@ -21,9 +21,10 @@ single-solve cost.  :class:`ShardedScheduler` decouples them:
      placement for comparison (and ``PYTHONHASHSEED``-independent);
 
 3. **Solve** each pod's sub-instance with the existing kernels — on a
-   fork process pool when CPUs allow (workers attach the full cost
-   matrix through :mod:`repro.core.shm` and slice their pod's rows),
-   serially otherwise, with identical results either way;
+   fork process pool when CPUs allow (workers inherit the full
+   instance copy-on-write and slice their pod's rows), serially
+   otherwise, with identical results either way.  Pods are the only
+   parallel axis: each pod's capacity search runs serially;
 4. **Coordinate** with a cheap global capacity search over the
    per-pod converged capacities: the global capacity is their max, and
    bounded job-migration repair rounds move one job at a time from the
@@ -57,7 +58,7 @@ import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.tracing import maybe_span
-from .capacity import CapacitySearch, _shared_probe_payload
+from .capacity import CapacitySearch
 from .greedy import CwcScheduler, SchedulingStats
 from .instance import SchedulingInstance
 from .pod import (
@@ -105,14 +106,6 @@ class ShardedSearchResult:
     assumed_feasible: int = 0
     warm_start_used: bool = False
     kernel: str = "python"
-    speculative_packs: int = 0
-    batch_width: int = 0
-    probe_worker_utilisation: float = 1.0
-    #: Tracing-only diagnostics (see CapacitySearchResult); pods probe
-    #: serially, so sharded rounds only carry the monolithic
-    #: delegate's numbers.
-    probe_wait_ms: float = 0.0
-    probe_exec_ms: float = 0.0
     #: Resolved pod count this round (1 = monolithic delegation).
     pods: int = 1
     #: Job-to-pod policy the round used.
@@ -161,11 +154,9 @@ class ShardedScheduler:
         makespan (``shard_bound_ratio``).  Default ``True``;
         ``pod_assign='lp'`` gets the floor for free either way.
     epsilon_ms / min_partition_kb / max_iterations / ram / warm_start /
-    kernel / shared_mem / telemetry:
+    kernel / telemetry:
         As on :class:`~repro.core.greedy.CwcScheduler`; they configure
         both the inner monolithic scheduler and every per-pod search.
-        Pod searches probe serially — the parallelism budget is spent
-        across pods, not inside one search.
     """
 
     name = "cwc-sharded"
@@ -188,7 +179,6 @@ class ShardedScheduler:
         ram=None,
         warm_start: bool = False,
         kernel: str = "auto",
-        shared_mem: bool | str = "auto",
         telemetry=None,
         policy: str = "cwc-greedy",
     ) -> None:
@@ -220,7 +210,6 @@ class ShardedScheduler:
         self._rebalance_rounds = rebalance_rounds
         self._certify = certify
         self._warm_start = warm_start
-        self._shared_mem = shared_mem
         #: Monolithic delegate for resolved pod count 1 — byte-identical
         #: to a standalone CwcScheduler with the same knobs.
         self._mono = CwcScheduler(
@@ -230,7 +219,6 @@ class ShardedScheduler:
             ram=ram,
             warm_start=warm_start,
             kernel=kernel,
-            shared_mem=shared_mem,
             telemetry=telemetry,
         )
         #: Search kwargs for per-pod solves (worker-side constructor
@@ -328,11 +316,6 @@ class ShardedScheduler:
             assumed_feasible=inner.assumed_feasible,
             warm_start_used=inner.warm_start_used,
             kernel=inner.kernel,
-            speculative_packs=inner.speculative_packs,
-            batch_width=inner.batch_width,
-            probe_worker_utilisation=inner.probe_worker_utilisation,
-            probe_wait_ms=inner.probe_wait_ms,
-            probe_exec_ms=inner.probe_exec_ms,
             pods=1,
             pod_assign="none",
             pod_solve_ms_max=wall_ms,
@@ -466,11 +449,11 @@ class ShardedScheduler:
     ) -> list[PodSolveReport]:
         """Solve every pod, on the pool when it pays, serially otherwise.
 
-        The pool path publishes the full cost matrix once (shared
-        memory when available) and ships each pod as a few integer
-        tuples; any pool failure degrades to the serial path, which
-        produces identical reports.  ``trace_parent`` is the open
-        ``pod_solves`` span worker-side spans are adopted under.
+        Pool workers inherit the full instance through ``fork`` and
+        receive each pod as a few integer tuples; any pool failure
+        degrades to the serial path, which produces identical reports.
+        ``trace_parent`` is the open ``pod_solves`` span worker-side
+        spans are adopted under.
         """
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
@@ -499,27 +482,20 @@ class ShardedScheduler:
     ) -> list[PodSolveReport] | None:
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
-        shared = None
         try:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             from .pod import _pod_worker_init, _pod_worker_solve
 
-            if self._shared_mem in ("auto", True):
-                try:
-                    from .shm import SharedMatrix
-
-                    shared = SharedMatrix(instance.c_matrix())
-                except Exception:
-                    shared = None  # inline payload fallback
-            payload = _shared_probe_payload(instance, shared)
+            # The fork context hands the instance to the workers
+            # copy-on-write: nothing is pickled or copied up front.
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(specs)),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_pod_worker_init,
                 initargs=(
-                    payload,
+                    instance,
                     self._search_kwargs,
                     tracer.run_id if tracer is not None else None,
                 ),
@@ -539,9 +515,6 @@ class ShardedScheduler:
                 reports = [future.result() for future in futures]
         except Exception:
             return None  # serial fallback, identical reports
-        finally:
-            if shared is not None:
-                shared.close_and_unlink()
         if tracer is not None:
             # Re-home each worker's span segment under the pod_solves
             # span, then strip the dicts so pod_reports stays slim.
@@ -680,9 +653,6 @@ class ShardedScheduler:
             assumed_feasible=sum(r.assumed_feasible for r in reports),
             warm_start_used=any(r.warm_start_used for r in reports),
             kernel=kernels.pop() if len(kernels) == 1 else "mixed",
-            speculative_packs=sum(r.speculative_packs for r in reports),
-            batch_width=0,
-            probe_worker_utilisation=1.0,
             pods=n_pods,
             pod_assign=self._pod_assign,
             pod_solve_ms_max=max(r.wall_ms for r in reports),

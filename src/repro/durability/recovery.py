@@ -149,7 +149,7 @@ def verification_hook(snapshot: Snapshot, witness: dict | None = None):
 
 
 def execute_scenario(
-    scenario: Scenario, *, on_round=None, probe_workers=None, telemetry=None
+    scenario: Scenario, *, on_round=None, pods=None, telemetry=None
 ):
     """Run one scenario deterministically, returning its ``RunResult``.
 
@@ -159,16 +159,16 @@ def execute_scenario(
     so passing an armed ``telemetry`` (e.g. with the span tracer on)
     never changes a drill's digests.  Per-round instances are retained
     so the oracle's schedule-scope invariants can run.
-    ``probe_workers`` arms the capacity search's speculative pool —
-    schedules and digests are unchanged, so drills use it to exercise
-    shared-memory teardown under kills.
+    ``pods`` swaps in the sharded scheduler on a pod worker pool (see
+    :func:`~repro.verify.fuzz.build_scenario_server`), so drills can
+    kill runs while pool workers are live.
     """
     server = build_scenario_server(
         scenario,
         telemetry=telemetry,
         on_round=on_round,
         record_instances=True,
-        probe_workers=probe_workers,
+        pods=pods,
     )
     initial, arrivals = scenario_workload(scenario)
     return server.run(initial, arrivals=arrivals)
@@ -238,7 +238,7 @@ def crash_restore_check(
     *,
     store_dir: str | Path,
     kill_instant: int | None = None,
-    probe_workers: int | None = None,
+    pods: int | None = None,
     tracing: bool = False,
 ) -> CrashRestoreOutcome:
     """The full crash-at-any-round recovery drill for one scenario.
@@ -265,7 +265,7 @@ def crash_restore_check(
     import random as _random
 
     try:
-        baseline = execute_scenario(scenario, probe_workers=probe_workers)
+        baseline = execute_scenario(scenario, pods=pods)
     except Exception as exc:  # noqa: BLE001 - sim crashes are findings
         return CrashRestoreOutcome(
             seed=scenario.seed,
@@ -304,7 +304,7 @@ def crash_restore_check(
         execute_scenario(
             scenario,
             on_round=checkpointing_hook(store, kill_at_instant=kill_instant),
-            probe_workers=probe_workers,
+            pods=pods,
             telemetry=kill_telemetry,
         )
     except RunKilled:
@@ -347,7 +347,7 @@ def crash_restore_check(
         restored = execute_scenario(
             scenario,
             on_round=hook,
-            probe_workers=probe_workers,
+            pods=pods,
             telemetry=restore_telemetry,
         )
     except RecoveryError as exc:

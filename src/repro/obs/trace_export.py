@@ -6,7 +6,7 @@ and ``"M"`` (metadata) events naming processes and threads.  The
 process is ``"group/lane"`` (e.g. ``"pods/pod-3"``, ``"fleet/ph-12"``)
 lands in pid *group*, tid *lane*; an unslashed process (``"main"``,
 ``"worker-1234"``) is its own single-lane pid.  That gives Perfetto
-one swimlane per pod / probe worker / phone.
+one swimlane per pod / phone.
 
 Every event's ``args`` carries the full span record (ids, sim times,
 status, attrs), so :func:`spans_from_chrome` reconstructs the exact

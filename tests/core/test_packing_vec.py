@@ -1,4 +1,4 @@
-"""Dual-kernel parity and the speculative capacity-search machinery.
+"""Dual-kernel parity and the capacity-search machinery on top of it.
 
 The vectorized :class:`~repro.core.packing_vec.VectorGreedyPacker` must
 agree with the exact scalar :class:`~repro.core.packing.GreedyPacker`
@@ -7,8 +7,8 @@ bins, and byte-identical schedules — on every capacity, not just the
 converged one.  On top of kernel parity, this module pins the
 capacity-search additions that ride on the kernels: verdict-only
 probes, the feasibility/infeasibility certificates (including the
-fleet-scale short-circuit the certificates previously missed), the LP
-floor, and speculative parallel probing.
+fleet-scale short-circuit the certificates previously missed) and the
+LP floor.
 """
 
 import pytest
@@ -230,21 +230,3 @@ class TestCertificates:
         assert schedule_to_dict(with_lp.schedule) == schedule_to_dict(
             without.schedule
         )
-
-
-class TestSpeculativeProbing:
-    def test_parallel_search_matches_serial(self):
-        instance = make_instance(
-            n_breakable=12, n_atomic=4, n_phones=10, seed=13
-        )
-        serial = CapacitySearch().run(instance)
-        parallel = CapacitySearch(probe_workers=2).run(instance)
-        assert parallel.capacity_ms == serial.capacity_ms
-        assert parallel.bisection_steps == serial.bisection_steps
-        assert schedule_to_dict(parallel.schedule) == schedule_to_dict(
-            serial.schedule
-        )
-
-    def test_invalid_probe_workers_rejected(self):
-        with pytest.raises(ValueError, match="probe_workers"):
-            CapacitySearch(probe_workers=0)

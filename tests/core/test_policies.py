@@ -97,7 +97,7 @@ class TestRegistry:
         # capacity-search config through make_policy for all policies;
         # searchless ones must swallow the knobs, not crash.
         policy = make_policy(
-            name, kernel="python", warm_start=True, probe_workers=None
+            name, kernel="python", warm_start=True, epsilon_ms=1.0
         )
         instance = fuzzed_instance(1)
         policy.schedule(instance).validate(instance)

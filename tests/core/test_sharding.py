@@ -1,11 +1,14 @@
 """Tests for the sharded pod-parallel scheduler (core/sharding.py)."""
 
 import json
+import multiprocessing
+import os
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.core import pod
 from repro.core.capacity import CapacitySearch, available_cpus
 from repro.core.greedy import CwcScheduler
 from repro.core.pod import (
@@ -30,6 +33,11 @@ from ..conftest import make_instance
 
 def canonical(schedule) -> str:
     return json.dumps(schedule_to_dict(schedule), sort_keys=True)
+
+
+def _die_in_worker(task):
+    """Stand-in pod solve that kills its worker process outright."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -238,6 +246,31 @@ class TestShardedScheduler:
         assert canonical(pooled) == canonical(serial)
         for report in pooled_scheduler.last_result.pod_reports:
             assert report.leaked_buffers == 0
+
+    def test_pool_death_falls_back_to_serial(
+        self, fleet_instance, monkeypatch
+    ):
+        serial = ShardedScheduler(pods=3, pod_workers=None).schedule(
+            fleet_instance
+        )
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(pod, "_pod_worker_solve", _die_in_worker)
+        pooled_results = []
+        solve_pooled = ShardedScheduler._solve_pods_pooled
+
+        def spy(self, *args, **kwargs):
+            reports = solve_pooled(self, *args, **kwargs)
+            pooled_results.append(reports)
+            return reports
+
+        monkeypatch.setattr(ShardedScheduler, "_solve_pods_pooled", spy)
+        scheduler = ShardedScheduler(pods=3, pod_workers=2)
+        schedule = scheduler.schedule(fleet_instance)
+        assert pooled_results == [None]  # the pool died; serial ran
+        assert canonical(schedule) == canonical(serial)
+        for report in scheduler.last_result.pod_reports:
+            assert report.leaked_buffers == 0
+        assert multiprocessing.active_children() == []
 
     def test_warm_state_round_trip(self, fleet_instance):
         warm = ShardedScheduler(

@@ -1,11 +1,13 @@
 """Tests for crash-safe checkpoint/restore of CentralServer runs."""
 
+import multiprocessing
 import random
 
 import pytest
 
 from repro.core.greedy import CwcScheduler
 from repro.core.prediction import RuntimePredictor
+from repro.core.sharding import ShardedScheduler
 from repro.durability.recovery import (
     RUN_SNAPSHOT_KIND,
     RecoveryError,
@@ -234,6 +236,24 @@ class TestScenarioDrill:
         assert first.ok and second.ok
         assert first.campaign_digest == second.campaign_digest
         assert first.kills == second.kills
+
+    def test_drill_on_pod_pool_leaves_no_child(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CPUS", "2")
+        pooled = []
+        solve_pooled = ShardedScheduler._solve_pods_pooled
+
+        def spy(self, *args, **kwargs):
+            reports = solve_pooled(self, *args, **kwargs)
+            pooled.append(reports is not None)
+            return reports
+
+        monkeypatch.setattr(ShardedScheduler, "_solve_pods_pooled", spy)
+        report = run_crash_restore_campaign(
+            2, seed=5, store_root=tmp_path, pods=2
+        )
+        assert report.ok
+        assert pooled and all(pooled)  # kills landed on a real pod pool
+        assert multiprocessing.active_children() == []
 
 
 class TestLazyPackageSurface:

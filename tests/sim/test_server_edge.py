@@ -152,48 +152,49 @@ class TestKeepaliveConfig:
         assert failure.detected_at_ms == pytest.approx(10_000.0)
 
 
-class TestUtilisationDefaults:
-    """Serial (no-pool) runs must report utilisation 1.0, not 0.0.
+class TestRoundDiagnostics:
+    """One set of search diagnostics, the same at every layer.
 
-    The convention across CapacitySearchResult, SchedulingStats, and
-    RoundRecord is "no pool means nothing speculated, so nothing was
-    wasted" — a serial search consumes every pack it issues.  PR 9
-    aligned RoundRecord's fallback with the dataclass defaults; these
-    tests pin all three layers so the convention cannot drift again.
+    ``CapacitySearchResult``, ``SchedulingStats`` and ``RoundRecord``
+    carry the serial search's counters; the removed speculative probe
+    pool's accounting fields must not creep back into any of them.
     """
 
-    def test_dataclass_defaults_agree(self):
+    @staticmethod
+    def pool_fields(names):
+        return [
+            name
+            for name in names
+            if name.startswith("probe_")
+            or "speculative" in name
+            or "batch" in name
+        ]
+
+    def test_no_layer_carries_probe_pool_fields(self):
         from repro.core.capacity import CapacitySearchResult
         from repro.core.greedy import SchedulingStats
+        from repro.core.sharding import ShardedSearchResult
         from repro.sim.server import RoundRecord
 
-        assert SchedulingStats().probe_worker_utilisation == 1.0
-        fields = {
-            f.name: f.default
-            for f in CapacitySearchResult.__dataclass_fields__.values()
-        }
-        assert fields["probe_worker_utilisation"] == 1.0
-        round_fields = {
-            f.name: f.default
-            for f in RoundRecord.__dataclass_fields__.values()
-        }
-        assert round_fields["probe_worker_utilisation"] == 1.0
-        assert round_fields["probe_wait_ms"] == 0.0
-        assert round_fields["probe_exec_ms"] == 0.0
+        for cls in (CapacitySearchResult, ShardedSearchResult, RoundRecord):
+            assert self.pool_fields(cls.__dataclass_fields__) == []
+        assert self.pool_fields(SchedulingStats().as_dict()) == []
 
-    def test_serial_run_records_full_utilisation(self):
+    def test_serial_run_records_search_diagnostics(self):
         server, _ = build_server()
         result = server.run(jobs())
         assert not result.unfinished_jobs
         assert result.rounds  # the run actually scheduled something
         for record in result.rounds:
-            assert record.probe_worker_utilisation == 1.0
-            assert record.probe_wait_ms == 0.0
-            assert record.probe_exec_ms == 0.0
+            assert record.packer_passes >= 1
+            assert record.kernel in ("python", "numpy")
+            assert record.pods == 1
 
-    def test_serial_scheduler_stats_report_full_utilisation(self):
+    def test_scheduler_stats_sum_round_records(self):
         server, _ = build_server()
-        server.run(jobs())
-        scheduler = server._scheduler
-        stats = scheduler.stats
-        assert stats.probe_worker_utilisation == 1.0
+        result = server.run(jobs())
+        stats = server._scheduler.stats
+        assert stats.rounds == len(result.rounds)
+        assert stats.packer_passes == sum(
+            record.packer_passes for record in result.rounds
+        )

@@ -97,6 +97,64 @@ class TestScheduleCommand:
         assert "round-robin" in capsys.readouterr().out
 
 
+class TestPodWorkersFlag:
+    def test_schedule_pod_workers_requires_pods(self, fleet_files, capsys):
+        phones_path, jobs_path = fleet_files
+        code = main(
+            [
+                "schedule",
+                "--phones",
+                str(phones_path),
+                "--jobs",
+                str(jobs_path),
+                "--pod-workers",
+                "2",
+            ]
+        )
+        assert code == 2
+        assert "--pod-workers requires --pods" in capsys.readouterr().err
+
+    def test_simulate_pod_workers_requires_pods(self, capsys):
+        assert main(["simulate", "--pod-workers", "2"]) == 2
+        assert "--pod-workers requires --pods" in capsys.readouterr().err
+
+    def test_pool_size_never_changes_the_schedule(self, fleet_files, tmp_path):
+        phones_path, jobs_path = fleet_files
+        outputs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"schedule-{workers}.json"
+            code = main(
+                [
+                    "schedule",
+                    "--phones",
+                    str(phones_path),
+                    "--jobs",
+                    str(jobs_path),
+                    "--pods",
+                    "2",
+                    "--pod-workers",
+                    workers,
+                    "--output",
+                    str(out_path),
+                ]
+            )
+            assert code == 0
+            outputs.append(out_path.read_text())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flag", ["--probe-workers", "--batch-width", "--shared-mem"]
+    )
+    def test_removed_probe_pool_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rejects_non_positive_pod_workers(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--pod-workers", "0"])
+
+
 class TestStudyCommand:
     def test_prints_summary(self, capsys):
         assert main(["study", "--days", "7", "--seed", "3"]) == 0

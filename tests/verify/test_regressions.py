@@ -7,10 +7,11 @@ oracle reports no violations.
 """
 
 from repro.core.model import Job, JobKind, PhoneSpec
+from repro.core.packing import GreedyPacker
 from repro.sim.chaos import ChaosPlan
 from repro.sim.failures import PlannedFailure
-from repro.verify import Oracle
-from repro.verify.fuzz import Scenario, run_scenario
+from repro.verify import Oracle, differential_check
+from repro.verify.fuzz import Scenario, generate_instance, run_scenario
 
 PHONES = (
     PhoneSpec(phone_id="p0", cpu_mhz=800.0),
@@ -173,3 +174,28 @@ class TestPolicyReplicaAccounting:
         )
         outcome = run_scenario(scenario)
         assert outcome.ok, [str(v) for v in outcome.violations]
+
+
+class TestNonMonotoneFeasibility:
+    """Fuzzer find: greedy feasibility is NOT monotone in capacity.
+
+    Fuzz seed 3504320067 has a feasible pocket: raising the capacity
+    from 92 000 ms to 92 500 ms turns a feasible pack infeasible (the
+    greedy order shifts and strands a remainder).  A verdict at one
+    capacity therefore proves nothing about another, which is why the
+    capacity search packs every undecided grid midpoint for real and
+    only a warm hint's exact replay may assume verdicts.  Pinned so
+    nobody reintroduces a monotonicity shortcut.
+    """
+
+    SEED = 3504320067
+
+    def test_feasibility_pocket_exists(self):
+        packer = GreedyPacker(generate_instance(self.SEED))
+        assert packer.pack(92_000.0).feasible
+        assert not packer.pack(92_500.0).feasible
+        assert packer.pack(93_500.0).feasible
+
+    def test_pocket_seed_differential(self):
+        report = differential_check(generate_instance(self.SEED))
+        assert len(report.legs) == 5
