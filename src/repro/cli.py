@@ -38,11 +38,14 @@ Nine commands cover the operator workflows:
   kill/restore-drills each scenario through the durability layer,
   asserting byte-identical recovery.
 
-``schedule`` and ``simulate`` take ``--pods N|auto`` +
+``schedule`` and ``simulate`` share the scheduler flags:
+``--scheduler``, ``--kernel``, ``--pods N|auto`` +
 ``--pod-assign lp|greedy|hash`` to shard the fleet into concurrently
 solved pods (the greedy scheduler only; ``--pods 1`` is byte-identical
 to the monolithic search), and ``--pod-workers N`` to size the pod
-worker pool.
+worker pool.  The greedy scheduler's flags build one
+:class:`~repro.core.policies.SchedulerConfig`; a combination it
+rejects exits 2.
 
 Commands accept ``--output`` to write machine-readable results so they
 can feed other tools.
@@ -57,8 +60,8 @@ import sys
 
 from .analysis.stats import EmpiricalCdf
 from .core.baselines import EqualSplitScheduler, RoundRobinScheduler
-from .core.greedy import CwcScheduler
 from .core.instance import SchedulingInstance
+from .core.policies import SchedulerConfig
 from .core.prediction import RuntimePredictor, TaskProfile
 from .core.serialize import (
     job_from_dict,
@@ -83,11 +86,22 @@ from .workloads.mixes import (
 
 __all__ = ["main", "build_parser"]
 
-_SCHEDULERS = {
-    "greedy": CwcScheduler,
+#: ``--scheduler`` baselines; ``greedy`` is built from a SchedulerConfig.
+_BASELINES = {
     "equal-split": EqualSplitScheduler,
     "round-robin": RoundRobinScheduler,
 }
+
+
+class _UsageError(Exception):
+    """Input the command cannot run with: ``main`` prints it, exits 2."""
+
+
+#: Single-run ``simulate`` flags that ``--nights`` cannot honour.
+_SINGLE_RUN_FLAGS = (
+    "--scheduler", "--failures", "--chaos", "--chaos-seed",
+    "--harden", "--verify", "--telemetry", "--trace",
+)
 
 
 def _positive_int(text: str) -> int:
@@ -108,8 +122,18 @@ def _pods(text: str):
     return text if text == "auto" else _positive_int(text)
 
 
-def _add_pod_arguments(parser) -> None:
-    """Fleet-sharding knobs shared by ``schedule`` and ``simulate``."""
+def _add_scheduler_arguments(parser) -> None:
+    """Scheduler choice and knobs shared by ``schedule`` and ``simulate``."""
+    parser.add_argument(
+        "--scheduler", choices=sorted(("greedy", *_BASELINES)),
+        default="greedy",
+    )
+    parser.add_argument(
+        "--kernel", choices=("auto", "python", "numpy"), default="auto",
+        help="packing backend for the capacity search (greedy scheduler "
+        "only; both produce byte-identical schedules, 'auto' picks by "
+        "instance size)",
+    )
     parser.add_argument(
         "--pods", type=_pods, metavar="N|auto",
         help="shard the fleet into N pods solved concurrently and "
@@ -132,16 +156,30 @@ def _add_pod_arguments(parser) -> None:
     )
 
 
-def _pod_workers_without_pods(args) -> bool:
-    """True (after saying why) when ``--pod-workers`` lacks ``--pods``."""
-    if args.pod_workers is not None and args.pods is None:
+def _scheduler_config(args, *, warm_start: bool) -> SchedulerConfig:
+    """The greedy scheduler's config from the flags."""
+    try:
+        return SchedulerConfig(
+            kernel=args.kernel,
+            warm_start=warm_start,
+            pods=args.pods,
+            pod_assign=args.pod_assign,
+            pod_workers=args.pod_workers or "auto",
+        )
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+def _build_scheduler(args, config: SchedulerConfig, telemetry=None):
+    """The ``--scheduler`` choice: the config's, or a baseline."""
+    if args.scheduler == "greedy":
+        return config.build(telemetry=telemetry)
+    if config.warm_start or config.pods is not None:
         print(
-            "--pod-workers requires --pods: pods are the only parallel "
-            "axis, a monolithic search always runs in-process",
+            "note: --warm-start/--pods only apply to the greedy scheduler",
             file=sys.stderr,
         )
-        return True
-    return False
+    return _BASELINES[args.scheduler]()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,16 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional {task: {base_ms_per_kb, base_mhz}} JSON file; "
         "defaults to the paper's task profiles",
     )
-    schedule.add_argument(
-        "--scheduler", choices=sorted(_SCHEDULERS), default="greedy"
-    )
-    schedule.add_argument(
-        "--kernel", choices=("auto", "python", "numpy"), default="auto",
-        help="packing backend for the capacity search (greedy scheduler "
-        "only; both produce byte-identical schedules, 'auto' picks by "
-        "instance size)",
-    )
-    _add_pod_arguments(schedule)
+    _add_scheduler_arguments(schedule)
     schedule.add_argument("--output", help="write the schedule as JSON here")
 
     study = sub.add_parser(
@@ -203,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=2012)
     simulate.add_argument(
         "--failures", type=int, default=0, help="random phones to unplug"
-    )
-    simulate.add_argument(
-        "--scheduler", choices=sorted(_SCHEDULERS), default="greedy"
     )
     simulate.add_argument(
         "--chaos",
@@ -237,13 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from the previous round's capacity (greedy scheduler only; "
         "schedules are unchanged, packer passes drop)",
     )
-    simulate.add_argument(
-        "--kernel", choices=("auto", "python", "numpy"), default="auto",
-        help="packing backend for the capacity search (greedy scheduler "
-        "only; both produce byte-identical schedules, 'auto' picks by "
-        "instance size)",
-    )
-    _add_pod_arguments(simulate)
+    _add_scheduler_arguments(simulate)
     simulate.add_argument("--output", help="write the run summary JSON here")
     simulate.add_argument(
         "--telemetry", metavar="DIR",
@@ -497,8 +517,7 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    if _pod_workers_without_pods(args):
-        return 2
+    config = _scheduler_config(args, warm_start=False)
     phones = tuple(phone_from_dict(p) for p in _load_json(args.phones))
     jobs = tuple(job_from_dict(j) for j in _load_json(args.jobs))
 
@@ -529,26 +548,7 @@ def _cmd_schedule(args) -> int:
         b = measure_fleet(links)
 
     instance = SchedulingInstance.build(jobs, phones, b, predictor)
-    scheduler_cls = _SCHEDULERS[args.scheduler]
-    if scheduler_cls is CwcScheduler:
-        if args.pods is not None:
-            from .core.sharding import ShardedScheduler
-
-            scheduler = ShardedScheduler(
-                pods=args.pods,
-                pod_assign=args.pod_assign,
-                pod_workers=args.pod_workers or "auto",
-                kernel=args.kernel,
-            )
-        else:
-            scheduler = scheduler_cls(kernel=args.kernel)
-    else:
-        if args.pods is not None:
-            print(
-                "note: --pods only applies to the greedy scheduler",
-                file=sys.stderr,
-            )
-        scheduler = scheduler_cls()
+    scheduler = _build_scheduler(args, config)
     schedule = scheduler.schedule(instance)
     schedule.validate(instance)
 
@@ -589,17 +589,27 @@ def _cmd_study(args) -> int:
     return 0
 
 
-def _cmd_simulate_campaign(args) -> int:
+def _cmd_simulate_campaign(args, config: SchedulerConfig) -> int:
     """Continuous multi-night operation (``simulate --nights N``)."""
     from .sim.campaign import ContinuousCampaign, capacity_planning_report
     from .sim.churn import FleetChurnModel
 
     if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise _UsageError("--resume requires --checkpoint-dir")
     if args.kill_after_night is not None and not args.checkpoint_dir:
-        print("--kill-after-night requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise _UsageError("--kill-after-night requires --checkpoint-dir")
+    defaults = build_parser().parse_args(["simulate"])
+    dests = {flag: flag[2:].replace("-", "_") for flag in _SINGLE_RUN_FLAGS}
+    ignored = [
+        flag
+        for flag, dest in dests.items()
+        if getattr(args, dest) != getattr(defaults, dest)
+    ]
+    if ignored:
+        raise _UsageError(
+            f"{', '.join(ignored)} only apply to a single run; "
+            "--nights would ignore them"
+        )
 
     churn = FleetChurnModel() if args.churn else None
     campaign = ContinuousCampaign(
@@ -607,12 +617,8 @@ def _cmd_simulate_campaign(args) -> int:
         jobs_per_night=args.jobs_per_night,
         arrival_rate_per_hour=args.arrival_rate,
         churn=churn,
-        kernel=args.kernel,
-        warm_start=True,
+        scheduler=config,
         checkpoint_dir=args.checkpoint_dir,
-        pods=args.pods,
-        pod_assign=args.pod_assign,
-        pod_workers=args.pod_workers or "auto",
     )
 
     class _Killed(RuntimeError):
@@ -637,6 +643,8 @@ def _cmd_simulate_campaign(args) -> int:
             f"rerun with --resume to continue)"
         )
         return 3
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
     report = capacity_planning_report(
         result, window_hours=campaign.window_hours
@@ -681,16 +689,15 @@ def _cmd_simulate_campaign(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if _pod_workers_without_pods(args):
-        return 2
-    if args.nights is not None:
-        return _cmd_simulate_campaign(args)
+    # A campaign always warm-starts: its checkpoints carry the cache.
+    campaign = args.nights is not None
+    config = _scheduler_config(args, warm_start=args.warm_start or campaign)
+    if campaign:
+        return _cmd_simulate_campaign(args, config)
     if args.resume or args.checkpoint_dir or args.kill_after_night is not None:
-        print(
-            "--resume/--checkpoint-dir/--kill-after-night require --nights",
-            file=sys.stderr,
+        raise _UsageError(
+            "--resume/--checkpoint-dir/--kill-after-night require --nights"
         )
-        return 2
     testbed = paper_testbed(seed=args.seed)
     profiles = paper_task_profiles()
     truth = FleetGroundTruth(profiles, deviation_sigma=0.03, seed=args.seed)
@@ -732,8 +739,7 @@ def _cmd_simulate(args) -> int:
         policy = ResiliencePolicy.hardened(verify_results=args.verify)
 
     if args.trace and not args.telemetry:
-        print("--trace requires --telemetry", file=sys.stderr)
-        return 2
+        raise _UsageError("--trace requires --telemetry")
     telemetry = None
     if args.telemetry:
         from .obs import Telemetry
@@ -742,37 +748,7 @@ def _cmd_simulate(args) -> int:
             run_id=f"simulate-seed{args.seed}", tracing=args.trace
         )
 
-    scheduler_cls = _SCHEDULERS[args.scheduler]
-    if scheduler_cls is CwcScheduler:
-        if args.pods is not None:
-            from .core.sharding import ShardedScheduler
-
-            scheduler = ShardedScheduler(
-                pods=args.pods,
-                pod_assign=args.pod_assign,
-                pod_workers=args.pod_workers or "auto",
-                warm_start=args.warm_start,
-                kernel=args.kernel,
-                telemetry=telemetry,
-            )
-        else:
-            scheduler = scheduler_cls(
-                warm_start=args.warm_start,
-                kernel=args.kernel,
-                telemetry=telemetry,
-            )
-    else:
-        if args.warm_start:
-            print(
-                "note: --warm-start only applies to the greedy scheduler",
-                file=sys.stderr,
-            )
-        if args.pods is not None:
-            print(
-                "note: --pods only applies to the greedy scheduler",
-                file=sys.stderr,
-            )
-        scheduler = scheduler_cls()
+    scheduler = _build_scheduler(args, config, telemetry)
     server = CentralServer(
         testbed.phones,
         truth,
@@ -1277,7 +1253,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse arguments and dispatch to the subcommand."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

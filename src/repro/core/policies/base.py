@@ -71,8 +71,9 @@ class SchedulingPolicy(Scheduler, Protocol):
     ``last_replicas`` holds the directives attached to the most recent
     ``schedule()`` call; schedulers that never replicate expose an
     empty tuple.  The server reads the attribute duck-typed (plain
-    schedulers without it still work), but every policy built by
-    :func:`repro.core.policies.make_policy` satisfies this protocol.
+    schedulers without it still work), but every scheduler built by
+    :meth:`repro.core.policies.SchedulerConfig.build` satisfies this
+    protocol.
     """
 
     last_replicas: tuple[ReplicaDirective, ...]

@@ -81,6 +81,9 @@ _POD_ASSIGN_POLICIES = ("lp", "greedy", "hash")
 #: extra pod solves.
 _REBALANCE_MIN_GAP = 1.05
 
+#: Max job-migration repair rounds of the global capacity search.
+_REBALANCE_ROUNDS = 1
+
 
 @dataclass(frozen=True)
 class ShardedSearchResult:
@@ -146,9 +149,6 @@ class ShardedScheduler:
         available_cpus` and stays in-process on single-CPU hosts.
         ``None``/1 forces the serial path.  Results are identical
         either way.
-    rebalance_rounds:
-        Max job-migration repair rounds of the global capacity search
-        (default 1; 0 disables repair).
     certify:
         Solve the pod-aggregated LP each sharded round to certify the
         makespan (``shard_bound_ratio``).  Default ``True``;
@@ -171,7 +171,6 @@ class ShardedScheduler:
         pods: int | str = "auto",
         pod_assign: str = "greedy",
         pod_workers: int | str | None = "auto",
-        rebalance_rounds: int = 1,
         certify: bool = True,
         epsilon_ms: float = 1.0,
         min_partition_kb: float | None = None,
@@ -180,16 +179,7 @@ class ShardedScheduler:
         warm_start: bool = False,
         kernel: str = "auto",
         telemetry=None,
-        policy: str = "cwc-greedy",
     ) -> None:
-        if policy != "cwc-greedy":
-            raise ValueError(
-                "ShardedScheduler only runs the default 'cwc-greedy' "
-                f"policy (got {policy!r}): pod solves and the LP "
-                "certificate assume capacity-search schedules.  Run "
-                "alternative policies monolithically (pods=None) via "
-                "repro.core.policies.make_policy."
-            )
         if pod_assign not in _POD_ASSIGN_POLICIES:
             raise ValueError(
                 f"unknown pod_assign {pod_assign!r}; "
@@ -202,12 +192,9 @@ class ShardedScheduler:
                 f"pod_workers must be >= 1, 'auto', or None, "
                 f"got {pod_workers!r}"
             )
-        if rebalance_rounds < 0:
-            raise ValueError("rebalance_rounds must be >= 0")
         self._pods = pods
         self._pod_assign = pod_assign
         self._pod_workers = pod_workers
-        self._rebalance_rounds = rebalance_rounds
         self._certify = certify
         self._warm_start = warm_start
         #: Monolithic delegate for resolved pod count 1 — byte-identical
@@ -542,10 +529,10 @@ class ShardedScheduler:
         is deterministic: ties break on job position.
         """
         moves = 0
-        if self._rebalance_rounds < 1 or len(reports) < 2:
+        if _REBALANCE_ROUNDS < 1 or len(reports) < 2:
             return specs, reports, moves
         exe, load = instance.job_load_arrays()
-        for _ in range(self._rebalance_rounds):
+        for _ in range(_REBALANCE_ROUNDS):
             capacities = [report.capacity_ms for report in reports]
             hi_k = max(range(len(reports)), key=lambda k: capacities[k])
             lo_k = min(range(len(reports)), key=lambda k: capacities[k])

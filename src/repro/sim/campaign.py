@@ -30,6 +30,7 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..core.model import Job, PhoneSpec
 from ..core.prediction import RuntimePredictor
@@ -55,6 +56,9 @@ from .entities import FleetGroundTruth
 from .failures import FailurePlan, RandomUnplugModel
 from .server import CentralServer
 
+if TYPE_CHECKING:
+    from ..core.policies import SchedulerConfig
+
 __all__ = [
     "CAMPAIGN_SNAPSHOT_KIND",
     "NightRecord",
@@ -70,6 +74,11 @@ __all__ = [
 ]
 
 MS_PER_DAY = 24.0 * 3_600_000.0
+
+#: Scheduler settings a resumed campaign must share with its
+#: checkpoint; the rest (kernel, warm start, pool size) never change a
+#: schedule.
+_RESUME_PINNED_FIELDS = ("policy", "pods", "pod_assign")
 
 #: Snapshot kind for night-boundary campaign checkpoints.
 CAMPAIGN_SNAPSHOT_KIND = "campaign-night"
@@ -495,6 +504,12 @@ class ContinuousCampaign:
     records the uninterrupted one would have, and no backlog or
     deferred arrival is ever lost across the boundary.
 
+    ``scheduler`` (a :class:`~repro.core.policies.SchedulerConfig`;
+    default: warm-started ``cwc-greedy``) picks the scheduler.  Every
+    checkpoint records it, and resuming under a different policy, pod
+    count or pod splitter raises ``ValueError`` instead of silently
+    continuing as a different run.
+
     Everything a night consumes is derived from ``seed`` plus
     checkpointed state, so the campaign needs no live objects in its
     constructor — which is also what makes it resumable from a fresh
@@ -513,12 +528,7 @@ class ContinuousCampaign:
         hourly_unplug: Sequence[float] | None = None,
         online_fraction: float = 0.9,
         rejoin_probability: float = 0.35,
-        kernel: str = "auto",
-        warm_start: bool = True,
-        pods: int | str | None = None,
-        pod_assign: str = "greedy",
-        pod_workers: int | str | None = "auto",
-        policy: str = "cwc-greedy",
+        scheduler: SchedulerConfig | None = None,
         deviation_sigma: float = 0.03,
         max_rounds_per_night: int = 40,
         checkpoint_dir: str | Path | None = None,
@@ -534,8 +544,7 @@ class ContinuousCampaign:
         # Lazy: ``core.greedy`` itself imports the obs facade, whose
         # package import reaches back into ``sim.campaign`` — a
         # module-level import here would be circular.
-        from ..core.greedy import CwcScheduler
-        from ..core.sharding import ShardedScheduler
+        from ..core.policies import SchedulerConfig
         from ..workloads.mixes import (
             evaluation_workload,
             paper_task_profiles,
@@ -569,30 +578,10 @@ class ContinuousCampaign:
             profiles, deviation_sigma=deviation_sigma, seed=seed
         )
         self._predictor = RuntimePredictor(profiles)
-        if pods is None:
-            if policy == "cwc-greedy":
-                self._scheduler = CwcScheduler(
-                    kernel=kernel, warm_start=warm_start
-                )
-            else:
-                from ..core.policies import make_policy
-
-                self._scheduler = make_policy(
-                    policy, kernel=kernel, warm_start=warm_start
-                )
-        elif policy != "cwc-greedy":
-            raise ValueError(
-                f"sharded campaigns (pods={pods!r}) only run the default "
-                f"'cwc-greedy' policy, got {policy!r}"
-            )
-        else:
-            self._scheduler = ShardedScheduler(
-                pods=pods,
-                pod_assign=pod_assign,
-                pod_workers=pod_workers,
-                kernel=kernel,
-                warm_start=warm_start,
-            )
+        if scheduler is None:
+            scheduler = SchedulerConfig(warm_start=True)
+        self._config = scheduler
+        self._scheduler = scheduler.build()
         # A dozen deterministic job prototypes (cycled with fresh ids);
         # 4 of each task keeps the paper's 3-task mix.
         self._templates = evaluation_workload(seed=seed, instances_per_task=4)
@@ -656,10 +645,20 @@ class ContinuousCampaign:
                 )
             ],
             "scheduler": scheduler_state,
+            "scheduler_config": self._config.to_dict(),
             "records": [record.to_dict() for record in self._records],
         }
 
     def _restore_state(self, state: dict) -> None:
+        saved = state.get("scheduler_config") or {}
+        current = self._config.to_dict()
+        for field in _RESUME_PINNED_FIELDS:
+            if field in saved and saved[field] != current[field]:
+                raise ValueError(
+                    f"cannot resume: the checkpoint ran {field}="
+                    f"{saved[field]!r} but this campaign has {field}="
+                    f"{current[field]!r}"
+                )
         self._next_night = int(state["next_night"])
         self._job_counter = int(state["job_counter"])
         self._fleet = tuple(phone_from_dict(p) for p in state["fleet"])

@@ -30,9 +30,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.greedy import CwcScheduler
 from ..core.instance import SchedulingInstance
-from ..core.policies import DEFAULT_POLICY, POLICY_NAMES, make_policy
+from ..core.policies import DEFAULT_POLICY, POLICY_NAMES, SchedulerConfig
 from ..core.model import Job, JobKind, NetworkTechnology, PhoneSpec
 from ..core.prediction import RuntimePredictor
 from ..core.serialize import (
@@ -374,32 +373,17 @@ def build_scenario_server(
         if scenario.hardened
         else None
     )
-    if pods is not None:
-        from ..core.sharding import ShardedScheduler
-
-        scheduler = ShardedScheduler(
-            pods=pods,
-            kernel=scenario.kernel,
-            warm_start=scenario.warm_start,
-            telemetry=telemetry,
-            policy=scenario.policy,
-        )
-    elif scenario.policy == DEFAULT_POLICY:
-        scheduler = CwcScheduler(
-            kernel=scenario.kernel,
-            warm_start=scenario.warm_start,
-            telemetry=telemetry,
-        )
-    else:
-        # Replication distrusts exactly the phones the chaos plan
-        # touches — derived from the scenario, so replays agree.
-        scheduler = make_policy(
-            scenario.policy,
-            kernel=scenario.kernel,
-            warm_start=scenario.warm_start,
-            telemetry=telemetry,
-            unreliable=tuple(sorted(scenario.chaos.phone_ids())),
-        )
+    # Replication distrusts exactly the phones the chaos plan touches —
+    # derived from the scenario, so replays agree.
+    scheduler = SchedulerConfig(
+        policy=scenario.policy,
+        kernel=scenario.kernel,
+        warm_start=scenario.warm_start,
+        pods=pods,
+    ).build(
+        telemetry=telemetry,
+        unreliable=tuple(sorted(scenario.chaos.phone_ids())),
+    )
     return CentralServer(
         scenario.phones,
         truth,

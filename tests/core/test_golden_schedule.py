@@ -188,13 +188,14 @@ def test_every_policy_valid_on_paper_testbed(policy_name):
     reference search — policies are competitors, but ``cwc-greedy``
     remains the paper's scheduler, bit for bit.
     """
-    from repro.core.policies import make_policy
+    from repro.core.policies import SchedulerConfig
 
+    config = SchedulerConfig(policy=policy_name)
     instance = paper_instance()
-    policy = make_policy(policy_name)
+    policy = config.build()
     schedule = policy.schedule(instance)
     schedule.validate(instance)
-    rerun = make_policy(policy_name).schedule(instance)
+    rerun = config.build().schedule(instance)
     assert schedule_to_dict(schedule) == schedule_to_dict(rerun)
     if policy_name == "cwc-greedy":
         reference = ReferenceCapacitySearch().run(instance)
@@ -205,11 +206,11 @@ def test_every_policy_valid_on_paper_testbed(policy_name):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_default_policy_search_kwargs_stay_golden(kernel):
-    """make_policy forwards search kwargs without perturbing output."""
-    from repro.core.policies import make_policy
+    """SchedulerConfig forwards search knobs without perturbing output."""
+    from repro.core.policies import SchedulerConfig
 
     instance = random_fleet_instance(n_phones=30, n_jobs=24, seed=9)
-    via_policy = make_policy("cwc-greedy", kernel=kernel).schedule(instance)
+    via_policy = SchedulerConfig(kernel=kernel).build().schedule(instance)
     reference = ReferenceCapacitySearch().run(instance)
     assert schedule_to_dict(via_policy) == schedule_to_dict(
         reference.schedule

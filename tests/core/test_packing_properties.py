@@ -224,13 +224,14 @@ def test_every_policy_yields_valid_deterministic_schedules(
     for replicas of whole-job assignments on phones that did not
     already run the job.
     """
-    from repro.core.policies import make_policy
+    from repro.core.policies import SchedulerConfig
     from repro.core.policies.base import whole_assignments
 
-    policy = make_policy(policy_name)
+    config = SchedulerConfig(policy=policy_name)
+    policy = config.build()
     schedule = policy.schedule(case)
     schedule.validate(case)
-    again = make_policy(policy_name).schedule(case)
+    again = config.build().schedule(case)
     assert schedule_to_dict(schedule) == schedule_to_dict(again)
 
     whole = set(whole_assignments(schedule))

@@ -6,15 +6,20 @@ Three contracts matter:
   :class:`~repro.core.policies.SchedulingPolicy` protocol, produces
   schedules that pass :meth:`~repro.core.schedule.Schedule.validate`,
   and is deterministic (same instance in, byte-identical schedule out).
-* **Default byte-identity** — ``make_policy("cwc-greedy")`` and the
+* **Default byte-identity** — ``SchedulerConfig().build()`` and the
   replication policy's base packing are byte-identical to a plain
   :class:`~repro.core.greedy.CwcScheduler`, so the pre-policy digests
   and the differential harness stay pinned.
+* **One config** — :class:`~repro.core.policies.SchedulerConfig`
+  rejects every invalid combination when it is constructed, round-trips
+  through JSON, and builds schedulers byte-identical to the direct
+  constructors.
 * **Policy semantics** — replication directives are well-formed (whole
   jobs, never the primary's phone, budget respected), and the energy
   model's joules arithmetic is exact.
 """
 
+import json
 import random
 
 import pytest
@@ -26,10 +31,10 @@ from repro.core.policies import (
     EnergyAwarePolicy,
     ReplicaDirective,
     ReplicationPolicy,
+    SchedulerConfig,
     SchedulingPolicy,
     ShortestExpectedCompletionPolicy,
     assignment_energy_j,
-    make_policy,
     phone_cpu_draw_w,
     run_energy_joules,
 )
@@ -40,11 +45,17 @@ from repro.core.policies.base import (
 )
 from repro.core.model import PhoneSpec
 from repro.core.serialize import schedule_to_dict
+from repro.core.sharding import ShardedScheduler
 from repro.power.battery import HTC_G2, HTC_SENSATION
 
 from ..conftest import make_instance
+from .test_golden_schedule import paper_instance
 
 SEEDS = (0, 3, 11, 42)
+
+
+def build_policy(name):
+    return SchedulerConfig(policy=name).build()
 
 
 def fuzzed_instance(seed):
@@ -67,7 +78,7 @@ class TestRegistry:
         assert POLICY_NAMES[0] == DEFAULT_POLICY == "cwc-greedy"
 
     def test_default_returns_plain_cwc_scheduler(self):
-        assert type(make_policy("cwc-greedy")) is CwcScheduler
+        assert type(SchedulerConfig().build()) is CwcScheduler
 
     @pytest.mark.parametrize(
         ("name", "cls"),
@@ -78,33 +89,32 @@ class TestRegistry:
         ],
     )
     def test_named_policies_construct(self, name, cls):
-        assert type(make_policy(name)) is cls
+        assert type(build_policy(name)) is cls
 
     def test_unknown_name_rejected_with_known_list(self):
-        with pytest.raises(ValueError, match="cwc-greedy"):
-            make_policy("round-robin")
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            SchedulerConfig(policy="round-robin")
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_every_policy_satisfies_the_protocol(self, name):
-        policy = make_policy(name)
+        policy = build_policy(name)
         assert isinstance(policy, SchedulingPolicy)
         assert policy.name == name
         assert policy.last_replicas == ()
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_search_kwargs_accepted_by_every_policy(self, name):
-        # One call site (the scenario->server mapping) threads the
-        # capacity-search config through make_policy for all policies;
-        # searchless ones must swallow the knobs, not crash.
-        policy = make_policy(
-            name, kernel="python", warm_start=True, epsilon_ms=1.0
-        )
+        # Fuzz and tournament scenarios draw kernel and warm start for
+        # every policy; searchless ones must ignore the knobs, not crash.
+        policy = SchedulerConfig(
+            policy=name, kernel="python", warm_start=True
+        ).build()
         instance = fuzzed_instance(1)
         policy.schedule(instance).validate(instance)
 
     def test_unknown_kwarg_still_rejected(self):
         with pytest.raises(TypeError):
-            make_policy("energy-aware", nonsense=3)
+            SchedulerConfig(policy="energy-aware", nonsense=3)
 
 
 class TestPolicyValidity:
@@ -112,14 +122,14 @@ class TestPolicyValidity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_schedules_validate(self, name, seed):
         instance = fuzzed_instance(seed)
-        schedule = make_policy(name).schedule(instance)
+        schedule = build_policy(name).schedule(instance)
         schedule.validate(instance)
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_schedules_deterministic(self, name):
         instance = fuzzed_instance(7)
-        first = make_policy(name).schedule(instance)
-        second = make_policy(name).schedule(instance)
+        first = build_policy(name).schedule(instance)
+        second = build_policy(name).schedule(instance)
         assert schedule_to_dict(first) == schedule_to_dict(second)
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -127,7 +137,7 @@ class TestPolicyValidity:
         instance = make_instance(
             n_phones=1, n_breakable=2, n_atomic=1, seed=2
         )
-        policy = make_policy(name)
+        policy = build_policy(name)
         policy.schedule(instance).validate(instance)
         # One phone leaves nowhere to replicate.
         assert policy.last_replicas == ()
@@ -135,18 +145,111 @@ class TestPolicyValidity:
 
 class TestDefaultByteIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_make_policy_default_matches_plain_scheduler(self, seed):
+    def test_config_default_matches_plain_scheduler(self, seed):
         instance = fuzzed_instance(seed)
-        via_registry = make_policy("cwc-greedy").schedule(instance)
+        via_registry = SchedulerConfig().build().schedule(instance)
         plain = CwcScheduler().schedule(instance)
         assert schedule_to_dict(via_registry) == schedule_to_dict(plain)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_replication_packing_matches_default(self, seed):
         instance = fuzzed_instance(seed)
-        replicated = make_policy("replication").schedule(instance)
+        replicated = build_policy("replication").schedule(instance)
         plain = CwcScheduler().schedule(instance)
         assert schedule_to_dict(replicated) == schedule_to_dict(plain)
+
+
+# ---------------------------------------------------------------------------
+# the scheduler config
+# ---------------------------------------------------------------------------
+
+#: Every valid (policy, pods) pair with the direct constructor it must
+#: match: non-default policies only run monolithically.
+DIRECT = [
+    ("cwc-greedy", None, CwcScheduler),
+    ("replication", None, ReplicationPolicy),
+    ("energy-aware", None, EnergyAwarePolicy),
+    ("shortest-expected", None, ShortestExpectedCompletionPolicy),
+    ("cwc-greedy", 1, lambda: ShardedScheduler(pods=1, pod_workers=1)),
+    ("cwc-greedy", 2, lambda: ShardedScheduler(pods=2, pod_workers=1)),
+]
+
+
+class TestSchedulerConfig:
+    def test_every_valid_pair_is_covered(self):
+        covered = {(policy, pods) for policy, pods, _ in DIRECT}
+        valid = {(name, None) for name in POLICY_NAMES} | {
+            (DEFAULT_POLICY, pods) for pods in (1, 2)
+        }
+        assert covered == valid
+
+    @pytest.mark.parametrize(("policy", "pods", "direct"), DIRECT)
+    def test_build_matches_direct_constructor_on_golden_instance(
+        self, policy, pods, direct
+    ):
+        instance = paper_instance()
+        workers = {"pod_workers": 1} if pods is not None else {}
+        built = SchedulerConfig(policy=policy, pods=pods, **workers).build()
+        assert type(built) is type(direct())
+        assert schedule_to_dict(built.schedule(instance)) == (
+            schedule_to_dict(direct().schedule(instance))
+        )
+
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"policy": "round-robin"}, "unknown scheduling policy"),
+            ({"kernel": "cuda"}, "unknown kernel"),
+            ({"pods": 2, "pod_assign": "roulette"}, "unknown pod_assign"),
+            ({"pods": 0}, "pods must be >= 1"),
+            ({"pods": "many"}, "pods must be >= 1"),
+            ({"pods": 2, "pod_workers": 0}, "pod_workers must be >= 1"),
+            ({"pods": 2, "policy": "energy-aware"}, "'cwc-greedy'"),
+            ({"pods": "auto", "policy": "replication"}, "'cwc-greedy'"),
+            ({"pod_workers": 2}, "--pod-workers requires --pods"),
+        ],
+    )
+    def test_invalid_combinations_rejected_at_construction(
+        self, kwargs, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            SchedulerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SchedulerConfig(),
+            SchedulerConfig(policy="replication", kernel="numpy"),
+            SchedulerConfig(warm_start=True, pods="auto"),
+            SchedulerConfig(pods=3, pod_assign="lp", pod_workers=2),
+        ],
+    )
+    def test_dict_round_trip(self, config):
+        data = json.loads(json.dumps(config.to_dict()))
+        assert SchedulerConfig.from_dict(data) == config
+
+    def test_from_dict_rejects_unknown_keys(self):
+        data = {**SchedulerConfig().to_dict(), "rebalance_rounds": 2}
+        with pytest.raises(ValueError, match="rebalance_rounds"):
+            SchedulerConfig.from_dict(data)
+
+    def test_from_dict_revalidates(self):
+        with pytest.raises(ValueError, match="'cwc-greedy'"):
+            SchedulerConfig.from_dict({"policy": "replication", "pods": 2})
+
+    def test_config_is_frozen(self):
+        with pytest.raises(AttributeError):
+            SchedulerConfig().pods = 2
+
+    def test_build_threads_unreliable_to_replication_only(self):
+        built = SchedulerConfig(policy="replication").build(
+            unreliable=("p0",)
+        )
+        assert built._unreliable == frozenset({"p0"})
+        # Other schedulers ignore it.
+        assert type(SchedulerConfig().build(unreliable=("p0",))) is (
+            CwcScheduler
+        )
 
 
 # ---------------------------------------------------------------------------

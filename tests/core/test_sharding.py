@@ -8,9 +8,10 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import pod
+from repro.core import pod, sharding
 from repro.core.capacity import CapacitySearch, available_cpus
 from repro.core.greedy import CwcScheduler
+from repro.core.policies import SchedulerConfig
 from repro.core.pod import (
     PodSpec,
     assemble_schedule,
@@ -155,8 +156,10 @@ class TestShardedScheduler:
             ShardedScheduler(pods=0)
         with pytest.raises(ValueError):
             ShardedScheduler(pod_workers=0)
-        with pytest.raises(ValueError):
-            ShardedScheduler(rebalance_rounds=-1)
+        with pytest.raises(TypeError):
+            ShardedScheduler(rebalance_rounds=1)
+        with pytest.raises(TypeError):
+            ShardedScheduler(policy="cwc-greedy")
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_pods1_byte_identical_to_monolithic(self, fleet_instance, kernel):
@@ -220,13 +223,15 @@ class TestShardedScheduler:
         # Every pod gets some work on this mixed workload.
         assert len(np.unique(assignment)) == 3
 
-    def test_rebalance_never_hurts_capacity(self, fleet_instance):
-        base = ShardedScheduler(
-            pods=3, pod_assign="hash", rebalance_rounds=0, pod_workers=None
-        )
+    def test_rebalance_never_hurts_capacity(
+        self, fleet_instance, monkeypatch
+    ):
+        monkeypatch.setattr(sharding, "_REBALANCE_ROUNDS", 0)
+        base = ShardedScheduler(pods=3, pod_assign="hash", pod_workers=None)
         base.schedule(fleet_instance)
+        monkeypatch.setattr(sharding, "_REBALANCE_ROUNDS", 3)
         repaired = ShardedScheduler(
-            pods=3, pod_assign="hash", rebalance_rounds=3, pod_workers=None
+            pods=3, pod_assign="hash", pod_workers=None
         )
         schedule = repaired.schedule(fleet_instance)
         schedule.validate(fleet_instance)
@@ -337,13 +342,14 @@ class TestPolicyRejection:
 
     def test_non_default_policy_rejected_with_guidance(self):
         with pytest.raises(ValueError) as excinfo:
-            ShardedScheduler(pods=2, policy="energy-aware")
+            SchedulerConfig(pods=2, policy="energy-aware")
         message = str(excinfo.value)
         assert "cwc-greedy" in message
         assert "energy-aware" in message
-        assert "make_policy" in message
+        assert "pods=None" in message
 
     def test_default_policy_accepted_explicitly(self):
-        scheduler = ShardedScheduler(pods=2, policy="cwc-greedy")
+        scheduler = SchedulerConfig(pods=2, policy="cwc-greedy").build()
+        assert isinstance(scheduler, ShardedScheduler)
         assert scheduler.name == "cwc-sharded"
         assert scheduler.last_replicas == ()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.policies import SchedulerConfig
 from repro.durability.snapshot import SnapshotStore
 from repro.sim.campaign import (
     CAMPAIGN_SNAPSHOT_KIND,
@@ -125,6 +126,91 @@ class TestKillAndResume:
         )
 
 
+class TestResumeConfig:
+    """A checkpoint records its scheduler config; resume honours it."""
+
+    class Killed(RuntimeError):
+        pass
+
+    def killed_run(self, ckpt, config, *, after=0):
+        def hook(_campaign, night_index, _record):
+            if night_index >= after:
+                raise self.Killed
+
+        with pytest.raises(self.Killed):
+            ContinuousCampaign(
+                seed=30, jobs_per_night=6, checkpoint_dir=ckpt,
+                scheduler=config,
+            ).run(3, on_night=hook)
+
+    def test_checkpoint_records_config(self, tmp_path):
+        config = SchedulerConfig(kernel="python", warm_start=True)
+        self.killed_run(tmp_path, config)
+        state = SnapshotStore(tmp_path).latest(kind=CAMPAIGN_SNAPSHOT_KIND)
+        assert state.state["scheduler_config"] == config.to_dict()
+
+    @pytest.mark.parametrize(
+        ("saved", "resumed", "field"),
+        [
+            (SchedulerConfig(), SchedulerConfig(pods=2), "pods"),
+            (
+                SchedulerConfig(),
+                SchedulerConfig(policy="energy-aware"),
+                "policy",
+            ),
+            (
+                SchedulerConfig(pods=2, pod_workers=1),
+                SchedulerConfig(pods=2, pod_assign="hash", pod_workers=1),
+                "pod_assign",
+            ),
+        ],
+    )
+    def test_mismatched_resume_raises(self, tmp_path, saved, resumed, field):
+        self.killed_run(tmp_path, saved)
+        campaign = ContinuousCampaign(
+            seed=30, jobs_per_night=6, checkpoint_dir=tmp_path,
+            scheduler=resumed,
+        )
+        with pytest.raises(ValueError) as excinfo:
+            campaign.run(3, resume=True)
+        message = str(excinfo.value)
+        assert field in message
+        assert repr(getattr(saved, field)) in message
+        assert repr(getattr(resumed, field)) in message
+
+    def test_matching_resume_with_other_free_knobs_is_identical(
+        self, tmp_path
+    ):
+        config = SchedulerConfig(kernel="python", warm_start=True)
+        baseline = ContinuousCampaign(
+            seed=30, jobs_per_night=6, scheduler=config
+        ).run(3)
+        self.killed_run(tmp_path, config)
+        # Kernel and warm start never change a schedule, so they may
+        # differ from the checkpoint's.
+        resumed = ContinuousCampaign(
+            seed=30, jobs_per_night=6, checkpoint_dir=tmp_path,
+            scheduler=SchedulerConfig(kernel="numpy"),
+        ).run(3, resume=True)
+        assert resumed.resumed_from_night == 1
+        assert night_dicts(resumed) == night_dicts(baseline)
+
+    def test_checkpoint_without_config_resumes_as_before(self, tmp_path):
+        baseline = ContinuousCampaign(seed=30, jobs_per_night=6).run(3)
+        self.killed_run(tmp_path / "new", SchedulerConfig(warm_start=True))
+        state = SnapshotStore(tmp_path / "new").latest(
+            kind=CAMPAIGN_SNAPSHOT_KIND
+        ).state
+        del state["scheduler_config"]
+        SnapshotStore(tmp_path / "old").save(CAMPAIGN_SNAPSHOT_KIND, state)
+        resumed = ContinuousCampaign(
+            seed=30, jobs_per_night=6, checkpoint_dir=tmp_path / "old",
+            scheduler=SchedulerConfig(pods=1),
+        ).run(3, resume=True)
+        assert resumed.resumed_from_night == 1
+        assert night_dicts(resumed) == night_dicts(baseline)
+
+
 class TestCapacityPlanning:
     def test_report_shape_and_verdict(self):
         campaign = ContinuousCampaign(seed=28, arrival_rate_per_hour=30.0)
@@ -185,15 +271,19 @@ class TestChurnModel:
 class TestCampaignPolicySelection:
     def test_sharded_campaign_rejects_non_default_policy(self):
         with pytest.raises(ValueError, match="cwc-greedy"):
-            ContinuousCampaign(pods=2, policy="energy-aware")
+            ContinuousCampaign(
+                scheduler=SchedulerConfig(pods=2, policy="energy-aware")
+            )
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
-            ContinuousCampaign(policy="round-robin")
+            ContinuousCampaign(scheduler=SchedulerConfig(policy="round-robin"))
 
     def test_monolithic_campaign_runs_alternative_policy(self):
         result = ContinuousCampaign(
-            seed=7, jobs_per_night=6, policy="energy-aware"
+            seed=7,
+            jobs_per_night=6,
+            scheduler=SchedulerConfig(policy="energy-aware"),
         ).run(1)
         assert len(result.nights) == 1
         assert (
@@ -203,7 +293,9 @@ class TestCampaignPolicySelection:
 
     def test_default_policy_campaign_unchanged(self):
         explicit = ContinuousCampaign(
-            seed=7, jobs_per_night=6, policy="cwc-greedy"
+            seed=7,
+            jobs_per_night=6,
+            scheduler=SchedulerConfig(policy="cwc-greedy", warm_start=True),
         ).run(1)
         implicit = ContinuousCampaign(seed=7, jobs_per_night=6).run(1)
         assert night_dicts(explicit) == night_dicts(implicit)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.greedy import CwcScheduler
 from repro.core.model import Job, JobKind, PhoneSpec
-from repro.core.policies import make_policy
+from repro.core.policies import SchedulerConfig
 from repro.core.policies.base import ReplicaDirective
 from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.sim.entities import FleetGroundTruth
@@ -216,8 +216,8 @@ class TestReplicationPolicyEndToEnd:
             cpu_mhz=(1000.0, 1000.0, 1000.0),
             efficiencies=(0.3, 1.0, 1.0),
         )
-        policy = make_policy(
-            "replication", unreliable=("p0", "p1", "p2")
+        policy = SchedulerConfig(policy="replication").build(
+            unreliable=("p0", "p1", "p2")
         )
         server = CentralServer(phones, truth, predictor, policy, b)
         jobs = atomic_jobs(3)

@@ -34,12 +34,14 @@ def test_round_record_reports_sharding_context():
 
 
 def test_campaign_threads_sharding_knobs():
+    from repro.core.policies import SchedulerConfig
     from repro.sim.campaign import ContinuousCampaign
 
     plain = ContinuousCampaign(seed=31)
     assert isinstance(plain._scheduler, CwcScheduler)
     sharded = ContinuousCampaign(
-        seed=31, pods=2, pod_assign="hash", pod_workers=None
+        seed=31,
+        scheduler=SchedulerConfig(pods=2, pod_assign="hash", pod_workers=1),
     )
     assert isinstance(sharded._scheduler, ShardedScheduler)
     result = sharded.run(1)

@@ -10,8 +10,9 @@ from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.sim.entities import FleetGroundTruth
 from repro.sim.failures import FailurePlan, PlannedFailure
 from repro.sim.server import CentralServer, RunResult
-from repro.sim.trace import Span, SpanKind, TimelineTrace
+from repro.sim.trace import CompletionRecord, Span, SpanKind, TimelineTrace
 from repro.sim.validation import TraceInvariantError, check_run_invariants
+from repro.verify.invariants import InvariantViolation
 
 PROFILES = {"primes": TaskProfile("primes", 10.0, 800.0)}
 
@@ -69,6 +70,17 @@ class TestCleanRuns:
         check_run_invariants(result, jobs)
 
 
+class TestCompatibility:
+    def test_error_type_is_aliased(self):
+        assert TraceInvariantError is InvariantViolation
+        assert issubclass(TraceInvariantError, AssertionError)
+
+    def test_sim_package_reexports_alias(self):
+        import repro.sim
+
+        assert repro.sim.TraceInvariantError is InvariantViolation
+
+
 class TestViolationsDetected:
     def corrupt_result(self, spans):
         trace = TimelineTrace()
@@ -102,3 +114,21 @@ class TestViolationsDetected:
     def test_clean_empty_run(self):
         result = RunResult(trace=TimelineTrace(), rounds=[])
         check_run_invariants(result, ())
+
+    def test_credit_for_unknown_job_detected(self):
+        # Conservation balances here (the ghost credit is 0 KB); only
+        # the no-duplicate-credit invariant catches it.
+        job = Job("j", "primes", JobKind.BREAKABLE, 10.0, 100.0)
+        trace = TimelineTrace()
+        trace.add_completion(
+            CompletionRecord("p", "j", 10.0, 100.0, 5.0), at_ms=10.0
+        )
+        trace.add_completion(
+            CompletionRecord("q", "ghost", 11.0, 0.0, 5.0), at_ms=11.0
+        )
+        result = RunResult(trace=trace, rounds=[])
+        with pytest.raises(
+            TraceInvariantError,
+            match="completion credited unknown job 'ghost'",
+        ):
+            check_run_invariants(result, (job,))

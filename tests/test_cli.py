@@ -226,6 +226,38 @@ class TestSimulateCommand:
         assert warm["unfinished_jobs"] == cold["unfinished_jobs"]
 
 
+class TestCampaignFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scheduler", "round-robin"],
+            ["--failures", "2"],
+            ["--chaos", "spec.json"],
+            ["--chaos-seed", "7"],
+            ["--harden"],
+            ["--verify"],
+            ["--telemetry", "bundle"],
+            ["--trace"],
+            ["--harden", "--chaos-seed", "7"],
+        ],
+    )
+    def test_single_run_flags_rejected(self, flags, capsys):
+        assert main(["simulate", "--nights", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag in err
+
+    def test_resume_under_other_pods_rejected(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        drill = ["simulate", "--nights", "2", "--jobs-per-night", "4",
+                 "--checkpoint-dir", ckpt]
+        assert main([*drill, "--kill-after-night", "0"]) == 3
+        assert main([*drill, "--resume", "--pods", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "pods=None" in err and "pods=2" in err
+
+
 class TestWhatifCommand:
     def test_finds_minimum_fleet(self, fleet_files, capsys):
         phones_path, jobs_path = fleet_files
