@@ -6,9 +6,10 @@ logs throughout the day and analyze them for certain types of failures
 at night."  This example operates CWC as a service over a working week:
 
 * each day produces fresh machine logs from a few server fleets;
-* each night an :class:`OvernightCampaign` schedules the analysis jobs
-  over the phone fleet with realistic unplug failures — the runtime
-  predictor's learning persists across nights;
+* each night the central server re-measures bandwidth, samples that
+  night's unplug failures, and schedules the analysis jobs over the
+  phone fleet — one runtime predictor carries its learning across
+  nights;
 * one night's analysis is additionally executed *for real* through the
   phone sandboxes, and the distributed failure report is verified
   against a single-machine scan.
@@ -24,8 +25,8 @@ from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.netmodel import measure_fleet
 from repro.runtime import TaskRegistry
 from repro.sim import (
+    CentralServer,
     FleetGroundTruth,
-    OvernightCampaign,
     RandomUnplugModel,
     RealExecutionRunner,
     direct_results,
@@ -68,29 +69,29 @@ def main() -> None:
     unplug = RandomUnplugModel([0.02] * 6 + [0.2, 0.3] + [0.1] * 16)
 
     nights = [nightly_log_jobs(day, rng) for day in range(5)]
-    campaign = OvernightCampaign(
-        testbed.phones,
-        testbed.links,
-        truth,
-        predictor,
-        CwcScheduler(),
-        unplug_model=unplug,
-        window_start_hour=0.0,
-        window_hours=6.0,
-        seed=17,
-    )
-    result = campaign.run([jobs for jobs, _ in nights])
+    scheduler = CwcScheduler()
+    plan_rng = random.Random(17)
+    phone_ids = [phone.phone_id for phone in testbed.phones]
 
     print("night  jobs  makespan  failures  overhead  prediction error")
-    for night in result.nights:
-        print(
-            f"{night.night_index:5d}  {night.jobs_submitted:4d}  "
-            f"{night.measured_makespan_ms / 1000:7.1f}s  "
-            f"{night.failures:8d}  "
-            f"{night.reschedule_overhead_ms / 1000:7.1f}s  "
-            f"{night.prediction_error * 100:6.2f}%"
+    for night, (jobs, _) in enumerate(nights):
+        b = measure_fleet(testbed.links)
+        plan = unplug.sample_plan(
+            phone_ids, start_hour=0.0, duration_hours=6.0, rng=plan_rng
         )
-    assert not result.final_backlog
+        result = CentralServer(
+            testbed.phones, truth, predictor, scheduler, b, failure_plan=plan
+        ).run(jobs)
+        assert not result.unfinished_jobs
+        measured = result.measured_makespan_ms
+        error = abs(result.predicted_makespan_ms - measured) / measured
+        print(
+            f"{night:5d}  {len(jobs):4d}  "
+            f"{measured / 1000:7.1f}s  "
+            f"{len(result.trace.failures):8d}  "
+            f"{result.reschedule_overhead_ms / 1000:7.1f}s  "
+            f"{error * 100:6.2f}%"
+        )
 
     # Execute the last night for real and verify the report.
     jobs, logs = nights[-1]

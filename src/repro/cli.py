@@ -611,16 +611,6 @@ def _cmd_simulate_campaign(args, config: SchedulerConfig) -> int:
             "--nights would ignore them"
         )
 
-    churn = FleetChurnModel() if args.churn else None
-    campaign = ContinuousCampaign(
-        seed=args.seed,
-        jobs_per_night=args.jobs_per_night,
-        arrival_rate_per_hour=args.arrival_rate,
-        churn=churn,
-        scheduler=config,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-
     class _Killed(RuntimeError):
         pass
 
@@ -631,7 +621,16 @@ def _cmd_simulate_campaign(args, config: SchedulerConfig) -> int:
         ):
             raise _Killed(night_index)
 
+    churn = FleetChurnModel() if args.churn else None
     try:
+        campaign = ContinuousCampaign(
+            seed=args.seed,
+            jobs_per_night=args.jobs_per_night,
+            arrival_rate_per_hour=args.arrival_rate,
+            churn=churn,
+            scheduler=config,
+            checkpoint_dir=args.checkpoint_dir,
+        )
         result = campaign.run(
             args.nights,
             resume=args.resume,

@@ -5,7 +5,7 @@ infrastructure (per-phone utilisation, charging linearity,
 prediction-error convergence) instead of hand reconstruction:
 
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket
-  histograms keyed by name + labels, mergeable and Prometheus-renderable;
+  histograms keyed by name + labels, Prometheus-renderable;
 * :mod:`repro.obs.events` — the envelope-schema event bus and its
   JSONL sink;
 * :mod:`repro.obs.samplers` — sim-clock time-series samplers with

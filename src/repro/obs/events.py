@@ -53,7 +53,6 @@ COMPONENTS = (
     "capacity",
     "chaos",
     "throttle",
-    "campaign",
     "run",
 )
 

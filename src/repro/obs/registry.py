@@ -9,11 +9,8 @@ needs:
 * **histograms** — fixed cumulative buckets declared up front (or the
   default latency buckets), plus ``sum`` and ``count``.
 
-The registry is plain data: picklable, mergeable
-(:meth:`MetricsRegistry.merge` adds counters/histograms and
-last-write-wins gauges — how campaign sweeps combine per-worker
-registries), byte-stable in :meth:`to_dict` (sorted keys), and
-renderable as Prometheus text exposition
+The registry is plain data: picklable, byte-stable in :meth:`to_dict`
+(sorted keys), and renderable as Prometheus text exposition
 (:meth:`render_prometheus`).
 
 The hot-path contract lives one level up: when telemetry is disabled
@@ -106,16 +103,6 @@ class Histogram:
                 return self.buckets[-1]
         return self.buckets[-1]
 
-    def merge(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.sum += other.sum
-        self.count += other.count
-
     def to_dict(self) -> dict:
         return {
             "buckets": list(self.buckets),
@@ -135,7 +122,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Holds every metric of one run (or one merged fleet of runs)."""
+    """Holds every metric of one run."""
 
     def __init__(self) -> None:
         self._counters: dict[tuple, float] = {}
@@ -203,32 +190,6 @@ class MetricsRegistry:
         return (
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
-
-    # -- merging (campaign sweeps, per-worker registries) ------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters/histograms add, gauges
-        last-write-wins (the other registry is considered newer)."""
-        for key, value in other._counters.items():
-            self._counters[key] = self._counters.get(key, 0.0) + value
-        self._gauges.update(other._gauges)
-        for name, buckets in other._histogram_buckets.items():
-            self.declare_histogram(name, buckets)
-        for key, histogram in other._histograms.items():
-            mine = self._histograms.get(key)
-            if mine is None:
-                self._histograms[key] = Histogram(
-                    buckets=histogram.buckets,
-                    counts=list(histogram.counts),
-                    sum=histogram.sum,
-                    count=histogram.count,
-                )
-            else:
-                mine.merge(histogram)
-
-    def merge_dict(self, snapshot: dict) -> None:
-        """Merge a :meth:`to_dict` snapshot (the picklable wire form)."""
-        self.merge(MetricsRegistry.from_dict(snapshot))
 
     # -- serialisation -----------------------------------------------------
 

@@ -46,7 +46,7 @@ def new_run_id(prefix: str = "run") -> str:
 
 
 class Telemetry:
-    """Recording facade for one run (or one merged campaign).
+    """Recording facade for one run.
 
     ``enabled`` is the single hot-path gate: when False, every
     recording method returns immediately and the registry/bus/samplers

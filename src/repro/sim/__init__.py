@@ -15,14 +15,10 @@ verifies results.
 
 from .campaign import (
     CAMPAIGN_SNAPSHOT_KIND,
-    CampaignResult,
     ContinuousCampaign,
     ContinuousCampaignResult,
     ContinuousNightRecord,
-    NightRecord,
-    OvernightCampaign,
     capacity_planning_report,
-    merge_campaign_metrics,
 )
 from .churn import ChurnEvent, FleetChurnModel, unplug_profile_from_logs
 from .chaos import (
@@ -73,7 +69,6 @@ __all__ = [
     "DEFAULT_TOLERATED_MISSES",
     "BandwidthDegradation",
     "CAMPAIGN_SNAPSHOT_KIND",
-    "CampaignResult",
     "ChurnEvent",
     "ContinuousCampaign",
     "ContinuousCampaignResult",
@@ -81,7 +76,6 @@ __all__ = [
     "FleetChurnModel",
     "capacity_planning_report",
     "unplug_profile_from_logs",
-    "merge_campaign_metrics",
     "CentralServer",
     "ChaosMonkey",
     "ChaosPlan",
@@ -111,8 +105,6 @@ __all__ = [
     "PlannedFailure",
     "RandomUnplugModel",
     "RoundRecord",
-    "NightRecord",
-    "OvernightCampaign",
     "RunResult",
     "SimulationError",
     "Span",

@@ -7,20 +7,16 @@ estimates forward (Section 4.1), sampling that night's unplug failures
 from the charging-behaviour profiles (Figure 3), and rolling any work
 that could not finish into the next night's queue.
 
-:class:`OvernightCampaign` packages that loop.  It is the substrate for
-longitudinal questions the paper only gestures at: how fast prediction
-error decays across nights, how much nightly capacity failures cost,
-and whether a backlog ever builds up.
+:class:`ContinuousCampaign` is that service: one
+:class:`~repro.sim.server.CentralServer` run per charging window, fed
+by a Poisson arrival stream over a churning fleet, with the whole
+campaign state checkpointed at every night boundary so a killed run
+resumes byte-identically.  :func:`capacity_planning_report` turns its
+result into the enterprise question — does this fleet keep up?
 
-Within one campaign the nights are strictly sequential (the predictor's
-learning and the backlog flow forward), but *across* campaigns — seed
-sweeps, sensitivity studies, fleet-scale benchmarks — every run is
-independent.  :func:`run_campaign_sweep` and the generic
-:func:`parallel_map` fan those independent runs out over worker
-processes, falling back to in-process execution whenever a process pool
-is unavailable (restricted sandboxes, unpicklable factories); the
-results are identical either way, parallelism is purely a wall-clock
-optimisation.
+Replaying a fixed list of job batches needs no engine: call
+``CentralServer.run`` once per night with the same predictor (see
+``examples/it_log_audit.py``).
 """
 
 from __future__ import annotations
@@ -48,12 +44,11 @@ from ..durability.snapshot import (
 )
 from ..netmodel.links import WirelessLink
 from ..netmodel.measurement import measure_fleet
-from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..workloads.arrivals import PoissonArrivalStream
 from .churn import FleetChurnModel
 from .entities import FleetGroundTruth
-from .failures import FailurePlan, RandomUnplugModel
+from .failures import RandomUnplugModel
 from .server import CentralServer
 
 if TYPE_CHECKING:
@@ -61,16 +56,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CAMPAIGN_SNAPSHOT_KIND",
-    "NightRecord",
-    "CampaignResult",
     "ContinuousCampaign",
     "ContinuousCampaignResult",
     "ContinuousNightRecord",
-    "OvernightCampaign",
     "capacity_planning_report",
-    "merge_campaign_metrics",
-    "parallel_map",
-    "run_campaign_sweep",
 ]
 
 MS_PER_DAY = 24.0 * 3_600_000.0
@@ -82,240 +71,6 @@ _RESUME_PINNED_FIELDS = ("policy", "pods", "pod_assign")
 
 #: Snapshot kind for night-boundary campaign checkpoints.
 CAMPAIGN_SNAPSHOT_KIND = "campaign-night"
-
-
-@dataclass(frozen=True)
-class NightRecord:
-    """Summary of one simulated night."""
-
-    night_index: int
-    jobs_submitted: int
-    jobs_carried_over: int
-    predicted_makespan_ms: float
-    measured_makespan_ms: float
-    failures: int
-    reschedule_overhead_ms: float
-    unfinished: int
-
-    @property
-    def prediction_error(self) -> float:
-        """Relative |predicted - measured| for the night's first round."""
-        if self.measured_makespan_ms == 0:
-            return 0.0
-        return (
-            abs(self.predicted_makespan_ms - self.measured_makespan_ms)
-            / self.measured_makespan_ms
-        )
-
-
-@dataclass
-class CampaignResult:
-    nights: list[NightRecord]
-    final_backlog: tuple[Job, ...]
-    #: Merged metrics-registry snapshot across every night's telemetry
-    #: (:meth:`~repro.obs.registry.MetricsRegistry.to_dict` form — a
-    #: plain dict so results pickle cleanly through worker pools).
-    #: None when the campaign ran without telemetry.
-    metrics: dict | None = None
-
-    @property
-    def total_failures(self) -> int:
-        return sum(night.failures for night in self.nights)
-
-    def prediction_errors(self) -> list[float]:
-        return [night.prediction_error for night in self.nights]
-
-
-class OvernightCampaign:
-    """Runs CWC night after night over the same fleet.
-
-    Parameters
-    ----------
-    phones / links:
-        The fleet and its wireless links (bandwidth is re-measured
-        before every night's scheduling).
-    truth:
-        Ground-truth execution rates — fixed across nights; this is
-        what the persistent predictor converges to.
-    predictor:
-        Carried across nights; its learned (phone, task) estimates are
-        the campaign's memory.
-    scheduler:
-        Any :class:`~repro.core.greedy.Scheduler`.  A
-        :class:`~repro.core.greedy.CwcScheduler` may select its packing
-        backend via ``kernel=`` ('auto'/'python'/'numpy' — schedules
-        are byte-identical either way) and remains picklable, so
-        kernel-configured campaigns still fan out across worker
-        processes in :func:`run_campaign_sweep`.
-    unplug_model:
-        Samples each night's failure plan (None = failure-free nights).
-    window_start_hour / window_hours:
-        The nightly charging window in local time.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` facade for the
-        whole campaign.  Each night runs under its own child facade
-        (the sim clock restarts at zero every night, so nights cannot
-        share one event bus); after the night its registry is merged
-        into the campaign facade's registry and a ``night_end`` summary
-        event is emitted on the campaign bus at the night's wall
-        position (``night_index × 24 h``).
-    """
-
-    def __init__(
-        self,
-        phones,
-        links,
-        truth: FleetGroundTruth,
-        predictor: RuntimePredictor,
-        scheduler,
-        *,
-        unplug_model: RandomUnplugModel | None = None,
-        measurement_scheduler=None,
-        window_start_hour: float = 0.0,
-        window_hours: float = 6.0,
-        seed: int = 0,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        if window_hours <= 0:
-            raise ValueError("window_hours must be > 0")
-        self._phones = tuple(phones)
-        self._links = dict(links)
-        self._truth = truth
-        self._predictor = predictor
-        self._scheduler = scheduler
-        self._unplug_model = unplug_model
-        #: Optional adaptive re-measurement policy
-        #: (:class:`~repro.netmodel.scheduler.MeasurementScheduler`);
-        #: None re-measures every link every night.
-        self._measurement_scheduler = measurement_scheduler
-        self._start_hour = window_start_hour
-        self._window_hours = window_hours
-        self._rng = random.Random(seed)
-        self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    def run(self, nightly_jobs: Sequence[Sequence[Job]]) -> CampaignResult:
-        """Simulate one night per entry of ``nightly_jobs``.
-
-        Work unfinished at the end of a night (all assigned phones
-        failed, or the round cap was hit) joins the next night's queue;
-        whatever remains after the last night is the final backlog.
-        """
-        if not nightly_jobs:
-            raise ValueError("need at least one night of jobs")
-        records: list[NightRecord] = []
-        backlog: tuple[Job, ...] = ()
-
-        for night_index, new_jobs in enumerate(nightly_jobs):
-            jobs = backlog + tuple(new_jobs)
-            if not jobs:
-                records.append(
-                    NightRecord(
-                        night_index=night_index,
-                        jobs_submitted=0,
-                        jobs_carried_over=len(backlog),
-                        predicted_makespan_ms=0.0,
-                        measured_makespan_ms=0.0,
-                        failures=0,
-                        reschedule_overhead_ms=0.0,
-                        unfinished=0,
-                    )
-                )
-                backlog = ()
-                continue
-
-            if self._measurement_scheduler is not None:
-                now_ms = night_index * 24.0 * 3_600_000.0
-                b = self._measurement_scheduler.measure_due(
-                    self._links, now_ms
-                )
-            else:
-                b = measure_fleet(self._links)
-            plan = FailurePlan.none()
-            if self._unplug_model is not None:
-                plan = self._unplug_model.sample_plan(
-                    [phone.phone_id for phone in self._phones],
-                    start_hour=self._start_hour,
-                    duration_hours=self._window_hours,
-                    rng=self._rng,
-                )
-            night_tel: Telemetry | None = None
-            tracer = self._tel.tracer if self._tel.enabled else None
-            if self._tel.enabled:
-                # The night's tracer mirrors the campaign's arming: its
-                # spans are adopted under the campaign-side night span
-                # below, so one flight recorder covers every night.
-                night_tel = Telemetry.create(
-                    run_id=f"{self._tel.run_id}-night{night_index}",
-                    tracing=tracer is not None,
-                )
-            server = CentralServer(
-                self._phones,
-                self._truth,
-                self._predictor,
-                self._scheduler,
-                b,
-                failure_plan=plan,
-                telemetry=night_tel,
-            )
-            if tracer is not None:
-                assert night_tel is not None and night_tel.tracer is not None
-                with tracer.span(
-                    "night",
-                    category="campaign",
-                    night_index=night_index,
-                    jobs=len(jobs),
-                ) as night_span:
-                    result = server.run(jobs)
-                    tracer.adopt(
-                        night_tel.tracer.drain_dicts(), parent=night_span
-                    )
-            else:
-                result = server.run(jobs)
-            backlog = result.unfinished_jobs
-            record = NightRecord(
-                night_index=night_index,
-                jobs_submitted=len(new_jobs),
-                jobs_carried_over=len(jobs) - len(new_jobs),
-                predicted_makespan_ms=result.predicted_makespan_ms,
-                measured_makespan_ms=result.measured_makespan_ms,
-                failures=len(result.trace.failures),
-                reschedule_overhead_ms=result.reschedule_overhead_ms,
-                unfinished=len(result.unfinished_jobs),
-            )
-            records.append(record)
-            if night_tel is not None:
-                self._merge_night(night_index, night_tel, record)
-
-        metrics = (
-            self._tel.registry.to_dict() if self._tel.enabled else None
-        )
-        return CampaignResult(
-            nights=records, final_backlog=backlog, metrics=metrics
-        )
-
-    def _merge_night(
-        self, night_index: int, night_tel: Telemetry, record: NightRecord
-    ) -> None:
-        """Fold one night's telemetry into the campaign facade."""
-        tel = self._tel
-        assert tel.registry is not None and night_tel.registry is not None
-        tel.registry.merge(night_tel.registry)
-        tel.inc("campaign_nights_total")
-        tel.event(
-            "campaign",
-            "night_end",
-            sim_time_ms=night_index * 24.0 * 3_600_000.0,
-            night_index=night_index,
-            jobs_submitted=record.jobs_submitted,
-            jobs_carried_over=record.jobs_carried_over,
-            measured_makespan_ms=record.measured_makespan_ms,
-            predicted_makespan_ms=record.predicted_makespan_ms,
-            failures=record.failures,
-            unfinished=record.unfinished,
-            events=len(night_tel.bus.events)
-            if night_tel.bus is not None
-            else 0,
-        )
 
 
 @dataclass(frozen=True)
@@ -486,9 +241,8 @@ def capacity_planning_report(
 class ContinuousCampaign:
     """True multi-night continuous operation with durable state.
 
-    Where :class:`OvernightCampaign` replays a fixed job list over a
-    fixed fleet, this models the *service*: jobs arrive from a single
-    Poisson stream chained across nights
+    This models the *service*: jobs arrive from a single Poisson
+    stream chained across nights
     (:class:`~repro.workloads.arrivals.PoissonArrivalStream`), the
     fleet churns between nights (enrollments, departures, habit drift —
     :class:`~repro.sim.churn.FleetChurnModel`), bandwidth is re-derived
@@ -541,6 +295,14 @@ class ContinuousCampaign:
             raise ValueError("window_hours must be > 0")
         if window_hours > 24:
             raise ValueError("window_hours must be <= 24 (one night per day)")
+        if max_rounds_per_night < 1:
+            raise ValueError(
+                f"max_rounds_per_night must be >= 1, got {max_rounds_per_night!r}"
+            )
+        if keep_snapshots is not None and keep_snapshots < 1:
+            raise ValueError(
+                f"keep_snapshots must be >= 1 or None, got {keep_snapshots!r}"
+            )
         # Lazy: ``core.greedy`` itself imports the obs facade, whose
         # package import reaches back into ``sim.campaign`` — a
         # module-level import here would be circular.
@@ -568,10 +330,14 @@ class ContinuousCampaign:
                 for h in range(24)
             ]
         self._hourly0 = [float(p) for p in hourly_unplug]
-        if len(self._hourly0) != 24:
-            raise ValueError(
-                f"hourly_unplug needs 24 entries, got {len(self._hourly0)}"
-            )
+        # Every night builds its own model from the drifted profile;
+        # building night 0's here rejects a bad profile or fraction
+        # before anything runs.
+        RandomUnplugModel(
+            self._hourly0,
+            online_fraction=online_fraction,
+            rejoin_probability=rejoin_probability,
+        )
 
         profiles = paper_task_profiles()
         self._truth = FleetGroundTruth(
@@ -897,86 +663,3 @@ class ContinuousCampaign:
             checkpoints=checkpoints,
         )
 
-
-def merge_campaign_metrics(
-    results: Sequence[CampaignResult],
-) -> MetricsRegistry:
-    """Merge the metric snapshots of several campaigns into one registry.
-
-    The per-worker merging step of a telemetry-enabled sweep: each
-    worker process ships its campaign's counters home as a plain dict
-    (:attr:`CampaignResult.metrics`); this folds them together with
-    :meth:`~repro.obs.registry.MetricsRegistry.merge_dict` (counters
-    and histograms add, gauges last-write-wins).  Campaigns without
-    telemetry contribute nothing.
-    """
-    merged = MetricsRegistry()
-    for result in results:
-        if result.metrics:
-            merged.merge_dict(result.metrics)
-    return merged
-
-
-def parallel_map(
-    fn: Callable,
-    inputs: Sequence,
-    *,
-    max_workers: int | None = None,
-    parallel: bool = True,
-):
-    """Apply ``fn`` to every input, across worker processes when possible.
-
-    ``fn`` must be a module-level (picklable) callable and each call
-    must be independent of the others — exactly the shape of a seed
-    sweep or a fleet-size sweep.  Results come back in input order.
-
-    Process pools are an optimisation, never a requirement: if the pool
-    cannot be created (sandboxes without POSIX semaphores), a worker
-    dies, or ``fn``/its arguments refuse to pickle, the remaining work
-    runs serially in-process.  Callers therefore get identical results
-    on any platform, just with different wall-clock times.
-    """
-    inputs = list(inputs)
-    if not parallel or len(inputs) <= 1:
-        return [fn(arg) for arg in inputs]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(fn, arg) for arg in inputs]
-            return [future.result() for future in futures]
-    except Exception:
-        # Pool creation, pickling, or a worker failed; the computation
-        # itself may still be fine — retry serially from scratch.
-        return [fn(arg) for arg in inputs]
-
-
-def _run_sweep_entry(entry):
-    factory, seed, nightly_jobs = entry
-    return seed, factory(seed).run(nightly_jobs)
-
-
-def run_campaign_sweep(
-    campaign_factory: Callable[[int], OvernightCampaign],
-    nightly_jobs: Sequence[Sequence[Job]],
-    seeds: Sequence[int],
-    *,
-    max_workers: int | None = None,
-    parallel: bool = True,
-) -> dict[int, CampaignResult]:
-    """Run one independent campaign per seed, in parallel when possible.
-
-    ``campaign_factory(seed)`` must build a *fresh* campaign — its own
-    predictor, ground truth, and scheduler — so runs share no mutable
-    state and the sweep is embarrassingly parallel.  The factory must be
-    a module-level callable for the process-pool path to engage;
-    anything else silently degrades to the serial path.
-
-    Returns ``{seed: CampaignResult}``; identical regardless of whether
-    worker processes were actually used.
-    """
-    entries = [(campaign_factory, seed, nightly_jobs) for seed in seeds]
-    results = parallel_map(
-        _run_sweep_entry, entries, max_workers=max_workers, parallel=parallel
-    )
-    return dict(results)

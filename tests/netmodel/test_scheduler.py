@@ -6,6 +6,7 @@ from repro.core.model import NetworkTechnology
 from repro.netmodel.links import WirelessLink
 from repro.netmodel.measurement import measure_link
 from repro.netmodel.scheduler import MeasurementScheduler
+from repro.workloads.mixes import paper_testbed
 
 
 def measured(technology, seed=1, duration_s=120.0):
@@ -100,3 +101,17 @@ class TestMeasureDue:
         scheduler.measure_due(links, now_ms=0.0)
         scheduler.measure_due(links, now_ms=1e6)
         assert scheduler.state("a").measurements == 2
+
+    def test_stable_links_are_not_remeasured_nightly(self):
+        testbed = paper_testbed()
+        scheduler = MeasurementScheduler(
+            min_interval_ms=3_600_000.0,
+            max_interval_ms=7 * 24 * 3_600_000.0,
+        )
+        for night in range(3):
+            scheduler.measure_due(testbed.links, night * 24 * 3_600_000.0)
+        # The stable WiFi phones were measured once, not three times.
+        wifi_phone = next(
+            p for p in testbed.phones if testbed.links[p.phone_id].is_wifi
+        )
+        assert scheduler.state(wifi_phone.phone_id).measurements < 3

@@ -2,7 +2,7 @@
 
 The server integration is exercised in ``test_report``; here each of
 the other instrumented layers — capacity search, scheduler wrapper,
-event engine, MIMD throttle, charging simulation, overnight campaigns —
+event engine, MIMD throttle, charging simulation, continuous campaigns —
 is checked in isolation.
 """
 
@@ -10,13 +10,11 @@ import pytest
 
 from repro.core.capacity import CapacitySearch
 from repro.core.greedy import CwcScheduler
-from repro.core.model import Job, JobKind, PhoneSpec
 from repro.core.packing import GreedyPacker
-from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.obs import Telemetry
-from repro.sim.campaign import OvernightCampaign, merge_campaign_metrics
+from repro.sim.campaign import ContinuousCampaign
 from repro.sim.engine import EventLoop
-from repro.sim.entities import FleetGroundTruth
+from repro.verify.oracle import Oracle
 
 from ..conftest import make_instance
 
@@ -156,75 +154,24 @@ class TestChargingSeries:
 
 
 class TestCampaignTelemetry:
-    def make_campaign(self, telemetry=None):
-        from repro.core.model import NetworkTechnology
-        from repro.netmodel.links import WirelessLink
+    def test_traced_campaign_equals_untraced(self):
+        """Tracing leaves the result alone, opens one ``night`` span per
+        non-idle night, and adopts that night's server ``run`` span
+        under it.  The sparse arrivals leave one of the nights idle."""
+        kwargs = dict(seed=21, jobs_per_night=2, arrival_rate_per_hour=0.05)
+        tel = Telemetry.create(run_id="camp", tracing=True)
+        traced = ContinuousCampaign(telemetry=tel, **kwargs).run(4)
+        assert traced.to_dict() == ContinuousCampaign(**kwargs).run(4).to_dict()
 
-        phones = tuple(
-            PhoneSpec(phone_id=f"p{i}", cpu_mhz=1000.0) for i in range(3)
-        )
-        profiles = {"primes": TaskProfile("primes", 10.0, 1000.0)}
-        links = {
-            p.phone_id: WirelessLink.for_technology(
-                NetworkTechnology.WIFI_G, seed=i
-            )
-            for i, p in enumerate(phones)
-        }
-        return OvernightCampaign(
-            phones,
-            links,
-            FleetGroundTruth(profiles),
-            RuntimePredictor(profiles, alpha=0.5),
-            CwcScheduler(),
-            telemetry=telemetry,
-        )
-
-    def nightly_jobs(self, nights=2):
-        return [
-            [
-                Job(f"n{night}j{i}", "primes", JobKind.BREAKABLE, 20.0, 500.0)
-                for i in range(4)
-            ]
-            for night in range(nights)
+        spans = tel.tracer.drain_dicts()
+        nights = [span for span in spans if span["name"] == "night"]
+        active = [n.night_index for n in traced.nights if not n.idle]
+        assert 0 < len(active) < len(traced.nights)
+        assert [span["attrs"]["night_index"] for span in nights] == active
+        runs = [span for span in spans if span["name"] == "run"]
+        assert [span["parent_id"] for span in runs] == [
+            span["span_id"] for span in nights
         ]
-
-    def test_nights_merge_into_campaign_registry(self):
-        tel = Telemetry.create(run_id="camp")
-        result = self.make_campaign(tel).run(self.nightly_jobs())
-        assert tel.registry.counter_value("campaign_nights_total") == 2.0
-        # Completed partitions from both nights accumulate in the merged
-        # registry (breakable jobs may split across phones, so at least
-        # one completion per job).
-        assert tel.registry.counter_value("completions_total") >= 8.0
-        night_ends = tel.bus.of_kind("night_end")
-        assert len(night_ends) == 2
-        times = [e.sim_time_ms for e in night_ends]
-        assert times == sorted(times)
-        assert result.metrics is not None
-        assert result.metrics["counters"]["campaign_nights_total"] == 2.0
-
-    def test_untelemetered_campaign_has_no_metrics(self):
-        result = self.make_campaign().run(self.nightly_jobs(1))
-        assert result.metrics is None
-
-    def test_merge_campaign_metrics_folds_sweeps(self):
-        results = [
-            self.make_campaign(Telemetry.create(run_id=f"c{i}")).run(
-                self.nightly_jobs(1)
-            )
-            for i in range(2)
-        ]
-        merged = merge_campaign_metrics(results)
-        assert merged.counter_value("campaign_nights_total") == 2.0
-        assert merged.counter_value("completions_total") == sum(
-            r.metrics["counters"]["completions_total"] for r in results
+        Oracle(include=("span-tree", "span-nesting")).check_run(
+            None, (), spans=spans
         )
-
-    def test_campaign_results_identical_with_and_without(self):
-        with_tel = self.make_campaign(
-            Telemetry.create(run_id="a")
-        ).run(self.nightly_jobs())
-        without = self.make_campaign().run(self.nightly_jobs())
-        assert [n.measured_makespan_ms for n in with_tel.nights] == [
-            n.measured_makespan_ms for n in without.nights
-        ]

@@ -57,7 +57,7 @@ class TestEnabledFacade:
         assert len(tel.samplers.get_series("depth")) == 2
 
     def test_registry_snapshot_pickles(self):
-        # Campaign sweeps ship snapshots across process pools.
+        # Snapshots are plain data, safe to ship between processes.
         tel = Telemetry.create(run_id="r")
         tel.inc("c", kind="a")
         snapshot = tel.registry.to_dict()

@@ -126,6 +126,26 @@ class TestKillAndResume:
         )
 
 
+class TestConstructionValidation:
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"keep_snapshots": 0}, "keep_snapshots"),
+            ({"max_rounds_per_night": 0}, "max_rounds_per_night"),
+            ({"online_fraction": 1.5}, "online_fraction"),
+            ({"rejoin_probability": -0.1}, "rejoin_probability"),
+            ({"hourly_unplug": [2.0] * 24}, "probabilities"),
+            ({"hourly_unplug": [0.1] * 23}, "24"),
+        ],
+    )
+    def test_bad_configuration_fails_before_any_night(
+        self, tmp_path, kwargs, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            ContinuousCampaign(checkpoint_dir=tmp_path, **kwargs)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestResumeConfig:
     """A checkpoint records its scheduler config; resume honours it."""
 

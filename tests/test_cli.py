@@ -257,6 +257,17 @@ class TestCampaignFlags:
         err = capsys.readouterr().err
         assert "pods=None" in err and "pods=2" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--arrival-rate", "0"], "rate_per_hour must be > 0"),
+            (["--jobs-per-night", "-1"], "jobs_per_night must be >= 0"),
+        ],
+    )
+    def test_bad_campaign_configuration_exits_2(self, flags, message, capsys):
+        assert main(["simulate", "--nights", "1", *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestWhatifCommand:
     def test_finds_minimum_fleet(self, fleet_files, capsys):
