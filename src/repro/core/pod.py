@@ -17,7 +17,9 @@ capacity-search machinery.  This module owns the mechanical pieces:
 * :func:`solve_pod` and the ``_pod_worker_*`` process-pool hooks — one
   pod's capacity search, returning a slim picklable
   :class:`PodSolveReport` whose assignments the parent reassembles
-  into the global schedule.
+  into the global schedule;
+* :func:`solve_pod_lp` and ``_pod_worker_lp`` — the pod-aggregated LP
+  certificate, inline or on the same pool as the pod solves.
 
 Workers inherit the *full* instance from the parent through ``fork``
 (copy-on-write, so the cost matrix is neither pickled nor copied) and
@@ -50,6 +52,7 @@ __all__ = [
     "pod_rate_tables",
     "resolve_pod_count",
     "solve_pod",
+    "solve_pod_lp",
 ]
 
 #: ``pods='auto'`` never cuts the fleet into pods smaller than this —
@@ -307,6 +310,32 @@ def solve_pod(
     )
 
 
+def solve_pod_lp(
+    instance: SchedulingInstance,
+    pods: tuple[tuple[int, ...], ...],
+    bmin: np.ndarray,
+    cmin: np.ndarray,
+    *,
+    tracer: Tracer | None = None,
+):
+    """The pod-aggregated LP in an ``lp_certify`` span.
+
+    Returns the :class:`~repro.core.lp_bound.PodRelaxedSolution`, or
+    ``None`` when HiGHS fails (``RuntimeError``, the solver's one
+    documented failure).  Anything else — a bad pod cover, a
+    programming error — propagates.
+    """
+    from .lp_bound import solve_pod_relaxed_makespan
+
+    with maybe_span(tracer, "lp_certify", category="pod"):
+        try:
+            return solve_pod_relaxed_makespan(
+                instance, pods, tables=(bmin, cmin)
+            )
+        except RuntimeError:
+            return None
+
+
 def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
     """Concatenate pod schedules into the global one, pod-index order.
 
@@ -326,7 +355,7 @@ def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
 # The parent hands the *full* instance to a fork pool as the initializer
 # argument — inherited copy-on-write, never pickled — and ships each pod
 # as a few integer tuples.  Workers slice their pod's rectangle per
-# task.
+# task.  The same pool also solves the round's pod-LP certificate.
 
 _POD_INSTANCE: SchedulingInstance | None = None
 _POD_SEARCH: CapacitySearch | None = None
@@ -381,6 +410,26 @@ def _pod_worker_solve(task) -> PodSolveReport:
             report, spans=tuple(tracer.drain_dicts())
         )
     return report
+
+
+def _pod_worker_lp(task) -> tuple[float | None, float, tuple]:
+    """The pod-LP certificate in a worker process.
+
+    ``task`` is ``(pods, bmin, cmin)``.  Returns ``(makespan_ms,
+    wall_ms, spans)``: the LP optimum (``None`` when HiGHS fails), the
+    solve's wall time, and the worker-side trace spans for parent
+    adoption.
+    """
+    pods, bmin, cmin = task
+    tracer = _POD_TRACER
+    if tracer is not None:
+        tracer.default_process = "pods/lp"
+    started = time.perf_counter()
+    solution = solve_pod_lp(_POD_INSTANCE, pods, bmin, cmin, tracer=tracer)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    spans = tuple(tracer.drain_dicts()) if tracer is not None else ()
+    makespan_ms = solution.makespan_ms if solution is not None else None
+    return makespan_ms, wall_ms, spans
 
 
 def default_pod_workers(n_pods: int) -> int:

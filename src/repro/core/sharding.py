@@ -24,7 +24,9 @@ single-solve cost.  :class:`ShardedScheduler` decouples them:
    fork process pool when CPUs allow (workers inherit the full
    instance copy-on-write and slice their pod's rows), serially
    otherwise, with identical results either way.  Pods are the only
-   parallel axis: each pod's capacity search runs serially;
+   parallel axis: each pod's capacity search runs serially.  The
+   round's pool lives until the certificate is collected (see
+   Certification);
 4. **Coordinate** with a cheap global capacity search over the
    per-pod converged capacities: the global capacity is their max, and
    bounded job-migration repair rounds move one job at a time from the
@@ -42,6 +44,19 @@ result (and recorded in ``BENCH_scheduler.json``); the differential
 harness asserts it stays within a bounded factor of the monolithic
 schedule's own ratio.
 
+The LP reads only the split (phone partition plus the ``bmin``/``cmin``
+tables), never a pod result.  On a pooled round it is the first task
+submitted to the round's fork pool, which gets one slot beyond the pod
+workers, so it solves while the pods solve and the parent rebalances;
+it is collected just before the result is assembled, and leaving the
+pool joins every worker.  Serial rounds, ``certify=False`` and
+``pod_assign='lp'`` (which needs the LP before the split) solve it
+inline as before.  Fallback order: a dead pool or LP worker solves the
+LP inline (the identical floor); a HiGHS failure (``RuntimeError``, in
+either process) leaves ``lp_floor_ms=None``, falls back to the
+uncertified magical-bin ratio and increments the
+``shard_lp_failures_total`` counter; any other exception propagates.
+
 With ``pods=1`` (or a fleet too small to cut) the scheduler *is* the
 monolithic one: it delegates to an inner :class:`CwcScheduler` built
 with identical knobs, so schedules are byte-identical by construction
@@ -50,8 +65,10 @@ with identical knobs, so schedules are byte-identical by construction
 
 from __future__ import annotations
 
+import contextlib
 import time
 import zlib
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +87,7 @@ from .pod import (
     pod_rate_tables,
     resolve_pod_count,
     solve_pod,
+    solve_pod_lp,
 )
 from .schedule import Schedule
 
@@ -122,6 +140,9 @@ class ShardedSearchResult:
     shard_bound_ratio: float = 0.0
     #: Pod-LP optimum when it was solved this round, else ``None``.
     lp_floor_ms: float | None = None
+    #: Wall time of this round's pod-LP solves; measured in the worker
+    #: when the certificate ran on the pod pool.
+    lp_certify_ms: float = 0.0
     #: Job-migration repair rounds the global search accepted.
     rebalance_moves: int = 0
     #: Per-pod diagnostics, pod-index order.
@@ -332,6 +353,7 @@ class ShardedScheduler:
             jobs=len(instance.jobs),
             phones=len(instance.phones),
         ) as round_span:
+            lp_certify_ms = 0.0
             with maybe_span(tracer, "split", category="pod"):
                 pods_phones = partition_phones(
                     len(instance.phones), n_pods
@@ -341,7 +363,7 @@ class ShardedScheduler:
                 lp_floor_ms: float | None = None
                 job_pods: np.ndarray | None = None
                 if self._pod_assign == "lp":
-                    solution = self._solve_pod_lp(
+                    solution, lp_certify_ms = self._solve_pod_lp(
                         instance, pods_phones, bmin, cmin
                     )
                     if solution is not None:
@@ -359,27 +381,38 @@ class ShardedScheduler:
             hints = (
                 dict(self._last_pod_capacities) if self._warm_start else {}
             )
-            with maybe_span(
-                tracer, "pod_solves", category="pod", pods=len(specs)
-            ) as solves_span:
-                reports = self._solve_pods(
-                    instance, specs, hints, trace_parent=solves_span
-                )
-            with maybe_span(
-                tracer, "rebalance", category="pod"
-            ) as rebalance_span:
-                specs, reports, moves = self._global_capacity_search(
-                    instance, specs, reports, bmin, agg, hints
-                )
-                if rebalance_span is not None:
-                    rebalance_span.set_attr("moves", moves)
-
-            if lp_floor_ms is None and self._certify:
-                solution = self._solve_pod_lp(
-                    instance, pods_phones, bmin, cmin
-                )
-                if solution is not None:
-                    lp_floor_ms = solution.makespan_ms
+            certify = lp_floor_ms is None and self._certify
+            with self._round_pool(instance, len(specs), certify) as pool:
+                # The certificate reads only the split, so on the pool
+                # it runs alongside the pod solves and the rebalance;
+                # submitted first, it never queues behind a pod.
+                lp_future = None
+                if pool is not None and certify:
+                    lp_future = _submit_pod_lp(pool, pods_phones, bmin, cmin)
+                with maybe_span(
+                    tracer, "pod_solves", category="pod", pods=len(specs)
+                ) as solves_span:
+                    reports = self._solve_pods(
+                        instance, specs, hints, pool, trace_parent=solves_span
+                    )
+                with maybe_span(
+                    tracer, "rebalance", category="pod"
+                ) as rebalance_span:
+                    specs, reports, moves = self._global_capacity_search(
+                        instance, specs, reports, bmin, agg, hints
+                    )
+                    if rebalance_span is not None:
+                        rebalance_span.set_attr("moves", moves)
+                if certify:
+                    lp_floor_ms, certify_ms = self._collect_pod_lp(
+                        lp_future,
+                        instance,
+                        pods_phones,
+                        bmin,
+                        cmin,
+                        trace_parent=round_span,
+                    )
+                    lp_certify_ms += certify_ms
 
             with maybe_span(tracer, "assemble", category="pod"):
                 schedule = assemble_schedule(reports)
@@ -402,6 +435,7 @@ class ShardedScheduler:
                     reports,
                     schedule,
                     lp_floor_ms,
+                    lp_certify_ms,
                     moves,
                     wall_ms,
                 )
@@ -412,44 +446,100 @@ class ShardedScheduler:
         }
         return schedule
 
-    def _solve_pod_lp(self, instance, pods_phones, bmin, cmin):
-        """Pod-aggregated LP, or ``None`` when the solver is unhappy."""
+    def _round_pool(self, instance, n_specs, certify):
+        """The round's fork pool, or a ``None`` context on the serial path.
+
+        Pooled when ``pod_workers`` resolves to 2+ and there are 2+
+        pods; the certificate gets one slot beyond the pod workers.
+        Workers inherit the full instance through ``fork``
+        (copy-on-write: nothing is pickled or copied up front), and
+        leaving the context joins every worker.
+        """
+        workers = self._pod_workers
+        if workers == "auto":
+            workers = default_pod_workers(n_specs)
+        if workers is None or workers < 2 or n_specs < 2:
+            return contextlib.nullcontext()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from .pod import _pod_worker_init
+
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
-        with maybe_span(tracer, "lp_certify", category="pod"):
-            try:
-                from .lp_bound import solve_pod_relaxed_makespan
+        return ProcessPoolExecutor(
+            max_workers=min(workers, n_specs) + int(certify),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_pod_worker_init,
+            initargs=(
+                instance,
+                self._search_kwargs,
+                tracer.run_id if tracer is not None else None,
+            ),
+        )
 
-                return solve_pod_relaxed_makespan(
-                    instance, pods_phones, tables=(bmin, cmin)
-                )
-            except Exception:
-                return None
+    def _solve_pod_lp(self, instance, pods_phones, bmin, cmin):
+        """Inline pod LP: ``(solution or None, wall_ms)``."""
+        tel = self._tel
+        tracer = tel.tracer if tel.enabled else None
+        started = time.perf_counter()
+        solution = solve_pod_lp(
+            instance, pods_phones, bmin, cmin, tracer=tracer
+        )
+        if solution is None:
+            tel.inc("shard_lp_failures_total")
+        return solution, (time.perf_counter() - started) * 1000.0
+
+    def _collect_pod_lp(
+        self, future, instance, pods_phones, bmin, cmin, *, trace_parent
+    ) -> tuple[float | None, float]:
+        """The certification floor and its solve time, in ms.
+
+        Takes the pooled certificate when ``future`` delivers it; a
+        missing future or a dead pool falls back to the inline solve,
+        which gives the identical floor.  ``None`` means HiGHS failed.
+        """
+        if future is not None:
+            try:
+                makespan_ms, wall_ms, spans = future.result()
+            except BrokenExecutor:
+                pass  # the pool died: certify inline below
+            else:
+                tel = self._tel
+                tracer = tel.tracer if tel.enabled else None
+                if spans and tracer is not None:
+                    # The worker's lp_certify span keeps its own lane.
+                    tracer.adopt(spans, parent=trace_parent)
+                if makespan_ms is None:
+                    tel.inc("shard_lp_failures_total")
+                return makespan_ms, wall_ms
+        solution, wall_ms = self._solve_pod_lp(
+            instance, pods_phones, bmin, cmin
+        )
+        floor = solution.makespan_ms if solution is not None else None
+        return floor, wall_ms
 
     def _solve_pods(
         self,
         instance: SchedulingInstance,
         specs: list[PodSpec],
         hints: dict[int, float],
+        pool,
         *,
         trace_parent=None,
     ) -> list[PodSolveReport]:
-        """Solve every pod, on the pool when it pays, serially otherwise.
+        """Solve every pod, on ``pool`` when there is one, else serially.
 
-        Pool workers inherit the full instance through ``fork`` and
-        receive each pod as a few integer tuples; any pool failure
-        degrades to the serial path, which produces identical reports.
-        ``trace_parent`` is the open ``pod_solves`` span worker-side
-        spans are adopted under.
+        Pool workers receive each pod as a few integer tuples; any pool
+        failure degrades to the serial path, which produces identical
+        reports.  ``trace_parent`` is the open ``pod_solves`` span
+        worker-side spans are adopted under.
         """
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
-        workers = self._pod_workers
-        if workers == "auto":
-            workers = default_pod_workers(len(specs))
-        if workers is not None and workers >= 2 and len(specs) >= 2:
+        if pool is not None:
             reports = self._solve_pods_pooled(
-                instance, specs, hints, workers, trace_parent=trace_parent
+                pool, specs, hints, trace_parent=trace_parent
             )
             if reports is not None:
                 return reports
@@ -465,41 +555,26 @@ class ShardedScheduler:
         ]
 
     def _solve_pods_pooled(
-        self, instance, specs, hints, workers, *, trace_parent=None
+        self, pool, specs, hints, *, trace_parent=None
     ) -> list[PodSolveReport] | None:
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
         try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            from .pod import _pod_worker_solve
 
-            from .pod import _pod_worker_init, _pod_worker_solve
-
-            # The fork context hands the instance to the workers
-            # copy-on-write: nothing is pickled or copied up front.
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(specs)),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_pod_worker_init,
-                initargs=(
-                    instance,
-                    self._search_kwargs,
-                    tracer.run_id if tracer is not None else None,
-                ),
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _pod_worker_solve,
-                        (
-                            spec.index,
-                            spec.phone_positions,
-                            spec.job_positions,
-                            hints.get(spec.index),
-                        ),
-                    )
-                    for spec in specs
-                ]
-                reports = [future.result() for future in futures]
+            futures = [
+                pool.submit(
+                    _pod_worker_solve,
+                    (
+                        spec.index,
+                        spec.phone_positions,
+                        spec.job_positions,
+                        hints.get(spec.index),
+                    ),
+                )
+                for spec in specs
+            ]
+            reports = [future.result() for future in futures]
         except Exception:
             return None  # serial fallback, identical reports
         if tracer is not None:
@@ -597,6 +672,7 @@ class ShardedScheduler:
         reports,
         schedule,
         lp_floor_ms,
+        lp_certify_ms,
         moves,
         wall_ms,
     ) -> ShardedSearchResult:
@@ -646,11 +722,22 @@ class ShardedScheduler:
             pod_solve_ms_sum=sum(r.wall_ms for r in reports),
             shard_bound_ratio=ratio,
             lp_floor_ms=lp_floor_ms,
+            lp_certify_ms=lp_certify_ms,
             rebalance_moves=moves,
             pod_reports=tuple(
                 sorted(reports, key=lambda r: r.index)
             ),
         )
+
+
+def _submit_pod_lp(pool, pods_phones, bmin, cmin):
+    """Queue the pod-LP certificate on ``pool``; ``None`` on a dead pool."""
+    from .pod import _pod_worker_lp
+
+    try:
+        return pool.submit(_pod_worker_lp, (pods_phones, bmin, cmin))
+    except (BrokenExecutor, OSError):
+        return None  # certified inline after the rebalance
 
 
 # -- job-to-pod splitters -------------------------------------------------

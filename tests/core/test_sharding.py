@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import pod, sharding
+from repro.core import lp_bound, pod, sharding
 from repro.core.capacity import CapacitySearch, available_cpus
 from repro.core.greedy import CwcScheduler
 from repro.core.policies import SchedulerConfig
@@ -276,6 +276,111 @@ class TestShardedScheduler:
         for report in scheduler.last_result.pod_reports:
             assert report.leaked_buffers == 0
         assert multiprocessing.active_children() == []
+
+    def test_pooled_certificate_matches_serial(
+        self, fleet_instance, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CPUS", "4")
+        serial_scheduler = ShardedScheduler(pods=3, pod_workers=None)
+        serial = serial_scheduler.schedule(fleet_instance)
+        pooled_scheduler = ShardedScheduler(pods=3, pod_workers=2)
+        pooled = pooled_scheduler.schedule(fleet_instance)
+        assert canonical(pooled) == canonical(serial)
+        want, got = serial_scheduler.last_result, pooled_scheduler.last_result
+        assert want.lp_floor_ms is not None
+        # Bit for bit: the floor crosses the process boundary as a float.
+        assert got.lp_floor_ms == want.lp_floor_ms
+        assert got.shard_bound_ratio == want.shard_bound_ratio
+        assert got.lp_certify_ms > 0.0 and want.lp_certify_ms > 0.0
+        assert multiprocessing.active_children() == []
+
+    def test_lp_worker_death_certifies_inline(
+        self, fleet_instance, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CPUS", "4")
+        serial_scheduler = ShardedScheduler(pods=3, pod_workers=None)
+        serial = serial_scheduler.schedule(fleet_instance)
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(pod, "_pod_worker_lp", _die_in_worker)
+        inline_solves = []
+        solve_inline = ShardedScheduler._solve_pod_lp
+
+        def spy(self, *args, **kwargs):
+            outcome = solve_inline(self, *args, **kwargs)
+            inline_solves.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(ShardedScheduler, "_solve_pod_lp", spy)
+        scheduler = ShardedScheduler(pods=3, pod_workers=2)
+        schedule = scheduler.schedule(fleet_instance)
+        assert len(inline_solves) == 1  # the dead pool certified inline
+        assert canonical(schedule) == canonical(serial)
+        assert (
+            scheduler.last_result.lp_floor_ms
+            == serial_scheduler.last_result.lp_floor_ms
+        )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pod_workers", [None, 2])
+    def test_lp_solver_failure_is_uncertified_and_counted(
+        self, fleet_instance, monkeypatch, pod_workers
+    ):
+        from repro.obs import Telemetry
+
+        monkeypatch.setenv("REPRO_CPUS", "4")
+
+        def highs_fails(*args, **kwargs):
+            raise RuntimeError("HiGHS status 4")
+
+        # Patched before the pool forks, so the LP worker inherits it.
+        monkeypatch.setattr(
+            lp_bound, "solve_pod_relaxed_makespan", highs_fails
+        )
+        telemetry = Telemetry.create(run_id="lp-failure")
+        scheduler = ShardedScheduler(
+            pods=3, pod_workers=pod_workers, telemetry=telemetry
+        )
+        scheduler.schedule(fleet_instance)
+        assert scheduler.last_result.lp_floor_ms is None
+        assert scheduler.last_result.shard_bound_ratio > 0.0
+        registry = telemetry.registry
+        assert registry.counter_value("shard_lp_failures_total") == 1.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pod_workers", [None, 2])
+    def test_lp_programming_error_propagates(
+        self, fleet_instance, monkeypatch, pod_workers
+    ):
+        monkeypatch.setenv("REPRO_CPUS", "4")
+
+        def bad_cover(*args, **kwargs):
+            raise ValueError("pod 0 is empty")
+
+        monkeypatch.setattr(lp_bound, "solve_pod_relaxed_makespan", bad_cover)
+        scheduler = ShardedScheduler(pods=3, pod_workers=pod_workers)
+        with pytest.raises(ValueError, match="pod 0 is empty"):
+            scheduler.schedule(fleet_instance)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_certificate_span_on_its_own_lane(
+        self, fleet_instance, monkeypatch
+    ):
+        from repro.obs import Telemetry
+        from repro.verify.oracle import Oracle
+
+        monkeypatch.setenv("REPRO_CPUS", "4")
+        telemetry = Telemetry.create(run_id="lp-lane", tracing=True)
+        ShardedScheduler(
+            pods=3, pod_workers=2, telemetry=telemetry
+        ).schedule(fleet_instance)
+        spans = telemetry.tracer.to_dicts()
+        by_id = {span["span_id"]: span for span in spans}
+        (certify,) = [s for s in spans if s["name"] == "lp_certify"]
+        assert certify["process"] == "pods/lp"
+        assert by_id[certify["parent_id"]]["name"] == "sharded_schedule"
+        assert Oracle(include=("span-tree", "span-nesting")).check_run(
+            None, (), spans=spans, collect=True
+        ) == []
 
     def test_warm_state_round_trip(self, fleet_instance):
         warm = ShardedScheduler(
