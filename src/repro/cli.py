@@ -132,7 +132,7 @@ def _add_scheduler_arguments(parser) -> None:
         "--kernel", choices=("auto", "python", "numpy"), default="auto",
         help="packing backend for the capacity search (greedy scheduler "
         "only; both produce byte-identical schedules, 'auto' picks by "
-        "instance size)",
+        "phone count)",
     )
     parser.add_argument(
         "--pods", type=_pods, metavar="N|auto",

@@ -35,9 +35,10 @@ to the naive pack-every-probe search:
   scalar :class:`~repro.core.packing.GreedyPacker`; ``kernel='numpy'``
   probes with the byte-identical vectorized
   :class:`~repro.core.packing_vec.VectorGreedyPacker`; ``'auto'``
-  (default) picks by instance size (the array kernel's per-call
-  overhead only pays off past a few hundred thousand phone × job
-  cells);
+  (default) picks by phone count, the bins a pack may open: on the
+  replicated paper testbed ``python`` wins at up to ~100 phones for
+  every job count and ``numpy`` from ~200 phones up (see
+  :func:`resolve_kernel`);
 * **cached bounds** — the (lower, upper) bracket comes from
   :meth:`SchedulingInstance.capacity_bounds`, computed once per
   instance instead of twice per search (and once more per caller);
@@ -128,9 +129,10 @@ _CERT_MARGIN = 1e-6
 #: itself a floating-point approximation of the true LP optimum.
 _LP_MARGIN = 1e-5
 
-#: ``kernel='auto'``: instances with at least this many phone × job
-#: cells probe with the numpy kernel (measured crossover ~2e5 cells).
-_AUTO_KERNEL_MIN_CELLS = 250_000
+#: ``kernel='auto'``: instances with at least this many phones probe
+#: with the numpy kernel (measured crossover 120–200 phones at 5–5000
+#: jobs, DESIGN.md §9.6).
+_AUTO_KERNEL_MIN_PHONES = 150
 
 #: Verdict-only probing turns on (numpy kernel only) at this size, where
 #: skipping per-probe schedule accumulation outweighs the one extra
@@ -196,8 +198,14 @@ def resolve_kernel(kernel: str, instance: SchedulingInstance) -> str:
     """Resolve a kernel selector to a concrete backend name.
 
     ``'python'`` and ``'numpy'`` pass through; ``'auto'`` picks the
-    numpy kernel for instances of at least ``_AUTO_KERNEL_MIN_CELLS``
-    phone × job cells and the scalar kernel below that.
+    numpy kernel for instances of at least ``_AUTO_KERNEL_MIN_PHONES``
+    phones and the scalar kernel below that, whatever the job count.
+    The phone count bounds the bins a pack may open, and each bin open
+    costs the scalar kernel one Equation-1 evaluation per unopened
+    phone, so a small reschedule on a large fleet (a few residual
+    jobs, hundreds of phones) belongs on the array kernel, and a large
+    batch on the 18-phone testbed on the scalar one.  Both kernels
+    give byte-identical schedules, so the choice moves only time.
     """
     if kernel not in _KERNELS:
         raise ValueError(
@@ -205,8 +213,9 @@ def resolve_kernel(kernel: str, instance: SchedulingInstance) -> str:
         )
     if kernel != "auto":
         return kernel
-    cells = len(instance.phones) * len(instance.jobs)
-    return "numpy" if cells >= _AUTO_KERNEL_MIN_CELLS else "python"
+    return (
+        "numpy" if len(instance.phones) >= _AUTO_KERNEL_MIN_PHONES else "python"
+    )
 
 
 def _certificate_floors(
@@ -403,7 +412,7 @@ class CapacitySearch:
     kernel:
         Packing backend for the probes: ``'python'`` (exact scalar
         reference), ``'numpy'`` (vectorized, byte-identical), or
-        ``'auto'`` (pick by instance size).
+        ``'auto'`` (pick by phone count).
     lp_floor:
         Additionally certify infeasible midpoints against the LP
         relaxation of :mod:`repro.core.lp_bound`.  Off by default: the

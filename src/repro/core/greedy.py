@@ -100,7 +100,7 @@ class CwcScheduler:
     kernel:
         Packing backend for the capacity probes: ``'python'`` (exact
         scalar reference), ``'numpy'`` (vectorized, byte-identical
-        schedules), or ``'auto'`` (default: pick by instance size).
+        schedules), or ``'auto'`` (default: pick by phone count).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade, also
         threaded into the capacity search.  Records per-round wall

@@ -150,23 +150,37 @@ class Schedule:
         * atomic jobs are placed whole on exactly one phone
           (``sum_i u_ij = 1``);
         * every assignment references a phone and job in the instance.
+
+        Linear in jobs + assignments: one pass groups each job's pieces
+        in assignment order, so every job's ``assigned`` total is summed
+        over the same floats in the same order as :meth:`assigned_kb`.
         """
         known_phones = {p.phone_id for p in instance.phones}
+        pieces_by_job: dict[str, list[Assignment]] = {}
         for a in self._assignments:
             if a.phone_id not in known_phones:
                 raise InfeasibleScheduleError(
                     f"assignment references unknown phone {a.phone_id!r}"
                 )
-            instance.job(a.job_id)  # raises KeyError if unknown
+            pieces = pieces_by_job.get(a.job_id)
+            if pieces is None:
+                try:
+                    instance.job(a.job_id)
+                except KeyError:
+                    raise InfeasibleScheduleError(
+                        f"assignment references unknown job {a.job_id!r}"
+                    ) from None
+                pieces = pieces_by_job[a.job_id] = []
+            pieces.append(a)
         for job in instance.jobs:
-            assigned = self.assigned_kb(job.job_id)
+            pieces = pieces_by_job.get(job.job_id, [])
+            assigned = sum(a.input_kb for a in pieces)
             if abs(assigned - job.input_kb) > tol_kb:
                 raise InfeasibleScheduleError(
                     f"job {job.job_id!r}: assigned {assigned} KB of "
                     f"{job.input_kb} KB input"
                 )
             if job.is_atomic:
-                pieces = [a for a in self._assignments if a.job_id == job.job_id]
                 if len(pieces) != 1 or not pieces[0].whole:
                     raise InfeasibleScheduleError(
                         f"atomic job {job.job_id!r} must be one whole assignment, "

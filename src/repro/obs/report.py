@@ -30,9 +30,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..sim.metrics import PhoneUtilisation, RunMetrics
 from .events import Event, read_events_jsonl, validate_event_dict
 from .profile import (
     critical_path,
@@ -48,6 +47,13 @@ from .trace_export import (
     spans_from_chrome,
     write_chrome_trace,
 )
+
+if TYPE_CHECKING:
+    # Imported lazily at run time: ``repro.core`` imports ``repro.obs``,
+    # and ``repro.sim`` imports ``repro.core`` and ``repro.netmodel``,
+    # so a module-level import here made ``import repro.netmodel`` fail
+    # with a circular ImportError in a fresh interpreter.
+    from ..sim.metrics import RunMetrics
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -79,6 +85,8 @@ def run_metrics_from_events(
     order (first appearance), same busy/copy/execute accounting, same
     makespan.
     """
+    from ..sim.metrics import PhoneUtilisation, RunMetrics
+
     order: dict[str, int] = {}
     copy_ms: dict[str, float] = {}
     execute_ms: dict[str, float] = {}

@@ -1,5 +1,6 @@
 """Shared fixtures: small scheduling instances used across test modules."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,12 @@ import pytest
 from repro.core.instance import SchedulingInstance
 from repro.core.model import Job, JobKind, PhoneSpec
 from repro.core.prediction import RuntimePredictor
+from repro.netmodel.measurement import measure_fleet
+from repro.workloads.mixes import (
+    evaluation_workload,
+    paper_task_profiles,
+    paper_testbed,
+)
 
 
 def make_phones(count=4, base_mhz=800.0, step_mhz=200.0):
@@ -45,6 +52,30 @@ def make_instance(
     ]
     b = {p.phone_id: rng.uniform(*b_range) for p in phones}
     return SchedulingInstance.build(jobs, phones, b, predictor)
+
+
+def replicated_testbed(n_phones, n_jobs):
+    """The paper testbed copied to ``n_phones``, with ``n_jobs`` jobs."""
+    testbed = paper_testbed()
+    base_b = measure_fleet(testbed.links)
+    copies = -(-n_phones // len(testbed.phones))
+    phones = [
+        dataclasses.replace(phone, phone_id=f"{phone.phone_id}-c{copy}")
+        for copy in range(copies)
+        for phone in testbed.phones
+    ][:n_phones]
+    b = {
+        phone.phone_id: base_b[phone.phone_id.rsplit("-c", 1)[0]]
+        for phone in phones
+    }
+    repeats = -(-n_jobs // len(evaluation_workload()))
+    jobs = [
+        dataclasses.replace(job, job_id=f"{job.job_id}-r{repeat}")
+        for repeat in range(repeats)
+        for job in evaluation_workload(seed=150 + repeat)
+    ][:n_jobs]
+    predictor = RuntimePredictor(paper_task_profiles())
+    return SchedulingInstance.build(jobs, tuple(phones), b, predictor)
 
 
 @pytest.fixture

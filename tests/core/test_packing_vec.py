@@ -15,7 +15,7 @@ import pytest
 
 from repro.core._reference import ReferenceCapacitySearch
 from repro.core.capacity import (
-    _AUTO_KERNEL_MIN_CELLS,
+    _AUTO_KERNEL_MIN_PHONES,
     CapacitySearch,
     capacity_bounds,
     resolve_kernel,
@@ -34,7 +34,7 @@ from repro.workloads.mixes import (
     paper_testbed,
 )
 
-from ..conftest import make_instance
+from ..conftest import make_instance, replicated_testbed
 
 
 def paper_instance():
@@ -145,10 +145,22 @@ class TestKernelSelection:
         assert resolve_kernel("python", small_instance) == "python"
         assert resolve_kernel("numpy", small_instance) == "numpy"
 
-    def test_auto_picks_by_instance_size(self, small_instance):
-        cells = len(small_instance.phones) * len(small_instance.jobs)
-        assert cells < _AUTO_KERNEL_MIN_CELLS
-        assert resolve_kernel("auto", small_instance) == "python"
+    @pytest.mark.parametrize("n_jobs", [5, 5000])
+    def test_auto_keeps_the_testbed_on_python(self, n_jobs):
+        """18 phones stay scalar, however many jobs the round holds."""
+        instance = replicated_testbed(18, n_jobs)
+        assert len(instance.jobs) == n_jobs
+        assert resolve_kernel("auto", instance) == "python"
+
+    def test_auto_sends_a_large_fleet_to_numpy(self):
+        """A 250-phone pod with 2 residual jobs packs on the array kernel."""
+        assert resolve_kernel("auto", replicated_testbed(250, 2)) == "numpy"
+
+    def test_auto_threshold_is_a_phone_count(self):
+        below = replicated_testbed(_AUTO_KERNEL_MIN_PHONES - 1, 3)
+        at = replicated_testbed(_AUTO_KERNEL_MIN_PHONES, 3)
+        assert resolve_kernel("auto", below) == "python"
+        assert resolve_kernel("auto", at) == "numpy"
 
     def test_unknown_kernel_rejected(self, small_instance):
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -29,7 +29,7 @@ from repro.core.sharding import (
     _assign_hash,
 )
 
-from ..conftest import make_instance
+from ..conftest import make_instance, replicated_testbed
 
 
 def canonical(schedule) -> str:
@@ -440,6 +440,33 @@ class TestShardedScheduler:
         assert registry.gauge_value("shard_bound_ratio") is not None
         assert registry.gauge_value("shard_pods") == 2.0
         assert registry.counter_value("pod_jobs_total", pod="0") > 0
+
+
+class TestRoundOneKernelRouting:
+    """A fleet reschedule: few residual jobs on four 250-phone pods."""
+
+    def test_auto_packs_on_numpy_and_matches_both_kernels(self):
+        instance = replicated_testbed(1000, 8)
+        runs = {}
+        for kernel in ("auto", "python", "numpy"):
+            scheduler = ShardedScheduler(
+                pods=4, pod_workers=None, kernel=kernel
+            )
+            schedule = scheduler.schedule(instance)
+            runs[kernel] = (canonical(schedule), scheduler.last_result)
+        assert runs["auto"][1].kernel == "numpy"
+        for kernel in ("python", "numpy"):
+            schedule, result = runs[kernel]
+            assert schedule == runs["auto"][0]
+            for field in (
+                "packer_passes",
+                "bisection_steps",
+                "shortcircuit_skips",
+                "shard_bound_ratio",
+            ):
+                assert getattr(result, field) == getattr(
+                    runs["auto"][1], field
+                )
 
 
 class TestPolicyRejection:

@@ -7,8 +7,15 @@ public module, class, and function carries a docstring.
 
 import importlib
 import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = (
     "repro",
@@ -89,6 +96,33 @@ MODULES = (
 def test_module_imports_and_has_docstring(name):
     module = importlib.import_module(name)
     assert module.__doc__ and module.__doc__.strip(), f"{name} lacks a docstring"
+
+
+#: Every ``repro.<subpackage>``, discovered so a new one is covered too.
+SUBPACKAGES = tuple(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_subpackage_imports_in_fresh_interpreter(name):
+    """Each subpackage imports first, with no import cycle.
+
+    In-process imports cannot see a cycle once another test has loaded
+    ``repro.core``, so each import runs in its own interpreter.
+    """
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {name}"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 @pytest.mark.parametrize("name", PACKAGES + MODULES)

@@ -1,5 +1,7 @@
 """Tests for the Oracle facade: filtering, collection, round replay."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.capacity import CapacitySearch, capacity_bounds
@@ -7,6 +9,7 @@ from repro.core.greedy import CwcScheduler
 from repro.core.instance import SchedulingInstance
 from repro.core.model import Job, JobKind, PhoneSpec
 from repro.core.prediction import RuntimePredictor, TaskProfile
+from repro.core.schedule import Schedule
 from repro.sim.entities import FleetGroundTruth
 from repro.sim.server import CentralServer
 from repro.sim.trace import Span, SpanKind, TimelineTrace
@@ -124,6 +127,19 @@ class TestCheckSchedule:
             collect=True,
         )
         assert violations == []
+
+    def test_unknown_job_recorded_as_coverage_violation(self):
+        instance = small_instance()
+        search = CapacitySearch().run(instance)
+        ghost = dataclasses.replace(
+            search.schedule.assignments[0], job_id="ghost-job"
+        )
+        bad = Schedule(search.schedule.assignments + (ghost,))
+        violations = Oracle(include=["coverage"]).check_schedule(
+            instance, bad, collect=True
+        )
+        assert [v.invariant for v in violations] == ["coverage"]
+        assert "unknown job 'ghost-job'" in violations[0].message
 
     def test_capacity_violation_detected(self):
         instance = small_instance()
