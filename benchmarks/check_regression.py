@@ -32,8 +32,8 @@ incomparable numbers.
 
 Schema-2 context fields: alongside the timings, records may carry
 search-configuration context — ``kernel`` (the packing backend the
-search resolved to).  Sharded records add ``pods`` (resolved pod count), ``pod_assign`` (job
-splitter policy), ``pod_solve_ms_max`` (the slowest single pod — the
+search resolved to).  Sharded records add ``pods`` (resolved pod
+count), ``pod_solve_ms_max`` (the slowest single pod — the
 critical path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the
 serial-equivalent pod cost), ``shard_bound_ratio``
 (makespan over the pod-aggregated LP floor; the certified quality of

@@ -105,7 +105,7 @@ def test_bench_ablation_capacity_epsilon(benchmark, epsilon_ms):
     print(
         f"\nepsilon={epsilon_ms} ms -> makespan "
         f"{schedule.predicted_makespan_ms(instance) / 1000:.1f} s in "
-        f"{scheduler.last_result.iterations} bisection steps"
+        f"{scheduler.last_result.bisection_steps} bisection steps"
     )
 
 

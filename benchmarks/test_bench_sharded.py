@@ -46,7 +46,7 @@ def test_bench_sharded_fleet_scale(record_scheduler_bench):
 
     telemetry = Telemetry.create(run_id="bench-sharded", tracing=True)
     scheduler = ShardedScheduler(
-        pods=4, pod_assign="greedy", pod_workers=None, telemetry=telemetry
+        pods=4, pod_workers=None, telemetry=telemetry
     )
     started = time.perf_counter()
     schedule = scheduler.schedule(instance)
@@ -77,7 +77,6 @@ def test_bench_sharded_fleet_scale(record_scheduler_bench):
         phones=len(instance.phones),
         jobs=len(instance.jobs),
         pods=result.pods,
-        pod_assign=result.pod_assign,
         build_s=round(build_s, 2),
         solve_s=round(solve_s, 2),
         total_s=round(build_s + solve_s, 2),
@@ -114,7 +113,7 @@ def test_bench_sharded_vs_monolithic(record_scheduler_bench):
         mono_s.append(time.perf_counter() - started)
 
         scheduler = ShardedScheduler(
-            pods=4, pod_assign="greedy", pod_workers=None, certify=False
+            pods=4, pod_workers=None, certify=False
         )
         started = time.perf_counter()
         schedule = scheduler.schedule(instance)
@@ -132,7 +131,6 @@ def test_bench_sharded_vs_monolithic(record_scheduler_bench):
         phones=len(instance.phones),
         jobs=len(instance.jobs),
         pods=sharded_result.pods,
-        pod_assign=sharded_result.pod_assign,
         rounds=rounds,
         mono_s_median=round(mono_median, 2),
         sharded_s_median=round(sharded_median, 2),

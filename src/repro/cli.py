@@ -39,11 +39,10 @@ Nine commands cover the operator workflows:
   asserting byte-identical recovery.
 
 ``schedule`` and ``simulate`` share the scheduler flags:
-``--scheduler``, ``--kernel``, ``--pods N|auto`` +
-``--pod-assign lp|greedy|hash`` to shard the fleet into concurrently
-solved pods (the greedy scheduler only; ``--pods 1`` is byte-identical
-to the monolithic search), and ``--pod-workers N`` to size the pod
-worker pool.  The greedy scheduler's flags build one
+``--scheduler``, ``--kernel``, ``--pods N|auto`` to shard the fleet
+into concurrently solved pods (the greedy scheduler only; ``--pods 1``
+is byte-identical to the monolithic search), and ``--pod-workers N`` to
+size the pod worker pool.  The greedy scheduler's flags build one
 :class:`~repro.core.policies.SchedulerConfig`; a combination it
 rejects exits 2.
 
@@ -142,13 +141,6 @@ def _add_scheduler_arguments(parser) -> None:
         "--pods 1 is byte-identical to the monolithic scheduler)",
     )
     parser.add_argument(
-        "--pod-assign", choices=("lp", "greedy", "hash"),
-        default="greedy",
-        help="job-to-pod splitter: LP-guided ('lp'), longest-"
-        "processing-time greedy ('greedy', default), or stable "
-        "hashing ('hash'); ignored without --pods",
-    )
-    parser.add_argument(
         "--pod-workers", type=_positive_int, metavar="N",
         help="solve pods on N worker processes (requires --pods; "
         "default: one per pod, capped by the CPU budget; 1 solves "
@@ -163,7 +155,6 @@ def _scheduler_config(args, *, warm_start: bool) -> SchedulerConfig:
             kernel=args.kernel,
             warm_start=warm_start,
             pods=args.pods,
-            pod_assign=args.pod_assign,
             pod_workers=args.pod_workers or "auto",
         )
     except ValueError as exc:

@@ -352,7 +352,6 @@ class ReferenceCapacitySearch:
             max_height_ms=best.max_height_ms,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            iterations=iterations,
             packer_passes=iterations,
             bisection_steps=iterations,
         )

@@ -89,8 +89,7 @@ to the naive pack-every-probe search:
   every assumption-based shortcut disabled, which is unconditionally
   correct.
 
-``iterations`` (and its alias ``packer_passes``) counts *real* packs,
-preserving the historical meaning; ``bisection_steps`` counts bracket
+``packer_passes`` counts *real* packs; ``bisection_steps`` counts bracket
 updates and is what ``max_iterations`` caps, so certificate skips and
 assumed probes cannot lengthen the trajectory relative to the original
 implementation.
@@ -379,8 +378,6 @@ class CapacitySearchResult:
     max_height_ms: float
     lower_bound_ms: float
     upper_bound_ms: float
-    #: Real Algorithm-1 packs issued (historical name; == packer_passes).
-    iterations: int
     #: Real Algorithm-1 packs issued.
     packer_passes: int = 0
     #: Bracket updates walked (seed + bisection probes); what
@@ -740,7 +737,6 @@ class CapacitySearch:
             max_height_ms=best.max_height_ms,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            iterations=packs,
             packer_passes=packs,
             bisection_steps=steps,
             shortcircuit_skips=skips,

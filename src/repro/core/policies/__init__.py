@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..capacity import _KERNELS
 from ..greedy import CwcScheduler
-from ..sharding import _POD_ASSIGN_POLICIES, ShardedScheduler
+from ..sharding import ShardedScheduler
 from .base import ReplicaDirective, SchedulingPolicy
 from .energy import (
     EnergyAwarePolicy,
@@ -38,6 +38,7 @@ __all__ = [
     "SchedulingPolicy",
     "ShortestExpectedCompletionPolicy",
     "assignment_energy_j",
+    "drop_retired_keys",
     "phone_cpu_draw_w",
     "run_energy_joules",
 ]
@@ -54,6 +55,25 @@ POLICY_NAMES = (
 )
 
 
+def drop_retired_keys(data: dict) -> dict:
+    """A saved config dict without the retired ``pod_assign`` key.
+
+    ``'greedy'`` is dropped silently: it is the one splitter left, so
+    the run's schedules are the ones this release produces.  ``'lp'``
+    and ``'hash'`` raise ``ValueError``, because their schedules can no
+    longer be reproduced.
+    """
+    kept = dict(data)
+    splitter = kept.pop("pod_assign", "greedy")
+    if splitter != "greedy":
+        raise ValueError(
+            f"cannot resume: the checkpoint ran pod_assign={splitter!r}, "
+            "a job-to-pod splitter that was removed (only 'greedy' "
+            "remains), so its schedules cannot be reproduced"
+        )
+    return kept
+
+
 def _positive_or_auto(name: str, value) -> None:
     if value == "auto":
         return
@@ -67,7 +87,7 @@ class SchedulerConfig:
 
     ``pods`` set selects the pod-parallel
     :class:`~repro.core.sharding.ShardedScheduler`, which only runs the
-    default policy; ``pod_assign`` and ``pod_workers`` configure it.
+    default policy; ``pod_workers`` sizes its pool.
     Otherwise ``policy`` names the scheduler.  ``kernel`` and
     ``warm_start`` configure the capacity search of the CWC-backed
     schedulers and are ignored by the searchless policies.
@@ -77,7 +97,6 @@ class SchedulerConfig:
     kernel: str = "auto"
     warm_start: bool = False
     pods: int | str | None = None
-    pod_assign: str = "greedy"
     pod_workers: int | str = "auto"
 
     def __post_init__(self) -> None:
@@ -89,11 +108,6 @@ class SchedulerConfig:
         if self.kernel not in _KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; expected one of {_KERNELS}"
-            )
-        if self.pod_assign not in _POD_ASSIGN_POLICIES:
-            raise ValueError(
-                f"unknown pod_assign {self.pod_assign!r}; "
-                f"expected one of {_POD_ASSIGN_POLICIES}"
             )
         if self.pods is not None:
             _positive_or_auto("pods", self.pods)
@@ -118,7 +132,11 @@ class SchedulerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SchedulerConfig":
-        """Rebuild (and re-validate) a config; unknown keys are rejected."""
+        """Rebuild (and re-validate) a config; unknown keys are rejected.
+
+        Retired keys go through :func:`drop_retired_keys` first.
+        """
+        data = drop_retired_keys(data)
         unknown = set(data) - {field.name for field in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(
@@ -135,7 +153,6 @@ class SchedulerConfig:
         if self.pods is not None:
             return ShardedScheduler(
                 pods=self.pods,
-                pod_assign=self.pod_assign,
                 pod_workers=self.pod_workers,
                 kernel=self.kernel,
                 warm_start=self.warm_start,

@@ -6,20 +6,12 @@ single-solve cost.  :class:`ShardedScheduler` decouples them:
 
 1. **Partition** the fleet into pods (round-robin by phone position —
    :func:`repro.core.pod.partition_phones`);
-2. **Split** the jobs across pods with one of three policies
-   (``pod_assign=``):
-
-   * ``'lp'`` — solve the pod-aggregated LP relaxation
-     (:func:`repro.core.lp_bound.solve_pod_relaxed_makespan`) and send
-     each job to the pod holding the largest fractional allocation
-     ``l_pj``; the LP optimum doubles as the certification floor;
-   * ``'greedy'`` (default) — longest-processing-time-first against
-     per-pod estimated work ``E_j * bmin_p + L_j / agg_pj`` (the job's
-     magical-bin time inside the pod) — the dual-guided balance the
-     LP's load constraints price, without an LP solve per round;
-   * ``'hash'`` — ``crc32(job_id) % pods``: stateless, splitter-free
-     placement for comparison (and ``PYTHONHASHSEED``-independent);
-
+2. **Split** the jobs across pods, longest-processing-time first
+   against per-pod estimated work ``E_j * bmin_p + L_j / agg_pj`` (the
+   job's magical-bin time inside the pod) — the dual-guided balance the
+   pod LP's load constraints price, without an LP solve per round.
+   This is the only splitter: the pod LP certifies the round but never
+   splits it (DESIGN.md §14.2 has the measurements);
 3. **Solve** each pod's sub-instance with the existing kernels — on a
    fork process pool when CPUs allow (workers inherit the full
    instance copy-on-write and slice their pod's rows), serially
@@ -49,13 +41,15 @@ tables), never a pod result.  On a pooled round it is the first task
 submitted to the round's fork pool, which gets one slot beyond the pod
 workers, so it solves while the pods solve and the parent rebalances;
 it is collected just before the result is assembled, and leaving the
-pool joins every worker.  Serial rounds, ``certify=False`` and
-``pod_assign='lp'`` (which needs the LP before the split) solve it
-inline as before.  Fallback order: a dead pool or LP worker solves the
-LP inline (the identical floor); a HiGHS failure (``RuntimeError``, in
-either process) leaves ``lp_floor_ms=None``, falls back to the
-uncertified magical-bin ratio and increments the
+pool joins every worker.  Serial rounds solve it inline after the
+rebalance; ``certify=False`` skips it.  Fallback order: a dead pool or
+LP worker solves the LP inline (the identical floor); a HiGHS failure
+(``RuntimeError``, in either process) leaves ``lp_floor_ms=None``,
+falls back to the uncertified magical-bin ratio and increments the
 ``shard_lp_failures_total`` counter; any other exception propagates.
+The pod solves follow the same rule: a dead pool re-solves the pods
+serially (identical reports), while an exception raised inside a pod
+worker propagates.
 
 With ``pods=1`` (or a fleet too small to cut) the scheduler *is* the
 monolithic one: it delegates to an inner :class:`CwcScheduler` built
@@ -67,7 +61,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import zlib
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
@@ -93,8 +86,6 @@ from .schedule import Schedule
 
 __all__ = ["ShardedScheduler", "ShardedSearchResult"]
 
-_POD_ASSIGN_POLICIES = ("lp", "greedy", "hash")
-
 #: A repair round only fires when the capacity spread justifies two
 #: extra pod solves.
 _REBALANCE_MIN_GAP = 1.05
@@ -109,8 +100,8 @@ class ShardedSearchResult:
 
     Field-compatible with :class:`~repro.core.capacity.
     CapacitySearchResult` (so :class:`~repro.core.greedy.
-    SchedulingStats` and ``RoundRecord`` consume it unchanged), plus
-    the sharding diagnostics.
+    SchedulingStats` consumes it unchanged, and ``RoundRecord.search``
+    holds either), plus the sharding diagnostics.
     """
 
     schedule: Schedule
@@ -120,7 +111,6 @@ class ShardedSearchResult:
     max_height_ms: float
     lower_bound_ms: float
     upper_bound_ms: float
-    iterations: int
     packer_passes: int = 0
     bisection_steps: int = 0
     shortcircuit_skips: int = 0
@@ -129,8 +119,6 @@ class ShardedSearchResult:
     kernel: str = "python"
     #: Resolved pod count this round (1 = monolithic delegation).
     pods: int = 1
-    #: Job-to-pod policy the round used.
-    pod_assign: str = "none"
     #: Slowest single pod solve (the critical path under a pool).
     pod_solve_ms_max: float = 0.0
     #: Total pod solve time (the serial-equivalent cost).
@@ -161,9 +149,6 @@ class ShardedScheduler:
         resolves to 1 the round delegates to the inner monolithic
         :class:`~repro.core.greedy.CwcScheduler` (byte-identical
         schedules).
-    pod_assign:
-        Job-to-pod splitter: ``'lp'``, ``'greedy'`` (default), or
-        ``'hash'`` (see the module docstring).
     pod_workers:
         Process-pool size for concurrent pod solves; ``'auto'``
         (default) sizes from :func:`~repro.core.capacity.
@@ -172,8 +157,7 @@ class ShardedScheduler:
         either way.
     certify:
         Solve the pod-aggregated LP each sharded round to certify the
-        makespan (``shard_bound_ratio``).  Default ``True``;
-        ``pod_assign='lp'`` gets the floor for free either way.
+        makespan (``shard_bound_ratio``).  Default ``True``.
     epsilon_ms / min_partition_kb / max_iterations / ram / warm_start /
     kernel / telemetry:
         As on :class:`~repro.core.greedy.CwcScheduler`; they configure
@@ -190,7 +174,6 @@ class ShardedScheduler:
         self,
         *,
         pods: int | str = "auto",
-        pod_assign: str = "greedy",
         pod_workers: int | str | None = "auto",
         certify: bool = True,
         epsilon_ms: float = 1.0,
@@ -201,11 +184,6 @@ class ShardedScheduler:
         kernel: str = "auto",
         telemetry=None,
     ) -> None:
-        if pod_assign not in _POD_ASSIGN_POLICIES:
-            raise ValueError(
-                f"unknown pod_assign {pod_assign!r}; "
-                f"expected one of {_POD_ASSIGN_POLICIES}"
-            )
         if pods != "auto" and int(pods) < 1:
             raise ValueError(f"pods must be >= 1 or 'auto', got {pods!r}")
         if pod_workers not in (None, "auto") and int(pod_workers) < 1:
@@ -214,7 +192,6 @@ class ShardedScheduler:
                 f"got {pod_workers!r}"
             )
         self._pods = pods
-        self._pod_assign = pod_assign
         self._pod_workers = pod_workers
         self._certify = certify
         self._warm_start = warm_start
@@ -317,7 +294,6 @@ class ShardedScheduler:
             max_height_ms=inner.max_height_ms,
             lower_bound_ms=lower,
             upper_bound_ms=inner.upper_bound_ms,
-            iterations=inner.iterations,
             packer_passes=inner.packer_passes,
             bisection_steps=inner.bisection_steps,
             shortcircuit_skips=inner.shortcircuit_skips,
@@ -325,7 +301,6 @@ class ShardedScheduler:
             warm_start_used=inner.warm_start_used,
             kernel=inner.kernel,
             pods=1,
-            pod_assign="none",
             pod_solve_ms_max=wall_ms,
             pod_solve_ms_sum=wall_ms,
             shard_bound_ratio=(
@@ -353,41 +328,27 @@ class ShardedScheduler:
             jobs=len(instance.jobs),
             phones=len(instance.phones),
         ) as round_span:
-            lp_certify_ms = 0.0
             with maybe_span(tracer, "split", category="pod"):
                 pods_phones = partition_phones(
                     len(instance.phones), n_pods
                 )
                 bmin, cmin, agg = pod_rate_tables(instance, pods_phones)
-
-                lp_floor_ms: float | None = None
-                job_pods: np.ndarray | None = None
-                if self._pod_assign == "lp":
-                    solution, lp_certify_ms = self._solve_pod_lp(
-                        instance, pods_phones, bmin, cmin
-                    )
-                    if solution is not None:
-                        lp_floor_ms = solution.makespan_ms
-                        # Send each job to the pod the relaxation leans
-                        # on hardest; first-max wins for determinism.
-                        job_pods = np.argmax(solution.l_kb, axis=0)
-                if job_pods is None:
-                    if self._pod_assign == "hash":
-                        job_pods = _assign_hash(instance, n_pods)
-                    else:  # 'greedy', and the 'lp' fallback
-                        job_pods = _assign_greedy(instance, bmin, agg)
-
-                specs = _build_specs(pods_phones, job_pods)
+                specs = _build_specs(
+                    pods_phones, _assign_greedy(instance, bmin, agg)
+                )
             hints = (
                 dict(self._last_pod_capacities) if self._warm_start else {}
             )
-            certify = lp_floor_ms is None and self._certify
-            with self._round_pool(instance, len(specs), certify) as pool:
+            lp_floor_ms: float | None = None
+            lp_certify_ms = 0.0
+            with self._round_pool(
+                instance, len(specs), self._certify
+            ) as pool:
                 # The certificate reads only the split, so on the pool
                 # it runs alongside the pod solves and the rebalance;
                 # submitted first, it never queues behind a pod.
                 lp_future = None
-                if pool is not None and certify:
+                if pool is not None and self._certify:
                     lp_future = _submit_pod_lp(pool, pods_phones, bmin, cmin)
                 with maybe_span(
                     tracer, "pod_solves", category="pod", pods=len(specs)
@@ -403,8 +364,8 @@ class ShardedScheduler:
                     )
                     if rebalance_span is not None:
                         rebalance_span.set_attr("moves", moves)
-                if certify:
-                    lp_floor_ms, certify_ms = self._collect_pod_lp(
+                if self._certify:
+                    lp_floor_ms, lp_certify_ms = self._collect_pod_lp(
                         lp_future,
                         instance,
                         pods_phones,
@@ -412,7 +373,6 @@ class ShardedScheduler:
                         cmin,
                         trace_parent=round_span,
                     )
-                    lp_certify_ms += certify_ms
 
             with maybe_span(tracer, "assemble", category="pod"):
                 schedule = assemble_schedule(reports)
@@ -530,8 +490,8 @@ class ShardedScheduler:
     ) -> list[PodSolveReport]:
         """Solve every pod, on ``pool`` when there is one, else serially.
 
-        Pool workers receive each pod as a few integer tuples; any pool
-        failure degrades to the serial path, which produces identical
+        Pool workers receive each pod as a few integer tuples; a dead
+        pool degrades to the serial path, which produces identical
         reports.  ``trace_parent`` is the open ``pod_solves`` span
         worker-side spans are adopted under.
         """
@@ -575,8 +535,8 @@ class ShardedScheduler:
                 for spec in specs
             ]
             reports = [future.result() for future in futures]
-        except Exception:
-            return None  # serial fallback, identical reports
+        except BrokenExecutor:
+            return None  # the pool died: serial fallback, identical reports
         if tracer is not None:
             # Re-home each worker's span segment under the pod_solves
             # span, then strip the dicts so pod_reports stays slim.
@@ -709,7 +669,6 @@ class ShardedScheduler:
             max_height_ms=makespan,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            iterations=sum(r.packer_passes for r in reports),
             packer_passes=sum(r.packer_passes for r in reports),
             bisection_steps=sum(r.bisection_steps for r in reports),
             shortcircuit_skips=sum(r.shortcircuit_skips for r in reports),
@@ -717,7 +676,6 @@ class ShardedScheduler:
             warm_start_used=any(r.warm_start_used for r in reports),
             kernel=kernels.pop() if len(kernels) == 1 else "mixed",
             pods=n_pods,
-            pod_assign=self._pod_assign,
             pod_solve_ms_max=max(r.wall_ms for r in reports),
             pod_solve_ms_sum=sum(r.wall_ms for r in reports),
             shard_bound_ratio=ratio,
@@ -740,19 +698,7 @@ def _submit_pod_lp(pool, pods_phones, bmin, cmin):
         return None  # certified inline after the rebalance
 
 
-# -- job-to-pod splitters -------------------------------------------------
-
-
-def _assign_hash(instance: SchedulingInstance, n_pods: int) -> np.ndarray:
-    """``crc32(job_id) % n_pods`` — stateless and hash-seed independent."""
-    return np.fromiter(
-        (
-            zlib.crc32(job.job_id.encode("utf-8")) % n_pods
-            for job in instance.jobs
-        ),
-        dtype=np.intp,
-        count=len(instance.jobs),
-    )
+# -- job-to-pod splitter --------------------------------------------------
 
 
 def _assign_greedy(

@@ -67,7 +67,7 @@ MS_PER_DAY = 24.0 * 3_600_000.0
 #: Scheduler settings a resumed campaign must share with its
 #: checkpoint; the rest (kernel, warm start, pool size) never change a
 #: schedule.
-_RESUME_PINNED_FIELDS = ("policy", "pods", "pod_assign")
+_RESUME_PINNED_FIELDS = ("policy", "pods")
 
 #: Snapshot kind for night-boundary campaign checkpoints.
 CAMPAIGN_SNAPSHOT_KIND = "campaign-night"
@@ -416,7 +416,9 @@ class ContinuousCampaign:
         }
 
     def _restore_state(self, state: dict) -> None:
-        saved = state.get("scheduler_config") or {}
+        from ..core.policies import drop_retired_keys
+
+        saved = drop_retired_keys(state.get("scheduler_config") or {})
         current = self._config.to_dict()
         for field in _RESUME_PINNED_FIELDS:
             if field in saved and saved[field] != current[field]:

@@ -56,6 +56,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.instance import SchedulingInstance
 from ..core.migration import Checkpoint, FailedTaskList
@@ -78,6 +79,10 @@ from .trace import (
     TimelineTrace,
 )
 
+if TYPE_CHECKING:
+    from ..core.capacity import CapacitySearchResult
+    from ..core.sharding import ShardedSearchResult
+
 __all__ = ["CentralServer", "RunResult", "RoundRecord"]
 
 
@@ -94,31 +99,10 @@ class RoundRecord:
     #: Wall-clock time the scheduler spent producing this round's
     #: schedule (real time, not simulated time).
     scheduling_wall_ms: float = 0.0
-    #: Real Algorithm-1 packs the capacity search issued (0 for
-    #: schedulers that expose no diagnostics).
-    packer_passes: int = 0
-    #: Bracket updates the capacity bisection walked.
-    bisection_steps: int = 0
-    #: Whether a verified warm hint steered this round's search.
-    warm_started: bool = False
-    #: Packing backend the capacity search resolved to ("" for
-    #: schedulers that expose no diagnostics).
-    kernel: str = ""
-    #: Capacity the search converged to (0.0 for schedulers that expose
-    #: no diagnostics).
-    capacity_ms: float = 0.0
-    #: Pods the sharded scheduler solved this round (1 for monolithic
-    #: schedulers and for sharded rounds that delegated).
-    pods: int = 1
-    #: Job-to-pod splitter policy of the round ("none" unless sharded).
-    pod_assign: str = "none"
-    #: Slowest single pod solve this round (wall clock, ms).
-    pod_solve_ms_max: float = 0.0
-    #: Total pod solve time this round (wall clock, ms).
-    pod_solve_ms_sum: float = 0.0
-    #: Sharded makespan over the certification floor (0.0 when the
-    #: round was not certified).
-    shard_bound_ratio: float = 0.0
+    #: The scheduler's own ``last_result`` for this round (a capacity
+    #: or sharded search result), or ``None`` for schedulers that
+    #: expose no diagnostics.
+    search: CapacitySearchResult | ShardedSearchResult | None = None
     #: Scheduling policy that produced this round ("" for schedulers
     #: that expose no name).
     policy: str = ""
@@ -129,6 +113,31 @@ class RoundRecord:
     #: constructed with ``record_instances=True`` (the verify oracle's
     #: tap); ``None`` otherwise to keep :class:`RunResult` light.
     instance: SchedulingInstance | None = None
+
+    @property
+    def capacity_ms(self) -> float:
+        """Capacity the search converged to (0.0 without a search)."""
+        return self.search.capacity_ms if self.search is not None else 0.0
+
+    @property
+    def kernel(self) -> str:
+        """Packing backend the search resolved to ("" without one)."""
+        return self.search.kernel if self.search is not None else ""
+
+    @property
+    def warm_started(self) -> bool:
+        """Whether a verified warm hint steered this round's search."""
+        return self.search is not None and self.search.warm_start_used
+
+    @property
+    def pods(self) -> int:
+        """Pods solved this round (1 unless a sharded round split)."""
+        return getattr(self.search, "pods", 1)
+
+    @property
+    def shard_bound_ratio(self) -> float:
+        """Sharded makespan over its floor (0.0 unless sharded)."""
+        return getattr(self.search, "shard_bound_ratio", 0.0)
 
 
 @dataclass
@@ -957,16 +966,7 @@ class CentralServer:
                 rescheduled=rescheduled,
                 job_ids=tuple(job.job_id for job in jobs),
                 scheduling_wall_ms=scheduling_wall_ms,
-                packer_passes=getattr(search, "packer_passes", 0),
-                bisection_steps=getattr(search, "bisection_steps", 0),
-                warm_started=getattr(search, "warm_start_used", False),
-                kernel=getattr(search, "kernel", ""),
-                capacity_ms=getattr(search, "capacity_ms", 0.0),
-                pods=getattr(search, "pods", 1),
-                pod_assign=getattr(search, "pod_assign", "none"),
-                pod_solve_ms_max=getattr(search, "pod_solve_ms_max", 0.0),
-                pod_solve_ms_sum=getattr(search, "pod_solve_ms_sum", 0.0),
-                shard_bound_ratio=getattr(search, "shard_bound_ratio", 0.0),
+                search=search,
                 policy=getattr(self._scheduler, "name", ""),
                 replicas=len(directives),
                 instance=instance if self._record_instances else None,
@@ -991,12 +991,11 @@ class CentralServer:
                 rescheduled=rescheduled,
                 predicted_makespan_ms=record.predicted_makespan_ms,
                 scheduling_wall_ms=scheduling_wall_ms,
-                packer_passes=record.packer_passes,
-                bisection_steps=record.bisection_steps,
+                packer_passes=getattr(search, "packer_passes", 0),
+                bisection_steps=getattr(search, "bisection_steps", 0),
                 warm_started=record.warm_started,
                 kernel=record.kernel,
                 pods=record.pods,
-                pod_assign=record.pod_assign,
                 policy=record.policy,
                 replicas=record.replicas,
             )

@@ -156,7 +156,6 @@ def differential_check(
 class ShardedDifferentialReport:
     """Outcome of one sharded differential check (all legs agreed)."""
 
-    pod_assign: str
     legs: tuple[str, ...]
     monolithic_makespan_ms: float
     schedule_digest: str
@@ -170,7 +169,6 @@ def sharded_differential_check(
     instance: SchedulingInstance,
     *,
     pod_counts: tuple[int, ...] = (1, 2, 4),
-    pod_assign: str = "greedy",
     epsilon_ms: float = 1.0,
     max_iterations: int = 60,
     bound_factor: float = 2.0,
@@ -224,7 +222,6 @@ def sharded_differential_check(
         for requested in pod_counts:
             sharded = ShardedScheduler(
                 pods=requested,
-                pod_assign=pod_assign,
                 pod_workers=None,
                 epsilon_ms=epsilon_ms,
                 max_iterations=max_iterations,
@@ -274,7 +271,6 @@ def sharded_differential_check(
 
     assert mono_bytes is not None
     return ShardedDifferentialReport(
-        pod_assign=pod_assign,
         legs=tuple(legs),
         monolithic_makespan_ms=mono_makespan,
         schedule_digest=hashlib.sha256(mono_bytes).hexdigest(),
@@ -292,7 +288,6 @@ def run_sharded_campaign(
     *,
     seed: int = 0,
     pod_counts: tuple[int, ...] = (1, 2, 4),
-    pod_assign: str = "greedy",
     epsilon_ms: float = 1.0,
 ) -> list[ShardedDifferentialReport]:
     """Sharded-differential-check ``count`` fuzzed instances."""
@@ -307,7 +302,6 @@ def run_sharded_campaign(
             sharded_differential_check(
                 instance,
                 pod_counts=pod_counts,
-                pod_assign=pod_assign,
                 epsilon_ms=epsilon_ms,
             )
         )

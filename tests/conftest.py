@@ -2,7 +2,9 @@
 
 import dataclasses
 import random
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.instance import SchedulingInstance
@@ -86,3 +88,28 @@ def small_instance():
 @pytest.fixture
 def single_phone_instance():
     return make_instance(n_phones=1, n_breakable=2, n_atomic=1)
+
+
+def crc32_split(instance, bmin, agg):
+    """``crc32(job_id) % pods``: a stateless split that ignores the load.
+
+    Takes the place of ``sharding._assign_greedy`` (same signature) so
+    tests can drive the sharded scheduler through an unbalanced split.
+    """
+    n_pods = agg.shape[0]
+    return np.fromiter(
+        (
+            zlib.crc32(job.job_id.encode("utf-8")) % n_pods
+            for job in instance.jobs
+        ),
+        dtype=np.intp,
+        count=len(instance.jobs),
+    )
+
+
+@pytest.fixture
+def crc32_splitter(monkeypatch):
+    """Route every sharded round through :func:`crc32_split`."""
+    from repro.core import sharding
+
+    monkeypatch.setattr(sharding, "_assign_greedy", crc32_split)

@@ -74,7 +74,7 @@ class TestSearch:
 
     def test_iterations_bounded(self, small_instance):
         result = CapacitySearch(max_iterations=10).run(small_instance)
-        assert result.iterations <= 10
+        assert result.packer_passes <= 10
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ class TestCwcScheduler:
         assert scheduler.last_result is None
         scheduler.schedule(small_instance)
         assert scheduler.last_result is not None
-        assert scheduler.last_result.iterations >= 1
+        assert scheduler.last_result.packer_passes >= 1
 
     def test_beats_baselines_on_heterogeneous_fleet(self):
         instance = make_instance(

@@ -200,7 +200,6 @@ class TestSchedulerConfig:
         [
             ({"policy": "round-robin"}, "unknown scheduling policy"),
             ({"kernel": "cuda"}, "unknown kernel"),
-            ({"pods": 2, "pod_assign": "roulette"}, "unknown pod_assign"),
             ({"pods": 0}, "pods must be >= 1"),
             ({"pods": "many"}, "pods must be >= 1"),
             ({"pods": 2, "pod_workers": 0}, "pod_workers must be >= 1"),
@@ -221,7 +220,7 @@ class TestSchedulerConfig:
             SchedulerConfig(),
             SchedulerConfig(policy="replication", kernel="numpy"),
             SchedulerConfig(warm_start=True, pods="auto"),
-            SchedulerConfig(pods=3, pod_assign="lp", pod_workers=2),
+            SchedulerConfig(pods=3, pod_workers=2),
         ],
     )
     def test_dict_round_trip(self, config):
@@ -231,6 +230,24 @@ class TestSchedulerConfig:
     def test_from_dict_rejects_unknown_keys(self):
         data = {**SchedulerConfig().to_dict(), "rebalance_rounds": 2}
         with pytest.raises(ValueError, match="rebalance_rounds"):
+            SchedulerConfig.from_dict(data)
+
+    def test_five_fields(self):
+        assert list(SchedulerConfig().to_dict()) == [
+            "policy", "kernel", "warm_start", "pods", "pod_workers"
+        ]
+
+    def test_from_dict_drops_retired_greedy_splitter(self):
+        config = SchedulerConfig(pods=2, pod_workers=1)
+        data = {**config.to_dict(), "pod_assign": "greedy"}
+        assert SchedulerConfig.from_dict(data) == config
+
+    @pytest.mark.parametrize("pod_assign", ["lp", "hash"])
+    def test_from_dict_rejects_retired_splitters(self, pod_assign):
+        data = {**SchedulerConfig(pods=2).to_dict(), "pod_assign": pod_assign}
+        with pytest.raises(
+            ValueError, match=f"cannot resume: .*pod_assign='{pod_assign}'"
+        ):
             SchedulerConfig.from_dict(data)
 
     def test_from_dict_revalidates(self):

@@ -3,7 +3,6 @@
 import json
 import multiprocessing
 import os
-import zlib
 
 import numpy as np
 import pytest
@@ -23,11 +22,7 @@ from repro.core.pod import (
     solve_pod,
 )
 from repro.core.serialize import schedule_to_dict
-from repro.core.sharding import (
-    ShardedScheduler,
-    _assign_greedy,
-    _assign_hash,
-)
+from repro.core.sharding import ShardedScheduler, _assign_greedy
 
 from ..conftest import make_instance, replicated_testbed
 
@@ -39,6 +34,11 @@ def canonical(schedule) -> str:
 def _die_in_worker(task):
     """Stand-in pod solve that kills its worker process outright."""
     os._exit(1)
+
+
+def _raise_in_worker(task):
+    """Stand-in pod solve with a programming error (worker side only)."""
+    raise ValueError(f"pod {task[0]} spec is malformed")
 
 
 @pytest.fixture
@@ -151,8 +151,6 @@ class TestPodMechanics:
 class TestShardedScheduler:
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
-            ShardedScheduler(pod_assign="roulette")
-        with pytest.raises(ValueError):
             ShardedScheduler(pods=0)
         with pytest.raises(ValueError):
             ShardedScheduler(pod_workers=0)
@@ -160,6 +158,8 @@ class TestShardedScheduler:
             ShardedScheduler(rebalance_rounds=1)
         with pytest.raises(TypeError):
             ShardedScheduler(policy="cwc-greedy")
+        with pytest.raises(TypeError):
+            ShardedScheduler(pod_assign="greedy")
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_pods1_byte_identical_to_monolithic(self, fleet_instance, kernel):
@@ -174,20 +174,18 @@ class TestShardedScheduler:
         schedule = scheduler.schedule(small_instance)
         schedule.validate(small_instance)
         assert scheduler.last_result.pods == 1
-        assert scheduler.last_result.pod_assign == "none"
 
-    @pytest.mark.parametrize("policy", ["lp", "greedy", "hash"])
+    @pytest.mark.parametrize("policy", ["greedy", "hash"])
     def test_policies_produce_valid_certified_schedules(
-        self, fleet_instance, policy
+        self, fleet_instance, policy, request
     ):
-        scheduler = ShardedScheduler(
-            pods=3, pod_assign=policy, pod_workers=None
-        )
+        if policy == "hash":
+            request.getfixturevalue("crc32_splitter")
+        scheduler = ShardedScheduler(pods=3, pod_workers=None)
         schedule = scheduler.schedule(fleet_instance)
         schedule.validate(fleet_instance)
         result = scheduler.last_result
         assert result.pods == 3
-        assert result.pod_assign == policy
         assert result.pod_solve_ms_max <= result.pod_solve_ms_sum
         assert len(result.pod_reports) >= 2
         makespan = schedule.predicted_makespan_ms(fleet_instance)
@@ -206,12 +204,6 @@ class TestShardedScheduler:
         )
         assert canonical(first) == canonical(second)
 
-    def test_hash_policy_is_crc32(self, fleet_instance):
-        assignment = _assign_hash(fleet_instance, 3)
-        for j, job in enumerate(fleet_instance.jobs):
-            expected = zlib.crc32(job.job_id.encode("utf-8")) % 3
-            assert assignment[j] == expected
-
     def test_greedy_splitter_balances_better_than_worst_case(
         self, fleet_instance
     ):
@@ -224,22 +216,23 @@ class TestShardedScheduler:
         assert len(np.unique(assignment)) == 3
 
     def test_rebalance_never_hurts_capacity(
-        self, fleet_instance, monkeypatch
+        self, fleet_instance, monkeypatch, crc32_splitter
     ):
+        # The crc32 split leaves the pods unbalanced, so the repair
+        # rounds have real work to do.
         monkeypatch.setattr(sharding, "_REBALANCE_ROUNDS", 0)
-        base = ShardedScheduler(pods=3, pod_assign="hash", pod_workers=None)
+        base = ShardedScheduler(pods=3, pod_workers=None)
         base.schedule(fleet_instance)
+        assert base.last_result.rebalance_moves == 0
         monkeypatch.setattr(sharding, "_REBALANCE_ROUNDS", 3)
-        repaired = ShardedScheduler(
-            pods=3, pod_assign="hash", pod_workers=None
-        )
+        repaired = ShardedScheduler(pods=3, pod_workers=None)
         schedule = repaired.schedule(fleet_instance)
         schedule.validate(fleet_instance)
+        assert repaired.last_result.rebalance_moves >= 1
         assert (
             repaired.last_result.capacity_ms
-            <= base.last_result.capacity_ms + 1e-9
+            < base.last_result.capacity_ms
         )
-        assert repaired.last_result.rebalance_moves >= 0
 
     def test_pooled_matches_serial(self, fleet_instance, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "4")
@@ -275,6 +268,19 @@ class TestShardedScheduler:
         assert canonical(schedule) == canonical(serial)
         for report in scheduler.last_result.pod_reports:
             assert report.leaked_buffers == 0
+        assert multiprocessing.active_children() == []
+
+    def test_pod_worker_programming_error_propagates(
+        self, fleet_instance, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CPUS", "4")
+        # Patched before the pool forks, so every worker inherits it;
+        # the serial re-solve path is untouched and would succeed.
+        monkeypatch.setattr(pod, "_pod_worker_solve", _raise_in_worker)
+        scheduler = ShardedScheduler(pods=3, pod_workers=2)
+        with pytest.raises(ValueError, match="spec is malformed"):
+            scheduler.schedule(fleet_instance)
+        assert scheduler.last_result is None
         assert multiprocessing.active_children() == []
 
     def test_pooled_certificate_matches_serial(

@@ -178,11 +178,6 @@ class TestResumeConfig:
                 SchedulerConfig(policy="energy-aware"),
                 "policy",
             ),
-            (
-                SchedulerConfig(pods=2, pod_workers=1),
-                SchedulerConfig(pods=2, pod_assign="hash", pod_workers=1),
-                "pod_assign",
-            ),
         ],
     )
     def test_mismatched_resume_raises(self, tmp_path, saved, resumed, field):
@@ -214,6 +209,43 @@ class TestResumeConfig:
         ).run(3, resume=True)
         assert resumed.resumed_from_night == 1
         assert night_dicts(resumed) == night_dicts(baseline)
+
+    def legacy_checkpoint(self, tmp_path, pod_assign):
+        """A checkpoint hand-edited to carry the retired ``pod_assign``."""
+        config = SchedulerConfig(pods=2, pod_workers=1)
+        self.killed_run(tmp_path / "new", config)
+        state = SnapshotStore(tmp_path / "new").latest(
+            kind=CAMPAIGN_SNAPSHOT_KIND
+        ).state
+        state["scheduler_config"]["pod_assign"] = pod_assign
+        SnapshotStore(tmp_path / "old").save(CAMPAIGN_SNAPSHOT_KIND, state)
+        return config
+
+    def test_legacy_greedy_checkpoint_resumes_identically(self, tmp_path):
+        config = self.legacy_checkpoint(tmp_path, "greedy")
+        baseline = ContinuousCampaign(
+            seed=30, jobs_per_night=6, scheduler=config
+        ).run(3)
+        resumed = ContinuousCampaign(
+            seed=30, jobs_per_night=6, checkpoint_dir=tmp_path / "old",
+            scheduler=config,
+        ).run(3, resume=True)
+        assert resumed.resumed_from_night == 1
+        assert night_dicts(resumed) == night_dicts(baseline)
+
+    @pytest.mark.parametrize("pod_assign", ["lp", "hash"])
+    def test_legacy_retired_splitter_checkpoint_raises(
+        self, tmp_path, pod_assign
+    ):
+        config = self.legacy_checkpoint(tmp_path, pod_assign)
+        campaign = ContinuousCampaign(
+            seed=30, jobs_per_night=6, checkpoint_dir=tmp_path / "old",
+            scheduler=config,
+        )
+        with pytest.raises(
+            ValueError, match=f"cannot resume: .*pod_assign='{pod_assign}'"
+        ):
+            campaign.run(3, resume=True)
 
     def test_checkpoint_without_config_resumes_as_before(self, tmp_path):
         baseline = ContinuousCampaign(seed=30, jobs_per_night=6).run(3)

@@ -186,7 +186,7 @@ class TestRoundDiagnostics:
         assert not result.unfinished_jobs
         assert result.rounds  # the run actually scheduled something
         for record in result.rounds:
-            assert record.packer_passes >= 1
+            assert record.search.packer_passes >= 1
             assert record.kernel in ("python", "numpy")
             assert record.pods == 1
 
@@ -196,5 +196,5 @@ class TestRoundDiagnostics:
         stats = server._scheduler.stats
         assert stats.rounds == len(result.rounds)
         assert stats.packer_passes == sum(
-            record.packer_passes for record in result.rounds
+            record.search.packer_passes for record in result.rounds
         )

@@ -127,15 +127,21 @@ class TestSecondWaveArrival:
         self, wave_runs
     ):
         cold, warm = wave_runs
-        assert warm.rounds[0].packer_passes == cold.rounds[0].packer_passes
-        assert warm.rounds[1].packer_passes < cold.rounds[1].packer_passes
+        assert (
+            warm.rounds[0].search.packer_passes
+            == cold.rounds[0].search.packer_passes
+        )
+        assert (
+            warm.rounds[1].search.packer_passes
+            < cold.rounds[1].search.packer_passes
+        )
 
     def test_round_records_carry_scheduling_diagnostics(self, wave_runs):
         for result in wave_runs:
             for record in result.rounds:
                 assert record.scheduling_wall_ms >= 0.0
-                assert record.packer_passes >= 1
-                assert record.bisection_steps >= 1
+                assert record.search.packer_passes >= 1
+                assert record.search.bisection_steps >= 1
 
 
 class TestFailureDegradesGracefully:
@@ -158,5 +164,6 @@ class TestFailureDegradesGracefully:
         cold, warm = failure_runs
         for cold_round, warm_round in zip(cold.rounds[1:], warm.rounds[1:]):
             assert (
-                warm_round.packer_passes <= cold_round.packer_passes + 1
+                warm_round.search.packer_passes
+                <= cold_round.search.packer_passes + 1
             )

@@ -150,6 +150,23 @@ class TestPodWorkersFlag:
             build_parser().parse_args(["simulate", flag, "2"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_pod_assign_flag_exits_2(self, fleet_files, capsys):
+        phones_path, jobs_path = fleet_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "schedule",
+                    "--phones",
+                    str(phones_path),
+                    "--jobs",
+                    str(jobs_path),
+                    "--pod-assign",
+                    "greedy",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_rejects_non_positive_pod_workers(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--pod-workers", "0"])
@@ -256,6 +273,24 @@ class TestCampaignFlags:
         assert main([*drill, "--resume", "--pods", "2"]) == 2
         err = capsys.readouterr().err
         assert "pods=None" in err and "pods=2" in err
+
+    def test_resume_of_retired_splitter_checkpoint_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.durability.snapshot import SnapshotStore
+        from repro.sim.campaign import CAMPAIGN_SNAPSHOT_KIND
+
+        ckpt = tmp_path / "ckpt"
+        drill = ["simulate", "--nights", "2", "--jobs-per-night", "4",
+                 "--pods", "2", "--checkpoint-dir", str(ckpt)]
+        assert main([*drill, "--kill-after-night", "0"]) == 3
+        store = SnapshotStore(ckpt)
+        state = store.latest(kind=CAMPAIGN_SNAPSHOT_KIND).state
+        state["scheduler_config"]["pod_assign"] = "hash"
+        store.save(CAMPAIGN_SNAPSHOT_KIND, state)
+        capsys.readouterr()
+        assert main([*drill, "--resume"]) == 2
+        assert "pod_assign='hash'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -32,7 +32,7 @@ class TestCapacitySearchBoundaries:
         result = CapacitySearch(epsilon_ms=1e12).run(instance)
         result.schedule.validate(instance)
         # No bisection happened: one seed pack only.
-        assert result.iterations == 1
+        assert result.packer_passes == 1
 
 
 class TestEventTokenAfterFire:

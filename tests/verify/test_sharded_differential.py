@@ -37,21 +37,28 @@ def test_clean_instance_passes_all_legs(fleet_instance):
         assert ratio >= 1.0 - 1e-9
 
 
-def test_policies_all_pass(fleet_instance):
-    for policy in ("lp", "greedy", "hash"):
-        report = sharded_differential_check(
-            fleet_instance, pod_counts=(1, 2), pod_assign=policy
-        )
-        assert report.pod_assign == policy
+def test_policies_all_pass(fleet_instance, monkeypatch):
+    """The LPT split and the unbalanced crc32 split both pass every leg."""
+    from repro.core import sharding
+
+    from ..conftest import crc32_split
+
+    greedy = sharded_differential_check(fleet_instance, pod_counts=(1, 2))
+    monkeypatch.setattr(sharding, "_assign_greedy", crc32_split)
+    hashed = sharded_differential_check(fleet_instance, pod_counts=(1, 2))
+    assert hashed.legs == greedy.legs
+    # The fake really split the multi-pod leg differently ...
+    assert hashed.pod_makespans != greedy.pod_makespans
+    # ... while pods=1 delegates, so the split never reaches it.
+    assert hashed.schedule_digest == greedy.schedule_digest
 
 
-def test_bound_factor_violation_detected(fleet_instance):
+def test_bound_factor_violation_detected(fleet_instance, crc32_splitter):
     """An absurdly tight factor must trip the monolithic comparison."""
     with pytest.raises(DifferentialMismatchError, match="exceeds"):
         sharded_differential_check(
             fleet_instance,
             pod_counts=(4,),
-            pod_assign="hash",
             bound_factor=0.01,
         )
 
