@@ -788,6 +788,7 @@ def _cmd_simulate(args) -> int:
         from .obs import build_run_report
 
         bundle = build_run_report(
+            result,
             telemetry,
             meta={
                 "seed": args.seed,
@@ -831,11 +832,11 @@ def _cmd_trace(args) -> int:
         render_profile_lines,
         self_time_table,
     )
+    from .obs.report import write_trace_artifacts
     from .obs.trace_export import (
         chrome_trace,
         load_chrome_trace,
         spans_from_chrome,
-        write_chrome_trace,
     )
     from .verify.oracle import Oracle
 
@@ -893,20 +894,8 @@ def _cmd_trace(args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            write_chrome_trace(
-                out / "trace.json", spans, run_id=telemetry.run_id
-            )
-            profile_lines = render_profile_lines(
-                self_time_table(spans, clock=args.clock), clock=args.clock
-            )
-            profile_lines.append("")
-            profile_lines.extend(
-                render_critical_path_lines(
-                    critical_path(spans, clock=args.clock), clock=args.clock
-                )
-            )
-            (out / "profile.txt").write_text(
-                "\n".join(profile_lines) + "\n", encoding="utf-8"
+            write_trace_artifacts(
+                out, spans, run_id=telemetry.run_id, clock=args.clock
             )
             print(f"trace artifacts written to {out}")
 

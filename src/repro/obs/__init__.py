@@ -43,7 +43,6 @@ from .report import (
     build_run_report,
     load_run_report,
     render_report_lines,
-    run_metrics_from_events,
 )
 from .samplers import SamplerSet, Series
 from .telemetry import NULL_TELEMETRY, Telemetry, new_run_id
@@ -95,7 +94,6 @@ __all__ = [
     "render_critical_path_lines",
     "render_profile_lines",
     "render_report_lines",
-    "run_metrics_from_events",
     "self_time_table",
     "spans_from_chrome",
     "validate_span_dict",

@@ -8,6 +8,10 @@ A :class:`RunReport` is the durable product of a telemetry-enabled run:
   the series files;
 * ``events.jsonl`` — the unified event log, one envelope per line
   (append-only, schema-validated by :func:`repro.obs.events.validate_event_dict`);
+* ``timeline.json`` — the run's :class:`~repro.sim.trace.TimelineTrace`
+  in its canonical :meth:`~repro.sim.trace.TimelineTrace.to_dict` form
+  (every copy/execute span, completion, failure, chaos and resilience
+  record; the same form the durability layer digests);
 * ``series/*.csv`` — one columnar CSV per time series;
 * ``prometheus.txt`` — the registry in Prometheus text exposition
   (:meth:`~repro.obs.registry.MetricsRegistry.render_prometheus`);
@@ -17,11 +21,10 @@ A :class:`RunReport` is the durable product of a telemetry-enabled run:
 * ``profile.txt`` — the span self-time table and wall-clock critical
   path (:mod:`repro.obs.profile`), also trace-gated.
 
-:func:`run_metrics_from_events` rebuilds the exact
-:class:`~repro.sim.metrics.RunMetrics` a
-:class:`~repro.sim.trace.TimelineTrace` would yield, but from the
-unified stream — so a report bundle alone (no pickled trace, no rerun)
-answers "which phone dragged the makespan".
+The timeline trace is the run's single op record: the summary's
+utilisation block is :func:`repro.sim.metrics.compute_run_metrics` on
+it, and the bundle carries it whole — so a report bundle alone (no
+pickled trace, no rerun) answers "which phone dragged the makespan".
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .events import Event, read_events_jsonl, validate_event_dict
+from .events import read_events_jsonl
 from .profile import (
     critical_path,
     render_critical_path_lines,
@@ -53,7 +56,7 @@ if TYPE_CHECKING:
     # and ``repro.sim`` imports ``repro.core`` and ``repro.netmodel``,
     # so a module-level import here made ``import repro.netmodel`` fail
     # with a circular ImportError in a fresh interpreter.
-    from ..sim.metrics import RunMetrics
+    from ..sim.server import RunResult
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -61,10 +64,10 @@ __all__ = [
     "build_run_report",
     "load_run_report",
     "render_report_lines",
-    "run_metrics_from_events",
+    "write_trace_artifacts",
 ]
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 _SERIES_DIR = "series"
 _UNSAFE = re.compile(r"[^A-Za-z0-9_.=-]+")
@@ -74,53 +77,27 @@ def _series_filename(key: str) -> str:
     return _UNSAFE.sub("_", key) + ".csv"
 
 
-def run_metrics_from_events(
-    events: Iterable[Event | dict],
-) -> RunMetrics:
-    """Recompute :class:`RunMetrics` from the unified event stream.
+def write_trace_artifacts(
+    directory: Path, spans: list[dict], *, run_id: str, clock: str = "wall"
+) -> None:
+    """Write ``trace.json`` and ``profile.txt`` for closed span dicts.
 
-    Reads the ``server/span`` events (the envelope form of every
-    :class:`~repro.sim.trace.Span`) and reproduces
-    :func:`repro.sim.metrics.compute_run_metrics` exactly: same phone
-    order (first appearance), same busy/copy/execute accounting, same
-    makespan.
+    ``profile.txt`` holds the self-time table and the critical path,
+    both measured on ``clock`` (``"wall"`` or ``"sim"``).
     """
-    from ..sim.metrics import PhoneUtilisation, RunMetrics
-
-    order: dict[str, int] = {}
-    copy_ms: dict[str, float] = {}
-    execute_ms: dict[str, float] = {}
-    finish_ms: dict[str, float] = {}
-    partitions: dict[str, int] = {}
-    makespan = 0.0
-    for event in events:
-        data = event.to_dict() if isinstance(event, Event) else event
-        if data.get("component") != "server" or data.get("kind") != "span":
-            continue
-        payload = data["payload"]
-        phone_id = payload["phone_id"]
-        duration = float(payload["end_ms"]) - float(payload["start_ms"])
-        order.setdefault(phone_id, len(order))
-        if payload["span"] == "copy":
-            copy_ms[phone_id] = copy_ms.get(phone_id, 0.0) + duration
-        else:
-            execute_ms[phone_id] = execute_ms.get(phone_id, 0.0) + duration
-            partitions[phone_id] = partitions.get(phone_id, 0) + 1
-        end = float(payload["end_ms"])
-        finish_ms[phone_id] = max(finish_ms.get(phone_id, 0.0), end)
-        makespan = max(makespan, end)
-    phones = tuple(
-        PhoneUtilisation(
-            phone_id=phone_id,
-            busy_ms=copy_ms.get(phone_id, 0.0) + execute_ms.get(phone_id, 0.0),
-            copy_ms=copy_ms.get(phone_id, 0.0),
-            execute_ms=execute_ms.get(phone_id, 0.0),
-            finish_ms=finish_ms.get(phone_id, 0.0),
-            partitions=partitions.get(phone_id, 0),
-        )
-        for phone_id in sorted(order, key=order.get)
+    write_chrome_trace(directory / "trace.json", spans, run_id=run_id)
+    lines = render_profile_lines(
+        self_time_table(spans, clock=clock), clock=clock
     )
-    return RunMetrics(makespan_ms=makespan, phones=phones)
+    lines.append("")
+    lines.extend(
+        render_critical_path_lines(
+            critical_path(spans, clock=clock), clock=clock
+        )
+    )
+    (directory / "profile.txt").write_text(
+        "\n".join(lines) + "\n", encoding="utf-8"
+    )
 
 
 @dataclass
@@ -136,6 +113,8 @@ class RunReport:
     #: Closed span dicts from the run's tracer; empty when the run was
     #: not traced (tracing is opt-in on :meth:`Telemetry.create`).
     spans: list[dict] = field(default_factory=list)
+    #: The run's timeline trace, :meth:`TimelineTrace.to_dict` form.
+    timeline: dict = field(default_factory=dict)
 
     # -- writing -----------------------------------------------------------
 
@@ -168,20 +147,13 @@ class RunReport:
             registry.render_prometheus(), encoding="utf-8"
         )
 
+        (directory / "timeline.json").write_text(
+            json.dumps(self.timeline, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+
         if self.spans:
-            write_chrome_trace(
-                directory / "trace.json", self.spans, run_id=self.run_id
-            )
-            profile_lines = render_profile_lines(
-                self_time_table(self.spans)
-            )
-            profile_lines.append("")
-            profile_lines.extend(
-                render_critical_path_lines(critical_path(self.spans))
-            )
-            (directory / "profile.txt").write_text(
-                "\n".join(profile_lines) + "\n", encoding="utf-8"
-            )
+            write_trace_artifacts(directory, self.spans, run_id=self.run_id)
 
         payload = {
             "schema": REPORT_SCHEMA,
@@ -215,6 +187,7 @@ class RunReport:
 
 
 def build_run_report(
+    result: RunResult,
     telemetry: Telemetry,
     *,
     meta: dict | None = None,
@@ -223,17 +196,19 @@ def build_run_report(
 ) -> RunReport:
     """Distil a finished, telemetry-enabled run into a :class:`RunReport`.
 
-    ``telemetry`` must be an enabled facade that instrumented the run;
-    the summary's utilisation block is computed *from the unified
-    event stream* (:func:`run_metrics_from_events`), not from the
-    timeline trace — the report is self-contained.
+    ``telemetry`` must be an enabled facade that instrumented the run
+    that produced ``result``.  The summary's utilisation block is
+    :func:`~repro.sim.metrics.compute_run_metrics` on the result's
+    timeline trace, which the report also carries whole.
     """
+    from ..sim.metrics import compute_run_metrics
+
     if not telemetry.enabled:
         raise ValueError(
             "cannot build a run report from disabled telemetry; "
             "pass Telemetry.create(...) into the run first"
         )
-    metrics = run_metrics_from_events(telemetry.bus.events)
+    metrics = compute_run_metrics(result.trace)
     fault_counts: dict[str, int] = {}
     for event in telemetry.bus.of_component("chaos"):
         fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
@@ -281,6 +256,7 @@ def build_run_report(
         events=[event.to_dict() for event in telemetry.bus.events],
         series=list(telemetry.samplers.series),
         spans=tracer.to_dicts() if tracer is not None else [],
+        timeline=result.trace.to_dict(),
     )
 
 
@@ -320,13 +296,14 @@ def load_run_report(
                 labels=entry.get("labels", {}),
             )
         )
-    if validate:
-        for event in events:
-            validate_event_dict(event)
     spans: list[dict] = []
     trace_path = directory / "trace.json"
     if trace_path.is_file():
         spans = spans_from_chrome(load_chrome_trace(trace_path))
+    timeline: dict = {}
+    timeline_path = directory / "timeline.json"
+    if timeline_path.is_file():
+        timeline = json.loads(timeline_path.read_text(encoding="utf-8"))
     return RunReport(
         run_id=payload["run_id"],
         meta=payload.get("meta", {}),
@@ -335,6 +312,7 @@ def load_run_report(
         events=events,
         series=series,
         spans=spans,
+        timeline=timeline,
     )
 
 

@@ -483,17 +483,21 @@ class CentralServer:
         if tracer is not None:
             # Undetected offline phones can hold an op forever (their
             # monitor was parked when the run drained); flush those as
-            # interrupted so every dispatch owns exactly one span.
+            # interrupted so every dispatch owns exactly one tracer span.
+            # The timeline trace never saw these ops end, and adding
+            # them now would move the makespan and every digest, so
+            # this close is tracer-only.
             for pipeline in self._pipelines.values():
                 if pipeline.current is not None:
                     failed_at = pipeline.failed_at_ms
-                    self._trace_op(
+                    self._close_op(
                         pipeline,
                         pipeline.current,
-                        end_sim_ms=(
+                        end_ms=(
                             failed_at if failed_at is not None else loop.now_ms
                         ),
-                        status="interrupted",
+                        interrupted=True,
+                        in_trace=False,
                     )
             if self._round_span is not None:
                 tracer.end(
@@ -664,71 +668,74 @@ class CentralServer:
             },
         )
 
-    def _record_span(self, span: Span) -> None:
-        """Append a span to the trace and mirror it onto the event bus."""
-        assert self._loop is not None and self._trace is not None
-        now = self._loop.now_ms
-        self._trace.add_span(span, at_ms=now)
-        tel = self._tel
-        if tel.enabled:
-            tel.event(
-                "server",
-                "span",
-                sim_time_ms=now,
-                phone_id=span.phone_id,
-                job_id=span.job_id,
-                span=span.kind.value,
-                start_ms=span.start_ms,
-                end_ms=span.end_ms,
-                input_kb=span.input_kb,
-                rescheduled=span.rescheduled,
-                interrupted=span.interrupted,
-                speculative=span.speculative,
-            )
-            tel.observe(
-                "span_duration_ms", span.duration_ms, kind=span.kind.value
-            )
-            tel.maybe_sample(now)
-
-    def _trace_op(
+    def _close_op(
         self,
         pipeline: _Pipeline,
         op: _Operation,
         *,
-        end_sim_ms: float,
-        status: str = "ok",
+        end_ms: float,
+        interrupted: bool = False,
+        in_trace: bool = True,
     ) -> None:
-        """Record one finished pipeline op as a closed tracer span.
+        """Close one pipeline op: the single place a finished op is recorded.
 
-        Ops are recorded retroactively at their resolution instant (the
-        sim interval is exact; the wall interval is the recording
-        moment, which is what keeps the tracer entirely off the sim's
-        critical path).  The span parents on the round the op was
-        dispatched under while that round is still open, else on the
-        run root — an op on a silently failed phone can outlive its
-        round by an arbitrary number of scheduling instants.
+        Builds the op's :class:`Span` once (ending at ``end_ms``, never
+        before the op started) and appends it to the timeline trace,
+        which every run metric, the oracle and the crash-restore digest
+        read.  With a tracer armed, the same span also lands on the
+        ``fleet/<phone>`` lane, recorded retroactively at its resolution
+        instant (the sim interval is exact; the wall interval is the
+        recording moment, which keeps the tracer off the sim's critical
+        path).  That span parents on the round the op was dispatched
+        under while the round is still open, else on the run root: an op
+        on a silently failed phone can outlive its round by any number
+        of scheduling instants.  ``in_trace=False`` records the tracer
+        span alone.
         """
+        assignment = op.assignment
+        span = Span(
+            phone_id=pipeline.phone_id,
+            job_id=assignment.job_id,
+            kind=op.kind,
+            start_ms=op.start_ms,
+            end_ms=max(op.start_ms, end_ms),
+            input_kb=assignment.input_kb,
+            rescheduled=pipeline.rescheduled,
+            interrupted=interrupted,
+            speculative=op.item.redundant,
+        )
+        if in_trace:
+            assert self._loop is not None and self._trace is not None
+            now = self._loop.now_ms
+            self._trace.add_span(span, at_ms=now)
+            tel = self._tel
+            if tel.enabled:
+                tel.observe(
+                    "span_duration_ms", span.duration_ms, kind=span.kind.value
+                )
+                tel.maybe_sample(now)
         tracer = self._tracer
         if tracer is None:
             return
         parent = op.trace_round
         if parent is None or parent.closed:
             parent = self._run_span
-        assignment = op.assignment
         handle = tracer.start(
-            op.kind.value,
+            span.kind.value,
             category="fleet",
-            process=f"fleet/{pipeline.phone_id}",
+            process=f"fleet/{span.phone_id}",
             parent=parent,
-            sim_time_ms=op.start_ms,
-            job_id=assignment.job_id,
+            sim_time_ms=span.start_ms,
+            job_id=span.job_id,
             task=assignment.task,
             role=op.item.role.value,
             attempt=op.item.instance.attempt,
-            input_kb=assignment.input_kb,
+            input_kb=span.input_kb,
         )
         tracer.end(
-            handle, sim_time_ms=max(op.start_ms, end_sim_ms), status=status
+            handle,
+            sim_time_ms=span.end_ms,
+            status="interrupted" if interrupted else "ok",
         )
 
     def _record_chaos(self, record: ChaosRecord) -> None:
@@ -1150,19 +1157,7 @@ class CentralServer:
         assignment = op.assignment
         now = self._loop.now_ms
         self._cancel_guard_tokens(op)
-        self._record_span(
-            Span(
-                phone_id=pipeline.phone_id,
-                job_id=assignment.job_id,
-                kind=SpanKind.COPY,
-                start_ms=op.start_ms,
-                end_ms=now,
-                input_kb=assignment.input_kb,
-                rescheduled=pipeline.rescheduled,
-                speculative=item.redundant,
-            )
-        )
-        self._trace_op(pipeline, op, end_sim_ms=now)
+        self._close_op(pipeline, op, end_ms=now)
         pipeline.shipped_jobs.add(assignment.job_id)
         duration = pipeline.runtime.execute_time_ms(
             self._truth, assignment.task, assignment.input_kb, at_ms=now
@@ -1199,19 +1194,7 @@ class CentralServer:
         assignment = op.assignment
         now = self._loop.now_ms
         self._cancel_guard_tokens(op)
-        self._record_span(
-            Span(
-                phone_id=pipeline.phone_id,
-                job_id=assignment.job_id,
-                kind=SpanKind.EXECUTE,
-                start_ms=op.start_ms,
-                end_ms=now,
-                input_kb=assignment.input_kb,
-                rescheduled=pipeline.rescheduled,
-                speculative=item.redundant,
-            )
-        )
-        self._trace_op(pipeline, op, end_sim_ms=now)
+        self._close_op(pipeline, op, end_ms=now)
         # The phone reports the measured local execution time; the server
         # refines its per-KB prediction for this (phone, task) pair.
         if assignment.input_kb > 0 and op.duration_ms > 0:
@@ -1550,20 +1533,7 @@ class CentralServer:
         now = self._loop.now_ms
         op.token.cancel()
         self._cancel_guard_tokens(op)
-        self._record_span(
-            Span(
-                phone_id=pipeline.phone_id,
-                job_id=op.assignment.job_id,
-                kind=op.kind,
-                start_ms=op.start_ms,
-                end_ms=now,
-                input_kb=op.assignment.input_kb,
-                rescheduled=pipeline.rescheduled,
-                interrupted=True,
-                speculative=item.redundant,
-            )
-        )
-        self._trace_op(pipeline, op, end_sim_ms=now, status="interrupted")
+        self._close_op(pipeline, op, end_ms=now, interrupted=True)
         pipeline.current = None
         if item.role is _Role.VERIFY:
             # Verification lost its duplicate: credit the held-back
@@ -1679,29 +1649,10 @@ class CentralServer:
         if op is not None and op.item is item:
             op.token.cancel()
             self._cancel_guard_tokens(op)
-            now = self._loop.now_ms
-            end = now
+            end = self._loop.now_ms
             if pipeline.failed_at_ms is not None:
                 end = min(end, pipeline.failed_at_ms)
-            self._record_span(
-                Span(
-                    phone_id=phone_id,
-                    job_id=op.assignment.job_id,
-                    kind=op.kind,
-                    start_ms=op.start_ms,
-                    end_ms=max(op.start_ms, end),
-                    input_kb=op.assignment.input_kb,
-                    rescheduled=pipeline.rescheduled,
-                    interrupted=True,
-                    speculative=item.redundant,
-                )
-            )
-            self._trace_op(
-                pipeline,
-                op,
-                end_sim_ms=max(op.start_ms, end),
-                status="interrupted",
-            )
+            self._close_op(pipeline, op, end_ms=end, interrupted=True)
             pipeline.current = None
             self._start_next(pipeline)
         else:
@@ -1756,24 +1707,8 @@ class CentralServer:
                 if pipeline.failed_at_ms is not None
                 else interrupted.start_ms
             )
-            self._record_span(
-                Span(
-                    phone_id=pipeline.phone_id,
-                    job_id=interrupted.assignment.job_id,
-                    kind=interrupted.kind,
-                    start_ms=interrupted.start_ms,
-                    end_ms=max(interrupted.start_ms, failed_at),
-                    input_kb=interrupted.assignment.input_kb,
-                    rescheduled=pipeline.rescheduled,
-                    interrupted=True,
-                    speculative=interrupted.item.redundant,
-                )
-            )
-            self._trace_op(
-                pipeline,
-                interrupted,
-                end_sim_ms=max(interrupted.start_ms, failed_at),
-                status="interrupted",
+            self._close_op(
+                pipeline, interrupted, end_ms=failed_at, interrupted=True
             )
             # Restarting means re-copying the input (the phone-side
             # runtime lost its state); the executable is still on disk.
@@ -1808,20 +1743,7 @@ class CentralServer:
             if op.kind is SpanKind.EXECUTE and op.duration_ms > 0:
                 fraction = min(1.0, (now - op.start_ms) / op.duration_ms)
                 processed_kb = fraction * instance.assignment.input_kb
-            self._record_span(
-                Span(
-                    phone_id=pipeline.phone_id,
-                    job_id=op.assignment.job_id,
-                    kind=op.kind,
-                    start_ms=op.start_ms,
-                    end_ms=now,
-                    input_kb=op.assignment.input_kb,
-                    rescheduled=pipeline.rescheduled,
-                    interrupted=True,
-                    speculative=item.redundant,
-                )
-            )
-            self._trace_op(pipeline, op, end_sim_ms=now, status="interrupted")
+            self._close_op(pipeline, op, end_ms=now, interrupted=True)
             pipeline.current = None
             failed_job_id = instance.assignment.job_id
             if item.role is _Role.VERIFY:
@@ -1943,25 +1865,7 @@ class CentralServer:
             failed_at = pipeline.failed_at_ms
             if failed_at is None:
                 failed_at = min(detected_at_ms, op.start_ms + op.duration_ms)
-            self._record_span(
-                Span(
-                    phone_id=pipeline.phone_id,
-                    job_id=op.assignment.job_id,
-                    kind=op.kind,
-                    start_ms=op.start_ms,
-                    end_ms=failed_at,
-                    input_kb=op.assignment.input_kb,
-                    rescheduled=pipeline.rescheduled,
-                    interrupted=True,
-                    speculative=item.redundant,
-                )
-            )
-            self._trace_op(
-                pipeline,
-                op,
-                end_sim_ms=max(op.start_ms, failed_at),
-                status="interrupted",
-            )
+            self._close_op(pipeline, op, end_ms=failed_at, interrupted=True)
             pipeline.current = None
             failed_job_id = instance.assignment.job_id
             if item.role is _Role.VERIFY:

@@ -8,7 +8,7 @@ evolving the scheduler hot path.  This package machine-checks it:
 ``repro.verify.invariants``
     A registry of named behavioural invariants over schedules and
     timeline traces (conservation of work, capacity soundness, makespan
-    consistency, telemetry/trace agreement, dark-window/zombie rules).
+    consistency, tracer/event agreement, dark-window/zombie rules).
 ``repro.verify.oracle``
     :class:`Oracle` applies the registry to any
     :class:`~repro.sim.server.RunResult` or

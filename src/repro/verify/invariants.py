@@ -14,8 +14,8 @@ one of two scopes:
 The four checks that used to live ad hoc in :mod:`repro.sim.validation`
 (sequential phones, conservation, dark-window/zombie, copy-before-
 execute) are promoted here verbatim; the oracle adds makespan
-consistency, duplicate-credit detection, telemetry/trace agreement,
-capacity soundness, and the LP sandwich.
+consistency, duplicate-credit detection, capacity soundness, and the
+LP sandwich.
 
 Checkers raise :class:`InvariantViolation` with a specific message; the
 :class:`~repro.verify.oracle.Oracle` turns those into
@@ -313,28 +313,6 @@ def _check_makespan_consistency(ctx: RunContext) -> None:
                 f"{completion.time_ms} ms, after the makespan "
                 f"{last_span_end} ms"
             )
-
-
-@run_invariant(
-    "telemetry-agreement",
-    "metrics rebuilt from the event stream match metrics from the trace",
-)
-def _check_telemetry_agreement(ctx: RunContext) -> None:
-    if ctx.events is None:
-        return
-    from ..obs.report import run_metrics_from_events
-    from ..sim.metrics import compute_run_metrics
-
-    from_trace = compute_run_metrics(ctx.result.trace)
-    from_events = run_metrics_from_events(ctx.events)
-    if from_events != from_trace:
-        raise InvariantViolation(
-            "telemetry/trace disagreement: metrics rebuilt from the event "
-            f"stream (makespan {from_events.makespan_ms} ms, "
-            f"{len(from_events.phones)} phones) differ from metrics "
-            f"computed on the trace (makespan {from_trace.makespan_ms} ms, "
-            f"{len(from_trace.phones)} phones)"
-        )
 
 
 def _normalized_spans(ctx: RunContext):

@@ -95,7 +95,9 @@ class Oracle:
 
         Rounds recorded without an instance (the default, to keep
         ``RunResult`` light) are skipped; run the server with
-        ``record_instances=True`` to arm this check.
+        ``record_instances=True`` to arm this check.  A round whose
+        search certified an LP floor (a sharded round's pod-LP optimum)
+        is also held to it by ``lp-sandwich``.
         """
         violations: list[Violation] = []
         for record in result.rounds:
@@ -106,6 +108,7 @@ class Oracle:
                 instance=instance,
                 schedule=record.schedule,
                 capacity_ms=record.capacity_ms or None,
+                lower_bound_ms=getattr(record.search, "lp_floor_ms", None),
                 predicted_makespan_ms=record.predicted_makespan_ms,
             )
             violations.extend(

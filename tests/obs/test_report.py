@@ -4,9 +4,9 @@ The load-bearing guarantees:
 
 * an instrumented chaos run emits a schema-valid event stream with a
   non-empty round-latency histogram and per-phone utilisation series;
-* :func:`repro.obs.report.run_metrics_from_events` reproduces
-  :func:`repro.sim.metrics.compute_run_metrics` exactly from the
-  unified stream alone;
+* a report bundle carries the run's timeline trace whole
+  (``timeline.json``) and its utilisation summary is
+  :func:`repro.sim.metrics.compute_run_metrics` on that trace;
 * telemetry disabled changes nothing: schedules stay byte-identical.
 """
 
@@ -18,7 +18,7 @@ from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.core.serialize import schedule_to_dict
 from repro.obs import Telemetry, build_run_report, load_run_report
 from repro.obs.events import validate_event_dict
-from repro.obs.report import render_report_lines, run_metrics_from_events
+from repro.obs.report import render_report_lines
 from repro.sim.chaos import ChaosPlan, CpuSlowdown, ResiliencePolicy, TaskCrash
 from repro.sim.entities import FleetGroundTruth
 from repro.sim.failures import FailurePlan, PlannedFailure
@@ -137,18 +137,17 @@ class TestInstrumentedRun:
         )
         assert chaos_total == len(result.trace.chaos)
 
-    def test_run_metrics_from_events_matches_trace(self, chaos_run):
+    def test_no_span_events_on_the_bus(self, chaos_run):
         telemetry, result = chaos_run
-        from_events = run_metrics_from_events(telemetry.bus.events)
-        from_trace = compute_run_metrics(result.trace)
-        assert from_events == from_trace
+        assert result.trace.spans
+        assert not telemetry.bus.of_kind("span")
 
 
 class TestRunReportBundle:
     def test_write_load_render_roundtrip(self, chaos_run, tmp_path):
         telemetry, result = chaos_run
         report = build_run_report(
-            telemetry, meta={"seed": 7}, top_n=3
+            result, telemetry, meta={"seed": 7}, top_n=3
         )
         bundle_dir = report.write(tmp_path / "bundle")
         assert (bundle_dir / "report.json").is_file()
@@ -171,16 +170,28 @@ class TestRunReportBundle:
         assert "round latency" in text
         assert "faults injected" in text
 
+    def test_bundle_timeline_is_the_trace(self, chaos_run, tmp_path):
+        telemetry, result = chaos_run
+        bundle_dir = build_run_report(result, telemetry).write(
+            tmp_path / "bundle"
+        )
+        assert (bundle_dir / "timeline.json").is_file()
+        loaded = load_run_report(bundle_dir)
+        assert loaded.timeline == result.trace.to_dict()
+        metrics = compute_run_metrics(result.trace)
+        assert loaded.summary["makespan_ms"] == round(metrics.makespan_ms, 6)
+        assert loaded.summary["active_phones"] == metrics.active_phone_count
+
     def test_prometheus_text_parses(self, chaos_run):
-        telemetry, _ = chaos_run
-        report = build_run_report(telemetry)
+        telemetry, result = chaos_run
+        report = build_run_report(result, telemetry)
         text = report.render_prometheus()
         assert "completions_total" in text
         assert "round_latency_ms_bucket" in text
 
     def test_load_rejects_corrupt_events(self, chaos_run, tmp_path):
-        telemetry, _ = chaos_run
-        bundle_dir = build_run_report(telemetry).write(tmp_path / "b")
+        telemetry, result = chaos_run
+        bundle_dir = build_run_report(result, telemetry).write(tmp_path / "b")
         events_path = bundle_dir / "events.jsonl"
         events_path.write_text(
             events_path.read_text() + '{"run_id": "x"}\n'
@@ -197,11 +208,12 @@ class TestRunReportBundle:
         with pytest.raises(FileNotFoundError):
             load_run_report(tmp_path / "nope")
 
-    def test_disabled_telemetry_cannot_build(self):
+    def test_disabled_telemetry_cannot_build(self, chaos_run):
         from repro.obs import NULL_TELEMETRY
 
+        _, result = chaos_run
         with pytest.raises(ValueError):
-            build_run_report(NULL_TELEMETRY)
+            build_run_report(result, NULL_TELEMETRY)
 
 
 class TestZeroOverheadEquivalence:

@@ -28,14 +28,14 @@ def traced_run():
 
 class TestTracedBundle:
     def test_report_carries_spans(self, traced_run):
-        telemetry, _ = traced_run
-        report = build_run_report(telemetry)
+        telemetry, result = traced_run
+        report = build_run_report(result, telemetry)
         assert report.spans
         assert report.spans == telemetry.tracer.to_dicts()
 
     def test_write_emits_trace_and_profile(self, traced_run, tmp_path):
-        telemetry, _ = traced_run
-        report = build_run_report(telemetry)
+        telemetry, result = traced_run
+        report = build_run_report(result, telemetry)
         report.write(tmp_path)
         doc = load_chrome_trace(tmp_path / "trace.json")
         assert doc["traceEvents"]
@@ -45,23 +45,23 @@ class TestTracedBundle:
         assert payload["span_count"] == len(report.spans)
 
     def test_load_roundtrips_spans(self, traced_run, tmp_path):
-        telemetry, _ = traced_run
-        report = build_run_report(telemetry)
+        telemetry, result = traced_run
+        report = build_run_report(result, telemetry)
         report.write(tmp_path)
         loaded = load_run_report(tmp_path)
         assert loaded.spans == report.spans
 
     def test_render_mentions_spans(self, traced_run):
-        telemetry, _ = traced_run
-        report = build_run_report(telemetry)
+        telemetry, result = traced_run
+        report = build_run_report(result, telemetry)
         assert any(
             "trace spans" in line for line in render_report_lines(report)
         )
 
     def test_untraced_bundle_has_no_trace_artifacts(self, tmp_path):
         telemetry = Telemetry.create(run_id="test-untraced")
-        run_instrumented(telemetry)
-        report = build_run_report(telemetry)
+        result = run_instrumented(telemetry)
+        report = build_run_report(result, telemetry)
         assert report.spans == []
         report.write(tmp_path)
         assert not (tmp_path / "trace.json").exists()
@@ -82,6 +82,15 @@ class TestLoadErrorPaths:
         with pytest.raises(ValueError, match="unsupported report schema"):
             load_run_report(tmp_path)
 
+    def test_schema_1_bundle_rejected(self, tmp_path):
+        # Schema 1 bundles mirrored every span onto events.jsonl and
+        # carried no timeline.json.
+        (tmp_path / "report.json").write_text(
+            json.dumps({"schema": 1, "run_id": "x"})
+        )
+        with pytest.raises(ValueError, match="unsupported report schema 1"):
+            load_run_report(tmp_path)
+
     def test_missing_events_jsonl_raises_under_validation(self, tmp_path):
         (tmp_path / "report.json").write_text(
             json.dumps({"schema": REPORT_SCHEMA, "run_id": "x"})
@@ -100,8 +109,8 @@ class TestLoadErrorPaths:
         assert loaded.events == []
 
     def test_corrupt_trace_json_rejected(self, traced_run, tmp_path):
-        telemetry, _ = traced_run
-        build_run_report(telemetry).write(tmp_path)
+        telemetry, result = traced_run
+        build_run_report(result, telemetry).write(tmp_path)
         (tmp_path / "trace.json").write_text(json.dumps({"nope": 1}))
         with pytest.raises(ValueError, match="not a Chrome trace"):
             load_run_report(tmp_path)

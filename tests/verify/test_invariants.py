@@ -30,7 +30,6 @@ EXPECTED_RUN = {
     "no-zombie-work",
     "copy-before-execute",
     "makespan-consistency",
-    "telemetry-agreement",
     "span-tree",
     "span-nesting",
     "span-dispatch-match",
@@ -256,45 +255,6 @@ class TestMakespanConsistency:
         result = RunResult(trace=trace, rounds=[])
         with pytest.raises(InvariantViolation, match="after the makespan"):
             check("makespan-consistency", result)
-
-
-class TestTelemetryAgreement:
-    def test_skips_without_events(self):
-        result = result_with(
-            spans=[Span("p", "j", SpanKind.COPY, 0.0, 10.0, input_kb=1.0)],
-        )
-        check("telemetry-agreement", result)
-
-    def test_armed_run_agrees_and_tamper_detected(self):
-        from repro.verify.fuzz import generate_scenario, run_scenario
-
-        scenario = generate_scenario(7)
-        outcome = run_scenario(scenario)
-        assert outcome.ok  # telemetry-agreement ran (events were armed)
-
-    def test_trace_event_divergence_detected(self):
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = Telemetry.create(run_id="tamper")
-        telemetry.event(
-            "server",
-            "span",
-            sim_time_ms=0.0,
-            phone_id="p",
-            job_id="j",
-            span="copy",
-            start_ms=0.0,
-            end_ms=10.0,
-            input_kb=1.0,
-        )
-        trace = TimelineTrace()
-        trace.add_span(Span("p", "j", SpanKind.COPY, 0.0, 25.0, input_kb=1.0))
-        result = RunResult(trace=trace, rounds=[])
-        ctx = RunContext(
-            result=result, jobs=(), events=telemetry.bus.events
-        )
-        with pytest.raises(InvariantViolation, match="disagreement"):
-            run_registry()["telemetry-agreement"].check(ctx)
 
 
 def _span_dict(span_id, parent_id=None, name="work", *, start=0.0, end=1.0,

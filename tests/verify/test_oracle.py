@@ -33,13 +33,13 @@ def small_instance(n_phones=3, n_jobs=4):
     return SchedulingInstance.build(jobs, phones, b, RuntimePredictor(PROFILES))
 
 
-def run_simulation(record_instances=True):
-    instance = small_instance()
+def run_simulation(record_instances=True, scheduler=None, **sizes):
+    instance = small_instance(**sizes)
     server = CentralServer(
         instance.phones,
         FleetGroundTruth(PROFILES),
         RuntimePredictor(PROFILES),
-        CwcScheduler(),
+        scheduler if scheduler is not None else CwcScheduler(),
         {p.phone_id: 2.0 for p in instance.phones},
         record_instances=record_instances,
     )
@@ -109,6 +109,39 @@ class TestCheckRounds:
         for record in result.rounds:
             assert record.instance is None
         assert Oracle().check_rounds(result, collect=True) == []
+
+
+class TestCheckShardedRounds:
+    """A certified sharded round is held to its own pod-LP floor."""
+
+    @pytest.fixture(scope="class")
+    def sharded_run(self):
+        from repro.core.sharding import ShardedScheduler
+
+        _, result = run_simulation(
+            scheduler=ShardedScheduler(pods=2, pod_workers=None),
+            n_phones=8,
+            n_jobs=8,
+        )
+        record = result.rounds[0]
+        assert record.pods == 2
+        assert record.search.lp_floor_ms is not None
+        return result
+
+    def test_certified_rounds_pass(self, sharded_run):
+        assert Oracle().check_rounds(sharded_run, collect=True) == []
+
+    def test_floor_above_the_makespan_is_flagged(self, sharded_run):
+        record = sharded_run.rounds[0]
+        inflated = dataclasses.replace(
+            record.search, lp_floor_ms=2 * record.predicted_makespan_ms
+        )
+        tampered = dataclasses.replace(
+            sharded_run, rounds=[dataclasses.replace(record, search=inflated)]
+        )
+        violations = Oracle().check_rounds(tampered, collect=True)
+        assert [v.invariant for v in violations] == ["lp-sandwich"]
+        assert "undercuts the LP lower bound" in violations[0].message
 
 
 class TestCheckSchedule:
