@@ -19,9 +19,7 @@ The initial bracket is deliberately **frozen**: the bisection midpoint
 grid, and therefore the converged capacity and schedule, must stay
 bit-identical to the reference search in :mod:`repro.core._reference`.
 Every optimisation below resolves probes *on that grid* more cheaply —
-none may move the grid.  (This is why the LP relaxation of
-:mod:`repro.core.lp_bound`, which often brackets far tighter, feeds an
-optional infeasibility *certificate* rather than the bracket itself.)
+none may move the grid.
 
 Hot-path structure
 ------------------
@@ -46,11 +44,8 @@ to the naive pack-every-probe search:
   per search: the *single-placement floor* (some job's cheapest
   possible first placement exceeds ``C`` on every phone), the *volume
   floor* (the fleet-wide work implied by the jobs exceeds
-  ``|P| * C``), and — opt-in, because solving it is only cheap on
-  small instances — the *LP floor* (the relaxation of
-  :mod:`repro.core.lp_bound` lower-bounds every schedule's makespan).
-  A midpoint below any floor is provably infeasible and is resolved
-  without packing;
+  ``|P| * C``).  A midpoint below either floor is provably infeasible
+  and is resolved without packing;
 * **feasibility certificate** — the dual of the floors: a capacity
   threshold above which Algorithm 1 *provably cannot fail* (see
   :func:`_greedy_feasibility_threshold` for the proof).  Midpoints
@@ -90,9 +85,9 @@ to the naive pack-every-probe search:
   correct.
 
 ``packer_passes`` counts *real* packs; ``bisection_steps`` counts bracket
-updates and is what ``max_iterations`` caps, so certificate skips and
-assumed probes cannot lengthen the trajectory relative to the original
-implementation.
+updates and is what ``_MAX_BISECTION_STEPS`` caps, so certificate skips
+and assumed probes cannot lengthen the trajectory relative to the
+original implementation.
 """
 
 from __future__ import annotations
@@ -104,7 +99,6 @@ import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.tracing import maybe_span
-from .arraypool import ArrayPool
 from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB
 from .packing import GreedyPacker, PackingResult
@@ -124,9 +118,9 @@ __all__ = [
 #: tolerance.
 _CERT_MARGIN = 1e-6
 
-#: Extra relative slack applied to the LP floor: the HiGHS objective is
-#: itself a floating-point approximation of the true LP optimum.
-_LP_MARGIN = 1e-5
+#: Hard cap on bracket updates per search, a safety net against
+#: pathological brackets (60 steps resolve any double-precision bracket).
+_MAX_BISECTION_STEPS = 60
 
 #: ``kernel='auto'``: instances with at least this many phones probe
 #: with the numpy kernel (measured crossover 120–200 phones at 5–5000
@@ -349,26 +343,6 @@ def _greedy_feasibility_threshold(
     return worst_first + (work + placements_bound * exe_max) / n_phones
 
 
-def _lp_floor(instance: SchedulingInstance) -> float | None:
-    """LP-relaxation makespan as an infeasibility floor, or ``None``.
-
-    ``T_relaxed <= T_optimal``: if *any* schedule fits in capacity
-    ``C`` then ``C >= T_optimal >= T_relaxed``, so capacities below the
-    relaxed makespan are infeasible for the greedy packer too.  The
-    solver import and solve are attempted lazily; any failure simply
-    disables the floor.
-    """
-    try:
-        from .lp_bound import solve_relaxed_makespan
-
-        solution = solve_relaxed_makespan(instance)
-    except Exception:
-        return None
-    if solution.status != 0:
-        return None
-    return solution.makespan_ms * (1.0 - _LP_MARGIN)
-
-
 @dataclass(frozen=True)
 class CapacitySearchResult:
     """Outcome of the full capacity search."""
@@ -381,7 +355,7 @@ class CapacitySearchResult:
     #: Real Algorithm-1 packs issued.
     packer_passes: int = 0
     #: Bracket updates walked (seed + bisection probes); what
-    #: ``max_iterations`` caps.
+    #: ``_MAX_BISECTION_STEPS`` caps.
     bisection_steps: int = 0
     #: Probes resolved by a feasibility/infeasibility certificate
     #: without packing.
@@ -403,17 +377,10 @@ class CapacitySearch:
     epsilon_ms:
         Bisection stops once ``UB - LB`` falls below this (1 ms default —
         the resolution of the paper's cost model).
-    max_iterations:
-        Hard cap on bisection steps, a safety net against pathological
-        brackets (60 steps resolve any double-precision bracket).
     kernel:
         Packing backend for the probes: ``'python'`` (exact scalar
         reference), ``'numpy'`` (vectorized, byte-identical), or
         ``'auto'`` (pick by phone count).
-    lp_floor:
-        Additionally certify infeasible midpoints against the LP
-        relaxation of :mod:`repro.core.lp_bound`.  Off by default: the
-        LP solve only pays for itself on small instances.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
         search records only registry metrics (probe outcomes, bisection
@@ -427,38 +394,23 @@ class CapacitySearch:
         self,
         *,
         epsilon_ms: float = 1.0,
-        max_iterations: int = 60,
         min_partition_kb: float | None = None,
         ram=None,
         kernel: str = "auto",
-        lp_floor: bool = False,
         telemetry=None,
     ) -> None:
         if epsilon_ms <= 0:
             raise ValueError("epsilon_ms must be > 0")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if kernel not in _KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
             )
         self._epsilon_ms = epsilon_ms
-        self._max_iterations = max_iterations
         self._min_partition_kb = min_partition_kb
         #: Optional RamConstraint applied inside the packer (footnote 4).
         self._ram = ram
         self._kernel = kernel
-        self._lp_floor = lp_floor
-        #: Cross-round buffer recycler for the numpy kernel's dense
-        #: mirrors; lives as long as the search object, so a scheduler
-        #: that reschedules every round stops re-allocating them.
-        self._array_pool = ArrayPool()
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    @property
-    def array_pool(self) -> ArrayPool:
-        """The search's cross-round :class:`ArrayPool` (diagnostics)."""
-        return self._array_pool
 
     def run(
         self,
@@ -517,10 +469,6 @@ class CapacitySearch:
         if self._min_partition_kb is not None:
             packer_kwargs["min_partition_kb"] = self._min_partition_kb
         kernel = resolve_kernel(self._kernel, instance)
-        if kernel == "numpy":
-            # The packer draws its dense mirrors from the search's
-            # cross-round pool.
-            packer_kwargs["array_pool"] = self._array_pool
         with maybe_span(tracer, "build", category="capacity", kernel=kernel):
             packer = _KERNEL_CLASSES[kernel](instance, **packer_kwargs)
         cells = len(instance.phones) * len(instance.jobs)
@@ -536,9 +484,6 @@ class CapacitySearch:
                 else MIN_PARTITION_KB
             )
             single_floor, volume = _certificate_floors(instance, min_partition)
-            lp_floor_ms = (
-                _lp_floor(instance) if (self._lp_floor and _trusted) else None
-            )
             feasible_threshold = (
                 _greedy_feasibility_threshold(
                     instance, min_partition, self._ram
@@ -550,9 +495,7 @@ class CapacitySearch:
 
         def provably_infeasible(cap: float) -> bool:
             padded = cap * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
-            if padded < single_floor or n_phones * padded < volume:
-                return True
-            return lp_floor_ms is not None and padded < lp_floor_ms
+            return padded < single_floor or n_phones * padded < volume
 
         def provably_feasible(cap: float) -> bool:
             if feasible_threshold is None:
@@ -601,125 +544,118 @@ class CapacitySearch:
                 )
             return attempt
 
-        try:
-            # -- warm hint verification ------------------------------------
-            seed_capacity = upper * (1.0 + 1e-9) + 1e-9
-            hint: float | None = None
-            hint_result: PackingResult | None = None
-            if (
-                warm_hint_ms is not None
-                and 0.0 < warm_hint_ms < seed_capacity
+        # -- warm hint verification ------------------------------------
+        seed_capacity = upper * (1.0 + 1e-9) + 1e-9
+        hint: float | None = None
+        hint_result: PackingResult | None = None
+        if (
+            warm_hint_ms is not None
+            and 0.0 < warm_hint_ms < seed_capacity
+        ):
+            with maybe_span(
+                tracer,
+                "warm_verify",
+                category="capacity",
+                hint_ms=warm_hint_ms,
             ):
+                attempt = packer.pack(warm_hint_ms)
+            packs += 1
+            if attempt.feasible:
+                hint = warm_hint_ms
+                hint_result = attempt
+                feas_at = warm_hint_ms
+        warm_used = hint is not None
+
+        # -- seed: packing at the upper bound must succeed -------------
+        # A hair of slack keeps accumulated rounding error from
+        # rejecting the exact-fit packing.
+        best: PackingResult | None = None
+        best_capacity = seed_capacity
+        steps += 1
+        if provably_feasible(seed_capacity):
+            skips += 1
+        elif feas_at is not None and seed_capacity >= feas_at:
+            # Monotonicity: feasible at the verified capacity =>
+            # feasible at the seed.
+            assumed += 1
+        else:
+            attempt = probe(seed_capacity)
+            if not attempt.feasible:
+                raise InfeasibleScheduleError(
+                    "greedy packing failed even at the upper-bound "
+                    f"capacity ({upper:.3f} ms); the instance is "
+                    "malformed or an atomic job violates a resource "
+                    "constraint on every phone"
+                )
+            best = attempt
+
+        # -- bisection on the cold midpoint grid -----------------------
+        while (
+            upper - lower > self._epsilon_ms
+            and steps < _MAX_BISECTION_STEPS
+        ):
+            mid = (lower + upper) / 2.0
+            steps += 1
+            with maybe_span(
+                tracer,
+                "bisect_step",
+                category="capacity",
+                step=steps,
+                mid_ms=mid,
+            ):
+                if provably_infeasible(mid):
+                    skips += 1
+                    lower = mid
+                    continue
+                if provably_feasible(mid):
+                    skips += 1
+                    upper = mid
+                    best = None  # certified; materialised below if final
+                    best_capacity = mid
+                    continue
+                if feas_at is not None and mid >= feas_at:
+                    assumed += 1
+                    upper = mid
+                    best = None  # assumed; materialised below if final
+                    best_capacity = mid
+                    continue
+                # Once the bracket is within a step or two of
+                # epsilon, a feasible verdict is likely final:
+                # collect its schedule so no separate
+                # materialisation pack is needed.
+                attempt = probe(
+                    mid,
+                    collect=(upper - lower) <= 2.0 * self._epsilon_ms,
+                )
+                if attempt.feasible:
+                    upper = mid
+                    best = attempt
+                    best_capacity = mid
+                else:
+                    lower = mid
+
+        # -- materialise an assumed/deferred final capacity ------------
+        if best is None or best.schedule is None:
+            if hint_result is not None and best_capacity == hint:
+                best = hint_result
+            else:
                 with maybe_span(
                     tracer,
-                    "warm_verify",
+                    "materialise",
                     category="capacity",
-                    hint_ms=warm_hint_ms,
+                    capacity_ms=best_capacity,
                 ):
-                    attempt = packer.pack(warm_hint_ms)
+                    attempt = packer.pack(best_capacity)
                 packs += 1
                 if attempt.feasible:
-                    hint = warm_hint_ms
-                    hint_result = attempt
-                    feas_at = warm_hint_ms
-            warm_used = hint is not None
-
-            # -- seed: packing at the upper bound must succeed -------------
-            # A hair of slack keeps accumulated rounding error from
-            # rejecting the exact-fit packing.
-            best: PackingResult | None = None
-            best_capacity = seed_capacity
-            steps += 1
-            if provably_feasible(seed_capacity):
-                skips += 1
-            elif feas_at is not None and seed_capacity >= feas_at:
-                # Monotonicity: feasible at the verified capacity =>
-                # feasible at the seed.
-                assumed += 1
-            else:
-                attempt = probe(seed_capacity)
-                if not attempt.feasible:
-                    raise InfeasibleScheduleError(
-                        "greedy packing failed even at the upper-bound "
-                        f"capacity ({upper:.3f} ms); the instance is "
-                        "malformed or an atomic job violates a resource "
-                        "constraint on every phone"
-                    )
-                best = attempt
-
-            # -- bisection on the cold midpoint grid -----------------------
-            while (
-                upper - lower > self._epsilon_ms
-                and steps < self._max_iterations
-            ):
-                mid = (lower + upper) / 2.0
-                steps += 1
-                with maybe_span(
-                    tracer,
-                    "bisect_step",
-                    category="capacity",
-                    step=steps,
-                    mid_ms=mid,
-                ):
-                    if provably_infeasible(mid):
-                        skips += 1
-                        lower = mid
-                        continue
-                    if provably_feasible(mid):
-                        skips += 1
-                        upper = mid
-                        best = None  # certified; materialised below if final
-                        best_capacity = mid
-                        continue
-                    if feas_at is not None and mid >= feas_at:
-                        assumed += 1
-                        upper = mid
-                        best = None  # assumed; materialised below if final
-                        best_capacity = mid
-                        continue
-                    # Once the bracket is within a step or two of
-                    # epsilon, a feasible verdict is likely final:
-                    # collect its schedule so no separate
-                    # materialisation pack is needed.
-                    attempt = probe(
-                        mid,
-                        collect=(upper - lower) <= 2.0 * self._epsilon_ms,
-                    )
-                    if attempt.feasible:
-                        upper = mid
-                        best = attempt
-                        best_capacity = mid
-                    else:
-                        lower = mid
-
-            # -- materialise an assumed/deferred final capacity ------------
-            if best is None or best.schedule is None:
-                if hint_result is not None and best_capacity == hint:
-                    best = hint_result
+                    best = attempt
                 else:
-                    with maybe_span(
-                        tracer,
-                        "materialise",
-                        category="capacity",
-                        capacity_ms=best_capacity,
-                    ):
-                        attempt = packer.pack(best_capacity)
-                    packs += 1
-                    if attempt.feasible:
-                        best = attempt
-                    else:
-                        # An assumption was violated (never observed in
-                        # practice): discard everything the oracles
-                        # assumed and redo the search cold with every
-                        # shortcut disabled, which is unconditionally
-                        # correct.
-                        return self.run(instance, _trusted=False)
-        finally:
-            if kernel == "numpy":
-                # Hand the dense mirrors back for the next round; the
-                # surviving results only reference builder-made
-                # schedules, never the pooled buffers.
-                packer.release_buffers()
+                    # An assumption was violated (never observed in
+                    # practice): discard everything the oracles
+                    # assumed and redo the search cold with every
+                    # shortcut disabled, which is unconditionally
+                    # correct.
+                    return self.run(instance, _trusted=False)
 
         assert best.schedule is not None
         if tel.enabled:

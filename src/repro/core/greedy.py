@@ -128,7 +128,6 @@ class CwcScheduler:
         *,
         epsilon_ms: float = 1.0,
         min_partition_kb: float | None = None,
-        max_iterations: int = 60,
         ram=None,
         warm_start: bool = False,
         kernel: str = "auto",
@@ -136,7 +135,6 @@ class CwcScheduler:
     ) -> None:
         self._search = CapacitySearch(
             epsilon_ms=epsilon_ms,
-            max_iterations=max_iterations,
             min_partition_kb=min_partition_kb,
             ram=ram,
             kernel=kernel,

@@ -96,26 +96,6 @@ _SCALAR_HEAD = 4
 #: First vectorized row-chunk size; grows geometrically afterwards.
 _CHUNK_ROWS = 128
 
-#: Buffers recycled through an :class:`~repro.core.arraypool.ArrayPool`
-#: across packer constructions.  Every one is rewritten before use in
-#: each pack (see the pool module's safety note).
-_POOLED = (
-    "_shipped",
-    "_rem",
-    "_mark_epoch",
-    "_order_buf",
-    "_okey_buf",
-    "_hcut",
-    "_bh_buf",
-    "_bpos_buf",
-    "_bep_buf",
-    "_open_epoch_by_pos",
-    "_un_buf",
-    "_open_cost_buf",
-    "_open_exe_buf",
-)
-
-
 class VectorGreedyPacker(GreedyPacker):
     """Algorithm 1 with dense-array scans and probes.
 
@@ -129,24 +109,12 @@ class VectorGreedyPacker(GreedyPacker):
         *,
         min_partition_kb: float = MIN_PARTITION_KB,
         ram=None,
-        array_pool=None,
     ) -> None:
         super().__init__(
             instance, min_partition_kb=min_partition_kb, ram=ram
         )
         jobs = instance.jobs
         n_phones = len(instance.phones)
-        #: Optional :class:`~repro.core.arraypool.ArrayPool`: the
-        #: buffers named in ``_POOLED`` are drawn from it here and
-        #: returned by :meth:`release_buffers`, so a long-lived search
-        #: recycles them across rounds.  Pooled or not, buffers start
-        #: uninitialised — each pack rewrites them before reading.
-        self._array_pool = array_pool
-        if array_pool is not None:
-            take = array_pool.take
-        else:
-            def take(shape, dtype=np.float64):
-                return np.empty(shape, dtype=dtype)
         self._pkb_mat = instance.per_kb_matrix()
         #: Job-major contiguous view for the per-job unopened-phone
         #: gather in bin opening (same floats, faster access pattern);
@@ -175,21 +143,22 @@ class VectorGreedyPacker(GreedyPacker):
             self._ram_arr = None
         #: shipped[i, j] — phone position i already holds job j's
         #: executable (the dense mirror of each bin's shipped set).
-        self._shipped = take((n_phones, len(jobs)), dtype=bool)
+        self._shipped = np.empty((n_phones, len(jobs)), dtype=bool)
         # Preallocated per-pack mirrors (item slot == job position;
-        # items only shrink, so slots are stable within a pack).
-        self._rem = take(len(jobs))
-        self._mark_epoch = take(len(jobs), dtype=np.intp)
-        self._order_buf = take(len(jobs), dtype=np.intp)
+        # items only shrink, so slots are stable within a pack).  They
+        # start uninitialised: each pack rewrites them before reading.
+        self._rem = np.empty(len(jobs))
+        self._mark_epoch = np.empty(len(jobs), dtype=np.intp)
+        self._order_buf = np.empty(len(jobs), dtype=np.intp)
         self._order_n = 0
         self._slot_item: list[_Item | None] = []
         self._epoch = 0
-        self._bh_buf = take(n_phones)
-        self._bpos_buf = take(n_phones, dtype=np.intp)
-        self._bep_buf = take(n_phones, dtype=np.intp)
+        self._bh_buf = np.empty(n_phones)
+        self._bpos_buf = np.empty(n_phones, dtype=np.intp)
+        self._bep_buf = np.empty(n_phones, dtype=np.intp)
         self._bn = 0
-        self._open_epoch_by_pos = take(n_phones, dtype=np.intp)
-        self._un_buf = take(n_phones, dtype=np.intp)
+        self._open_epoch_by_pos = np.empty(n_phones, dtype=np.intp)
+        self._un_buf = np.empty(n_phones, dtype=np.intp)
         self._un_n = 0
         self._un_ids: list[str] = []
         #: Lexicographic rank of each phone_id; equal-cost ties in bin
@@ -215,7 +184,7 @@ class VectorGreedyPacker(GreedyPacker):
             min_partition_kb,
         )
         self._need0_ms = x0 * self._min_per_kb_arr * (1.0 - 1e-9)
-        self._hcut = take(len(jobs))
+        self._hcut = np.empty(len(jobs))
         #: Item pool, built and sorted once: the initial sort key
         #: (``input_kb * c_slowest``) is capacity-independent, so every
         #: pack starts from the same order.  ``pack`` resets the three
@@ -248,7 +217,7 @@ class VectorGreedyPacker(GreedyPacker):
         self._okey0 = np.asarray(
             [-item.key_ms for item in pool], dtype=np.float64
         )
-        self._okey_buf = take(len(jobs))
+        self._okey_buf = np.empty(len(jobs))
         self._unopened0 = np.arange(n_phones, dtype=np.intp)
         self._phone_ids = [phone.phone_id for phone in instance.phones]
         #: Sorted-list index at which ``_admit_bin`` inserted the bin.
@@ -261,8 +230,8 @@ class VectorGreedyPacker(GreedyPacker):
         #: and a walk position ``k`` IS list index ``ptr + k``.
         self._mark_ptr = 0
         #: Preallocated gather targets for ``_open_bin_vec``.
-        self._open_cost_buf = take(n_phones)
-        self._open_exe_buf = take(n_phones)
+        self._open_cost_buf = np.empty(n_phones)
+        self._open_exe_buf = np.empty(n_phones)
 
     # -- public API --------------------------------------------------------
 
@@ -282,20 +251,6 @@ class VectorGreedyPacker(GreedyPacker):
         result = self._pack_impl(capacity_ms, collect=collect)
         self._note_pack(result, started)
         return result
-
-    def release_buffers(self) -> None:
-        """Return pooled buffers; the packer must not pack again.
-
-        No-op without an array pool.  After release the ``_POOLED``
-        attributes are gone, so a stray ``pack()`` fails loudly instead
-        of racing the next packer for the same memory.
-        """
-        pool = self._array_pool
-        if pool is None:
-            return
-        self._array_pool = None
-        for name in _POOLED:
-            pool.give(self.__dict__.pop(name, None))
 
     def _pack_impl(
         self, capacity_ms: float, *, collect: bool = True

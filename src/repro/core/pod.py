@@ -23,11 +23,9 @@ capacity-search machinery.  This module owns the mechanical pieces:
 
 Workers inherit the *full* instance from the parent through ``fork``
 (copy-on-write, so the cost matrix is neither pickled nor copied) and
-slice their pod's rows per task, and each worker keeps one long-lived
-:class:`~repro.core.capacity.CapacitySearch` so its
-:class:`~repro.core.arraypool.ArrayPool` recycles packer buffers
-across the pods it solves.  After every pod solve the pool must be
-clean — :meth:`ArrayPool.leaked_buffers` is asserted zero.
+slice their pod's rows per task, and each worker builds one
+:class:`~repro.core.capacity.CapacitySearch` at start-up and reuses it
+for every pod it solves.
 """
 
 from __future__ import annotations
@@ -81,10 +79,7 @@ class PodSolveReport:
     ``assignments`` is the pod schedule flattened to
     ``(phone_id, job_id, task, input_kb, whole)`` tuples in placement
     order; the parent rebuilds :class:`~repro.core.schedule.Assignment`
-    records and concatenates pods in index order.  ``leaked_buffers``
-    is the solving search's :meth:`~repro.core.arraypool.ArrayPool.
-    leaked_buffers` *after* the solve — always 0 unless the recycling
-    discipline regressed.
+    records and concatenates pods in index order.
     """
 
     index: int
@@ -99,9 +94,6 @@ class PodSolveReport:
     warm_start_used: bool
     kernel: str
     wall_ms: float
-    leaked_buffers: int
-    pool_hits: int
-    pool_misses: int
     #: Worker-side trace spans (plain dicts) for pooled solves with
     #: tracing armed; the parent adopts them parent-linked.  Serial
     #: solves record straight into the caller's tracer and leave this
@@ -258,9 +250,7 @@ def solve_pod(
     """Run one pod's capacity search and flatten the outcome.
 
     ``search`` is reused across calls (per worker process, or the
-    sharded scheduler's serial solver) so its array pool recycles the
-    packer's dense mirrors from pod to pod; the pool is asserted clean
-    after every solve.
+    sharded scheduler's serial solver).
 
     ``tracer`` must be the tracer of the *search's own* telemetry
     facade (or None): the ``pod_solve`` span it opens is the stack
@@ -281,13 +271,6 @@ def solve_pod(
         )
         result = search.run(sub, warm_hint_ms=warm_hint_ms)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    leaked = search.array_pool.leaked_buffers()
-    if leaked:
-        raise RuntimeError(
-            f"pod {spec.index}: {leaked} array-pool buffer(s) leaked "
-            "after the capacity search released its packer"
-        )
-    pool_stats = search.array_pool.stats()
     return PodSolveReport(
         index=spec.index,
         assignments=tuple(
@@ -304,9 +287,6 @@ def solve_pod(
         warm_start_used=result.warm_start_used,
         kernel=result.kernel,
         wall_ms=wall_ms,
-        leaked_buffers=leaked,
-        pool_hits=pool_stats["hits"],
-        pool_misses=pool_stats["misses"],
     )
 
 

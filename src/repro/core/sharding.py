@@ -68,7 +68,7 @@ import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.tracing import maybe_span
-from .capacity import CapacitySearch
+from .capacity import CapacitySearch, CapacitySearchResult
 from .greedy import CwcScheduler, SchedulingStats
 from .instance import SchedulingInstance
 from .pod import (
@@ -95,28 +95,16 @@ _REBALANCE_ROUNDS = 1
 
 
 @dataclass(frozen=True)
-class ShardedSearchResult:
+class ShardedSearchResult(CapacitySearchResult):
     """Outcome of one sharded scheduling round.
 
-    Field-compatible with :class:`~repro.core.capacity.
-    CapacitySearchResult` (so :class:`~repro.core.greedy.
-    SchedulingStats` consumes it unchanged, and ``RoundRecord.search``
-    holds either), plus the sharding diagnostics.
+    A :class:`~repro.core.capacity.CapacitySearchResult` whose
+    ``capacity_ms`` is the max over the pods' converged capacities,
+    ``max_height_ms`` the max over the pods' tallest bins, and whose
+    search counters sum over the pod solves; plus the sharding
+    diagnostics below.
     """
 
-    schedule: Schedule
-    #: Global capacity: max over the pods' converged capacities.
-    capacity_ms: float
-    #: Global makespan: max over the pods' tallest bins.
-    max_height_ms: float
-    lower_bound_ms: float
-    upper_bound_ms: float
-    packer_passes: int = 0
-    bisection_steps: int = 0
-    shortcircuit_skips: int = 0
-    assumed_feasible: int = 0
-    warm_start_used: bool = False
-    kernel: str = "python"
     #: Resolved pod count this round (1 = monolithic delegation).
     pods: int = 1
     #: Slowest single pod solve (the critical path under a pool).
@@ -158,8 +146,8 @@ class ShardedScheduler:
     certify:
         Solve the pod-aggregated LP each sharded round to certify the
         makespan (``shard_bound_ratio``).  Default ``True``.
-    epsilon_ms / min_partition_kb / max_iterations / ram / warm_start /
-    kernel / telemetry:
+    epsilon_ms / min_partition_kb / ram / warm_start / kernel /
+    telemetry:
         As on :class:`~repro.core.greedy.CwcScheduler`; they configure
         both the inner monolithic scheduler and every per-pod search.
     """
@@ -178,7 +166,6 @@ class ShardedScheduler:
         certify: bool = True,
         epsilon_ms: float = 1.0,
         min_partition_kb: float | None = None,
-        max_iterations: int = 60,
         ram=None,
         warm_start: bool = False,
         kernel: str = "auto",
@@ -200,7 +187,6 @@ class ShardedScheduler:
         self._mono = CwcScheduler(
             epsilon_ms=epsilon_ms,
             min_partition_kb=min_partition_kb,
-            max_iterations=max_iterations,
             ram=ram,
             warm_start=warm_start,
             kernel=kernel,
@@ -210,16 +196,14 @@ class ShardedScheduler:
         #: args, so everything here must pickle).
         self._search_kwargs = {
             "epsilon_ms": epsilon_ms,
-            "max_iterations": max_iterations,
             "min_partition_kb": min_partition_kb,
             "ram": ram,
             "kernel": kernel,
         }
-        #: Long-lived serial pod solver: its array pool recycles packer
-        #: buffers across pods and across rounds.  It shares this
-        #: scheduler's telemetry (kept out of ``_search_kwargs``, which
-        #: must pickle for workers) so serial pod solves trace and
-        #: meter like monolithic ones.
+        #: Long-lived serial pod solver.  It shares this scheduler's
+        #: telemetry (kept out of ``_search_kwargs``, which must pickle
+        #: for workers) so serial pod solves trace and meter like
+        #: monolithic ones.
         self._local_search = CapacitySearch(
             **self._search_kwargs, telemetry=telemetry
         )
@@ -289,17 +273,7 @@ class ShardedScheduler:
         inner = self._mono.last_result
         lower = inner.lower_bound_ms
         result = ShardedSearchResult(
-            schedule=schedule,
-            capacity_ms=inner.capacity_ms,
-            max_height_ms=inner.max_height_ms,
-            lower_bound_ms=lower,
-            upper_bound_ms=inner.upper_bound_ms,
-            packer_passes=inner.packer_passes,
-            bisection_steps=inner.bisection_steps,
-            shortcircuit_skips=inner.shortcircuit_skips,
-            assumed_feasible=inner.assumed_feasible,
-            warm_start_used=inner.warm_start_used,
-            kernel=inner.kernel,
+            **vars(inner),
             pods=1,
             pod_solve_ms_max=wall_ms,
             pod_solve_ms_sum=wall_ms,

@@ -81,7 +81,6 @@ from .trace import (
 
 if TYPE_CHECKING:
     from ..core.capacity import CapacitySearchResult
-    from ..core.sharding import ShardedSearchResult
 
 __all__ = ["CentralServer", "RunResult", "RoundRecord"]
 
@@ -102,7 +101,7 @@ class RoundRecord:
     #: The scheduler's own ``last_result`` for this round (a capacity
     #: or sharded search result), or ``None`` for schedulers that
     #: expose no diagnostics.
-    search: CapacitySearchResult | ShardedSearchResult | None = None
+    search: CapacitySearchResult | None = None
     #: Scheduling policy that produced this round ("" for schedulers
     #: that expose no name).
     policy: str = ""

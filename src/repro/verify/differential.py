@@ -79,7 +79,6 @@ def differential_check(
     instance: SchedulingInstance,
     *,
     epsilon_ms: float = 1.0,
-    max_iterations: int = 60,
     lp: bool | None = None,
 ) -> DifferentialReport:
     """Run one instance through every search leg and compare.
@@ -88,9 +87,7 @@ def differential_check(
     enough that HiGHS stays cheap; ``lp=True``/``False`` forces it.
     Raises :class:`DifferentialMismatchError` on any disagreement.
     """
-    reference = ReferenceCapacitySearch(
-        epsilon_ms=epsilon_ms, max_iterations=max_iterations
-    ).run(instance)
+    reference = ReferenceCapacitySearch(epsilon_ms=epsilon_ms).run(instance)
     baseline = _schedule_bytes(reference.schedule)
 
     def check(label, result):
@@ -109,12 +106,12 @@ def differential_check(
 
     legs = ["reference"]
     for kernel in KERNELS:
-        cold = CapacitySearch(
-            epsilon_ms=epsilon_ms, max_iterations=max_iterations, kernel=kernel
-        ).run(instance)
-        warm = CapacitySearch(
-            epsilon_ms=epsilon_ms, max_iterations=max_iterations, kernel=kernel
-        ).run(instance, warm_hint_ms=cold.capacity_ms)
+        cold = CapacitySearch(epsilon_ms=epsilon_ms, kernel=kernel).run(
+            instance
+        )
+        warm = CapacitySearch(epsilon_ms=epsilon_ms, kernel=kernel).run(
+            instance, warm_hint_ms=cold.capacity_ms
+        )
         check(f"{kernel}-cold", cold)
         check(f"{kernel}-warm", warm)
 
@@ -170,7 +167,6 @@ def sharded_differential_check(
     *,
     pod_counts: tuple[int, ...] = (1, 2, 4),
     epsilon_ms: float = 1.0,
-    max_iterations: int = 60,
     bound_factor: float = 2.0,
 ) -> ShardedDifferentialReport:
     """Cross-check the sharded scheduler against the monolithic one.
@@ -202,11 +198,7 @@ def sharded_differential_check(
     bound_ratios: dict[int, float] = {}
 
     for kernel in KERNELS:
-        mono = CwcScheduler(
-            epsilon_ms=epsilon_ms,
-            max_iterations=max_iterations,
-            kernel=kernel,
-        )
+        mono = CwcScheduler(epsilon_ms=epsilon_ms, kernel=kernel)
         mono_schedule = mono.schedule(instance)
         payload = _schedule_bytes(mono_schedule)
         if mono_bytes is None:
@@ -224,7 +216,6 @@ def sharded_differential_check(
                 pods=requested,
                 pod_workers=None,
                 epsilon_ms=epsilon_ms,
-                max_iterations=max_iterations,
                 kernel=kernel,
             )
             schedule = sharded.schedule(instance)

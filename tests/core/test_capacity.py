@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import capacity
 from repro.core.capacity import CapacitySearch, capacity_bounds
 from repro.core.packing import GreedyPacker
 
@@ -72,15 +73,14 @@ class TestSearch:
         if tighter.feasible:
             assert tighter.max_height_ms >= result.max_height_ms - 2 * epsilon
 
-    def test_iterations_bounded(self, small_instance):
-        result = CapacitySearch(max_iterations=10).run(small_instance)
-        assert result.packer_passes <= 10
+    def test_iterations_bounded(self, small_instance, monkeypatch):
+        monkeypatch.setattr(capacity, "_MAX_BISECTION_STEPS", 10)
+        result = CapacitySearch().run(small_instance)
+        assert result.bisection_steps <= 10
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             CapacitySearch(epsilon_ms=0.0)
-        with pytest.raises(ValueError):
-            CapacitySearch(max_iterations=0)
 
     def test_single_phone_schedule_uses_it(self, single_phone_instance):
         result = CapacitySearch().run(single_phone_instance)

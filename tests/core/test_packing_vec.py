@@ -6,9 +6,8 @@ agree with the exact scalar :class:`~repro.core.packing.GreedyPacker`
 bins, and byte-identical schedules — on every capacity, not just the
 converged one.  On top of kernel parity, this module pins the
 capacity-search additions that ride on the kernels: verdict-only
-probes, the feasibility/infeasibility certificates (including the
-fleet-scale short-circuit the certificates previously missed) and the
-LP floor.
+probes and the feasibility/infeasibility certificates (including the
+fleet-scale short-circuit the certificates previously missed).
 """
 
 import pytest
@@ -231,14 +230,3 @@ class TestCertificates:
             reference.schedule
         )
         assert result.packer_passes < reference.packer_passes
-
-    def test_lp_floor_preserves_schedule(self):
-        instance = make_instance(
-            n_breakable=6, n_atomic=2, n_phones=5, seed=21
-        )
-        with_lp = CapacitySearch(lp_floor=True).run(instance)
-        without = CapacitySearch().run(instance)
-        assert with_lp.capacity_ms == without.capacity_ms
-        assert schedule_to_dict(with_lp.schedule) == schedule_to_dict(
-            without.schedule
-        )

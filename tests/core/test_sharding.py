@@ -1,5 +1,6 @@
 """Tests for the sharded pod-parallel scheduler (core/sharding.py)."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -8,7 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core import lp_bound, pod, sharding
-from repro.core.capacity import CapacitySearch, available_cpus
+from repro.core.capacity import (
+    CapacitySearch,
+    CapacitySearchResult,
+    available_cpus,
+)
 from repro.core.greedy import CwcScheduler
 from repro.core.policies import SchedulerConfig
 from repro.core.pod import (
@@ -29,6 +34,14 @@ from ..conftest import make_instance, replicated_testbed
 
 def canonical(schedule) -> str:
     return json.dumps(schedule_to_dict(schedule), sort_keys=True)
+
+
+def solve_outcomes(result) -> list:
+    """A round's pod reports without their wall-clock and trace parts."""
+    return [
+        dataclasses.replace(report, wall_ms=0.0, spans=())
+        for report in result.pod_reports
+    ]
 
 
 def _die_in_worker(task):
@@ -116,20 +129,6 @@ class TestPodMechanics:
             inv = np.where(rate > 0, 1.0 / rate, 0.0)
             np.testing.assert_allclose(agg[p], inv.sum(axis=0))
 
-    def test_solve_pod_keeps_array_pool_clean(self, fleet_instance):
-        search = CapacitySearch(kernel="numpy")
-        spec = PodSpec(
-            index=0,
-            phone_positions=tuple(range(6)),
-            job_positions=tuple(range(len(fleet_instance.jobs))),
-        )
-        report = solve_pod(fleet_instance, spec, search)
-        assert report.leaked_buffers == 0
-        assert search.array_pool.leaked_buffers() == 0
-        # A second solve on the same search recycles buffers.
-        again = solve_pod(fleet_instance, spec, search)
-        assert again.pool_hits > report.pool_hits
-
     def test_assemble_schedule_orders_by_pod_index(self, fleet_instance):
         search = CapacitySearch()
         pods = partition_phones(len(fleet_instance.phones), 2)
@@ -168,6 +167,22 @@ class TestShardedScheduler:
             fleet_instance
         )
         assert canonical(sharded) == canonical(mono)
+
+    def test_pods1_result_is_the_monolithic_result(self, fleet_instance):
+        mono = CwcScheduler()
+        mono.schedule(fleet_instance)
+        sharded = ShardedScheduler(pods=1)
+        sharded.schedule(fleet_instance)
+        want, got = mono.last_result, sharded.last_result
+        assert isinstance(got, CapacitySearchResult)
+        assert got.pods == 1
+        for field in dataclasses.fields(CapacitySearchResult):
+            if field.name == "schedule":
+                assert canonical(got.schedule) == canonical(want.schedule)
+            else:
+                assert getattr(got, field.name) == getattr(
+                    want, field.name
+                ), field.name
 
     def test_small_fleet_auto_resolves_to_monolithic(self, small_instance):
         scheduler = ShardedScheduler(pods="auto")
@@ -236,21 +251,25 @@ class TestShardedScheduler:
 
     def test_pooled_matches_serial(self, fleet_instance, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "4")
-        serial = ShardedScheduler(pods=3, pod_workers=None).schedule(
-            fleet_instance
-        )
-        pooled_scheduler = ShardedScheduler(pods=3, pod_workers=2)
-        pooled = pooled_scheduler.schedule(fleet_instance)
-        assert canonical(pooled) == canonical(serial)
-        for report in pooled_scheduler.last_result.pod_reports:
-            assert report.leaked_buffers == 0
+        for kernel in ("python", "numpy"):
+            serial_scheduler = ShardedScheduler(
+                pods=3, pod_workers=None, kernel=kernel
+            )
+            serial = serial_scheduler.schedule(fleet_instance)
+            pooled_scheduler = ShardedScheduler(
+                pods=3, pod_workers=2, kernel=kernel
+            )
+            pooled = pooled_scheduler.schedule(fleet_instance)
+            assert canonical(pooled) == canonical(serial)
+            assert solve_outcomes(pooled_scheduler.last_result) == (
+                solve_outcomes(serial_scheduler.last_result)
+            )
 
     def test_pool_death_falls_back_to_serial(
         self, fleet_instance, monkeypatch
     ):
-        serial = ShardedScheduler(pods=3, pod_workers=None).schedule(
-            fleet_instance
-        )
+        serial_scheduler = ShardedScheduler(pods=3, pod_workers=None)
+        serial = serial_scheduler.schedule(fleet_instance)
         # Patched before the pool forks, so every worker inherits it.
         monkeypatch.setattr(pod, "_pod_worker_solve", _die_in_worker)
         pooled_results = []
@@ -266,8 +285,9 @@ class TestShardedScheduler:
         schedule = scheduler.schedule(fleet_instance)
         assert pooled_results == [None]  # the pool died; serial ran
         assert canonical(schedule) == canonical(serial)
-        for report in scheduler.last_result.pod_reports:
-            assert report.leaked_buffers == 0
+        assert solve_outcomes(scheduler.last_result) == (
+            solve_outcomes(serial_scheduler.last_result)
+        )
         assert multiprocessing.active_children() == []
 
     def test_pod_worker_programming_error_propagates(

@@ -7,6 +7,7 @@ misuse.
 
 import pytest
 
+from repro.core import capacity
 from repro.core.capacity import CapacitySearch
 from repro.core.greedy import CwcScheduler
 from repro.core.instance import SchedulingInstance
@@ -23,9 +24,13 @@ class TestCapacitySearchBoundaries:
         jobs = (Job("j", "t", JobKind.BREAKABLE, 10.0, 100.0),)
         return SchedulingInstance.build(jobs, phones, {"p": 1.0}, predictor)
 
-    def test_single_iteration_budget_still_returns_schedule(self):
-        result = CapacitySearch(max_iterations=1).run(self.make_instance())
+    def test_single_iteration_budget_still_returns_schedule(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(capacity, "_MAX_BISECTION_STEPS", 1)
+        result = CapacitySearch().run(self.make_instance())
         result.schedule.validate(self.make_instance())
+        assert result.bisection_steps == 1
 
     def test_huge_epsilon_returns_upper_bound_schedule(self):
         instance = self.make_instance()
