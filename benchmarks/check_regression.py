@@ -21,6 +21,14 @@ options of the form ``record.field`` or ``record.field:tolerance``::
         --guard fleet_scale_full_pass.total_s:0.25 \
         --guard telemetry_disabled_mid_pass.total_s:0.05
 
+Deterministic work counters (packs, bisection steps, a converged
+capacity) are guarded for equality with repeatable ``--exact``
+options of the form ``record.field``: any change, up *or* down, fails,
+because a count that moves means the algorithm's decisions moved::
+
+    python benchmarks/check_regression.py baseline.json current.json \
+        --exact fleet_scale_full_pass.packer_passes
+
 A guard whose record is missing from the *baseline* is skipped with a
 note (the migration path for freshly added benches); a record missing
 from the *current* file fails, because the bench that produces it
@@ -149,6 +157,39 @@ def check_guard(
     return True
 
 
+def parse_exact(text: str) -> tuple[str, str]:
+    """``record.field`` -> (record, field)."""
+    record, _, field = text.partition(".")
+    if not record or not field or ":" in field:
+        raise SystemExit(f"bad --exact {text!r}: expected record.field")
+    return record, field
+
+
+def check_exact(
+    baseline_records: dict, current_records: dict, record: str, field: str
+) -> bool:
+    """Apply one equality guard; prints the verdict, True when it holds."""
+    label = f"{record}.{field}"
+    if field not in baseline_records.get(record, {}):
+        print(f"{label}: not in baseline, skipping (new bench?)")
+        return True
+    baseline = baseline_records[record][field]
+    try:
+        current = current_records[record][field]
+    except (KeyError, TypeError):
+        print(
+            f"{label}: present in baseline but missing from current run",
+            file=sys.stderr,
+        )
+        return False
+    if current == baseline:
+        print(f"{label}: baseline {baseline!r}, current {current!r} -> EXACT")
+        return True
+    print(f"{label}: baseline {baseline!r}, current {current!r} -> CHANGED")
+    print(f"{label} changed from {baseline!r} to {current!r}", file=sys.stderr)
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", type=Path, help="committed BENCH json")
@@ -166,6 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         help="guard an additional record field (repeatable); "
         "without an explicit tolerance, --max-regression applies",
     )
+    parser.add_argument(
+        "--exact",
+        action="append",
+        metavar="RECORD.FIELD",
+        help="require a deterministic field to equal the baseline "
+        "exactly (repeatable); a change either way fails",
+    )
     args = parser.parse_args(argv)
 
     baseline_records = load_records(args.baseline)
@@ -178,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         ok &= check_guard(
             baseline_records, current_records, record, field, tolerance
         )
+    for text in args.exact or ():
+        record, field = parse_exact(text)
+        ok &= check_exact(baseline_records, current_records, record, field)
     return 0 if ok else 1
 
 

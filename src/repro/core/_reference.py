@@ -161,7 +161,10 @@ class ReferenceGreedyPacker:
         return PackingResult(
             feasible=True,
             capacity_ms=capacity_ms,
-            schedule=builder.build(),
+            rows=tuple(
+                (a.phone_id, a.job_id, a.task, a.input_kb, a.whole)
+                for a in builder.build()
+            ),
             max_height_ms=max_height,
             opened_bins=len(bins),
         )
@@ -347,7 +350,7 @@ class ReferenceCapacitySearch:
         assert best is not None and best.schedule is not None
         bounds = reference_capacity_bounds(instance)
         return CapacitySearchResult(
-            schedule=best.schedule,
+            rows=best.rows,
             capacity_ms=best.capacity_ms,
             max_height_ms=best.max_height_ms,
             lower_bound_ms=bounds[0],

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +104,7 @@ from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB
 from .packing import GreedyPacker, PackingResult
 from .packing_vec import VectorGreedyPacker
-from .schedule import InfeasibleScheduleError, Schedule
+from .schedule import InfeasibleScheduleError, Row, Schedule
 
 __all__ = [
     "CapacitySearch",
@@ -345,9 +346,14 @@ def _greedy_feasibility_threshold(
 
 @dataclass(frozen=True)
 class CapacitySearchResult:
-    """Outcome of the full capacity search."""
+    """Outcome of the full capacity search.
 
-    schedule: Schedule
+    The schedule travels as placement ``rows`` (see
+    :data:`~repro.core.schedule.Row`); :attr:`schedule` builds its
+    :class:`~repro.core.schedule.Assignment` records on first read.
+    """
+
+    rows: tuple[Row, ...]
     capacity_ms: float
     max_height_ms: float
     lower_bound_ms: float
@@ -367,6 +373,10 @@ class CapacitySearchResult:
     warm_start_used: bool = False
     #: Packing backend the probes ran on ("python" or "numpy").
     kernel: str = "python"
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return Schedule.from_rows(self.rows)
 
 
 class CapacitySearch:
@@ -635,7 +645,7 @@ class CapacitySearch:
                     lower = mid
 
         # -- materialise an assumed/deferred final capacity ------------
-        if best is None or best.schedule is None:
+        if best is None or best.rows is None:
             if hint_result is not None and best_capacity == hint:
                 best = hint_result
             else:
@@ -657,7 +667,7 @@ class CapacitySearch:
                     # correct.
                     return self.run(instance, _trusted=False)
 
-        assert best.schedule is not None
+        assert best.rows is not None
         if tel.enabled:
             tel.inc("capacity_searches_total", kernel=kernel)
             tel.inc("capacity_bisection_steps_total", float(steps))
@@ -668,7 +678,7 @@ class CapacitySearch:
             tel.observe("capacity_packs_per_search", float(packs))
         bounds = capacity_bounds(instance)
         return CapacitySearchResult(
-            schedule=best.schedule,
+            rows=best.rows,
             capacity_ms=best.capacity_ms,
             max_height_ms=best.max_height_ms,
             lower_bound_ms=bounds[0],

@@ -50,6 +50,26 @@ decision:
   item shrinks), so the only event that can turn "fits nowhere" into
   "fits somewhere" is a *new* bin opening — marks are therefore epoch
   stamps invalidated by bin openings.
+* **cached opening costs** — a bin opening (Line 15) evaluates
+  Equation 1 over every unopened phone.  Each packer builds, on a job's
+  first opening, the job's ``E_j * b_i`` and ``b_i + c_ij`` lists by
+  phone position (the same float products the cost expression
+  computes), so an opening is one list comprehension of
+  ``exe + remaining * rate`` and a C-level ``min``.  Unopened phones
+  are kept in ``phone_id`` order, so the *first* minimal cost is the
+  ``(cost, phone_id)`` minimum Algorithm 1's tie-break asks for; the
+  rare path (the cheapest phone rejects) walks the rest in that same
+  order, sorted stably by cost;
+* **one fit per placement** — the size ``_fit_kb`` computed while
+  choosing a bin (at opening, or in the scan over opened bins) goes
+  straight into the placement, and a fresh bin enters the sorted list
+  once, at its post-placement height;
+* **rows, not records** — placements are recorded as plain
+  ``(phone_id, job_id, task, input_kb, whole)`` tuples
+  (:data:`~repro.core.schedule.Row`).  A capacity search runs a dozen
+  packs and keeps one, so :class:`PackingResult` builds its
+  :class:`~repro.core.schedule.Assignment` records (and their
+  validation) only when ``schedule`` is first read.
 
 ``tests/core/test_golden_schedule.py`` pins this packer to the frozen
 pre-optimisation reference (:mod:`repro.core._reference`) schedule for
@@ -62,10 +82,11 @@ import math
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB, Job
-from .schedule import Schedule, ScheduleBuilder
+from .schedule import Row, Schedule
 
 __all__ = ["GreedyPacker", "PackingResult"]
 
@@ -100,13 +121,25 @@ class _Bin:
 
 @dataclass(frozen=True)
 class PackingResult:
-    """Outcome of one packing attempt at a fixed capacity."""
+    """Outcome of one packing attempt at a fixed capacity.
+
+    A feasible collecting pack records its placements as plain
+    :data:`~repro.core.schedule.Row` tuples in ``rows``; ``schedule``
+    builds (and validates) the :class:`~repro.core.schedule.Assignment`
+    records from them on first read, so a pack whose result is
+    discarded builds none.  Both are ``None`` for infeasible and
+    verdict-only packs.
+    """
 
     feasible: bool
     capacity_ms: float
-    schedule: Schedule | None = None
+    rows: tuple[Row, ...] | None = None
     max_height_ms: float = 0.0
     opened_bins: int = 0
+
+    @cached_property
+    def schedule(self) -> Schedule | None:
+        return None if self.rows is None else Schedule.from_rows(self.rows)
 
 
 def _item_key(item: _Item) -> tuple[float, str]:
@@ -175,6 +208,20 @@ class GreedyPacker:
             ),
             default=0.0,
         )
+        self._phone_ids = [phone.phone_id for phone in instance.phones]
+        #: Phone positions in ``phone_id`` order.  A bin opening scans
+        #: the unopened phones in this order and takes the first minimal
+        #: cost, which breaks equal Equation-1 costs by the smallest
+        #: ``phone_id``.
+        self._by_id = sorted(
+            range(len(self._phone_ids)), key=self._phone_ids.__getitem__
+        )
+        #: Per-job opening costs by phone position, built on a job's
+        #: first bin opening: ``(E_j * b_i, b_i + c_ij)`` lists, the
+        #: same float products Equation 1 evaluates.
+        self._open_costs: list[tuple[list[float], list[float]] | None] = [
+            None
+        ] * len(instance.jobs)
 
     # -- public API --------------------------------------------------------
 
@@ -211,37 +258,34 @@ class GreedyPacker:
         items.sort(key=_item_key)
         #: Opened bins, always sorted by (height_ms, phone_id).
         bins: list[_Bin] = []
-        unopened = [
-            (phone.phone_id, pos) for pos, phone in enumerate(instance.phones)
-        ]
+        #: Unopened phone positions, kept in phone_id order.
+        unopened = self._by_id.copy()
         #: Bin-opening epoch; bumping it invalidates all failure marks.
         epoch = 0
-        builder = ScheduleBuilder()
+        rows: list[Row] = []
 
         while items:
-            if self._pack_into_opened(items, bins, epoch, builder, capacity_ms):
+            if self._pack_into_opened(items, bins, epoch, rows, capacity_ms):
                 continue
             if not unopened:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
-            opened = self._open_bin_for(items[0], unopened, bins, capacity_ms)
+            opened = self._open_bin_for(items[0], unopened, capacity_ms)
             if opened is None:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
             epoch += 1
-            # Pack the largest item into the bin just opened.
-            if not self._pack_item_into_bin(
-                items, 0, opened, bins, builder, capacity_ms
-            ):
-                # The bin was chosen because the item fits there, so this
-                # only happens if no unopened bin accepts the item at all.
-                return PackingResult(feasible=False, capacity_ms=capacity_ms)
+            # Pack the largest item into the bin just opened, at the
+            # size the opening already fitted.
+            self._pack_item_into_bin(
+                items, 0, opened[0], opened[1], bins, rows, fresh=True
+            )
 
         max_height = max((b.height_ms for b in bins), default=0.0)
         return PackingResult(
             feasible=True,
             capacity_ms=capacity_ms,
-            schedule=builder.build(),
             max_height_ms=max_height,
             opened_bins=len(bins),
+            rows=tuple(rows),
         )
 
     # -- internals -----------------------------------------------------------
@@ -293,7 +337,7 @@ class GreedyPacker:
         items: list[_Item],
         bins: list[_Bin],
         epoch: int,
-        builder: ScheduleBuilder,
+        rows: list[Row],
         capacity_ms: float,
     ) -> bool:
         """Line 4: first item in L that fits in any opened bin.
@@ -327,17 +371,15 @@ class GreedyPacker:
             if not item.job.is_atomic and x > min_partition:
                 x = min_partition
             h_max = capacity_ms - x * min_per_kb[item.job_pos] * (1.0 - 1e-9)
-            fitted = None
             for bin_ in bins:
                 if bin_.height_ms > h_max:
                     break
-                if self._fit_kb(bin_, item, capacity_ms) > 0:
-                    fitted = bin_
-                    break
-            if fitted is not None:
-                return self._pack_item_into_bin(
-                    items, index, fitted, bins, builder, capacity_ms
-                )
+                size_kb = self._fit_kb(bin_, item, capacity_ms)
+                if size_kb > 0:
+                    self._pack_item_into_bin(
+                        items, index, bin_, size_kb, bins, rows
+                    )
+                    return True
             item.failed_epoch = epoch
         return False
 
@@ -346,38 +388,38 @@ class GreedyPacker:
         items: list[_Item],
         index: int,
         bin_: _Bin,
+        size_kb: float,
         bins: list[_Bin],
-        builder: ScheduleBuilder,
-        capacity_ms: float,
-    ) -> bool:
-        """Pack items[index] (whole if possible) into ``bin_``."""
+        rows: list[Row],
+        *,
+        fresh: bool = False,
+    ) -> None:
+        """Pack ``size_kb`` of items[index] into ``bin_``.
+
+        ``size_kb`` is the caller's ``_fit_kb`` verdict (> 0).  A
+        ``fresh`` bin is not in ``bins`` yet and is inserted once, at
+        its post-placement height.
+        """
         item = items[index]
         job = item.job
-        size_kb = self._fit_kb(bin_, item, capacity_ms)
-        if size_kb <= 0:
-            return False
-        packed_whole_input = item.is_whole and math.isclose(
-            size_kb, item.remaining_kb
-        )
+        close = math.isclose(size_kb, item.remaining_kb)
+        packed_whole_input = close and item.is_whole
         cost = self._exe_cost(bin_, job) + size_kb * (
             self._per_kb_rows[bin_.phone_pos][item.job_pos]
         )
-        # The bin's sort key is about to change: pull it out of the
-        # sorted index and re-insert it at its new height.  Keys are
-        # unique (phone_id breaks height ties), so bisect finds the bin.
-        bin_index = bisect_left(bins, _bin_key(bin_), key=_bin_key)
-        del bins[bin_index]
+        if not fresh:
+            # The bin's sort key is about to change: pull it out of the
+            # sorted index and re-insert it at its new height.  Keys
+            # are unique (phone_id breaks height ties), so bisect finds
+            # the bin.
+            del bins[bisect_left(bins, _bin_key(bin_), key=_bin_key)]
         bin_.height_ms += cost
         bin_.shipped_jobs.add(job.job_id)
         insort(bins, bin_, key=_bin_key)
-        builder.place(
-            bin_.phone_id,
-            job.job_id,
-            job.task,
-            size_kb,
-            whole=packed_whole_input,
+        rows.append(
+            (bin_.phone_id, job.job_id, job.task, size_kb, packed_whole_input)
         )
-        if math.isclose(size_kb, item.remaining_kb):
+        if close:
             del items[index]  # line 8: packed as a whole (of what remained)
         else:
             # Line 10: reinsert the remainder.  Only this item's key
@@ -388,53 +430,55 @@ class GreedyPacker:
             item.key_ms = item.remaining_kb * self._c_slowest[item.job_pos]
             item.failed_epoch = -1
             insort(items, item, key=_item_key)
-        return True
+
+    def _job_open_costs(self, job_pos: int) -> tuple[list[float], list[float]]:
+        """``(E_j * b_i, b_i + c_ij)`` by phone position for one job."""
+        costs = self._open_costs[job_pos]
+        if costs is None:
+            exe_kb = self._instance.jobs[job_pos].executable_kb
+            costs = self._open_costs[job_pos] = (
+                [exe_kb * b for b in self._b],
+                self._instance.per_kb_matrix()[:, job_pos].tolist(),
+            )
+        return costs
 
     def _open_bin_for(
-        self,
-        item: _Item,
-        unopened: list[tuple[str, int]],
-        bins: list[_Bin],
-        capacity_ms: float,
-    ) -> _Bin | None:
+        self, item: _Item, unopened: list[int], capacity_ms: float
+    ) -> tuple[_Bin, float] | None:
         """Line 15: open the best unopened bin for the largest item.
 
         The best bin is the phone that would run the item with the
         minimum Equation-1 cost.  If the item does not fit there (not
         even a minimum partition), the remaining unopened bins are tried
-        in increasing order of that cost before giving up.
+        in increasing order of that cost before giving up.  Returns the
+        new bin (not yet in the sorted bin list) and the size fitted
+        into it, and removes its phone from ``unopened``.
         """
-        job = item.job
-        job_pos = item.job_pos
+        exe_b, per_kb = self._job_open_costs(item.job_pos)
         remaining = item.remaining_kb
-        b = self._b
-        per_kb_rows = self._per_kb_rows
-
-        def eq1_cost(entry: tuple[str, int]) -> tuple[float, str]:
-            phone_id, pos = entry
-            return (
-                job.executable_kb * b[pos]
-                + remaining * per_kb_rows[pos][job_pos],
-                phone_id,
-            )
-
         # Fast path: the cheapest phone almost always accepts a freshly
-        # opened bin, and min() over the (cost, phone_id) key picks the
-        # same phone the full sorted walk would try first.
-        cheapest = min(unopened, key=eq1_cost)
-        candidate = _Bin(phone_id=cheapest[0], phone_pos=cheapest[1])
-        if self._fit_kb(candidate, item, capacity_ms) > 0:
-            unopened.remove(cheapest)
-            insort(bins, candidate, key=_bin_key)
-            return candidate
-
-        for entry in sorted(unopened, key=eq1_cost):
-            if entry == cheapest:
-                continue
-            phone_id, pos = entry
-            candidate = _Bin(phone_id=phone_id, phone_pos=pos)
-            if self._fit_kb(candidate, item, capacity_ms) > 0:
-                unopened.remove(entry)
-                insort(bins, candidate, key=_bin_key)
-                return candidate
+        # opened bin.  ``unopened`` is in phone_id order, so the first
+        # minimal cost is the (cost, phone_id) minimum.
+        costs = [exe_b[pos] + remaining * per_kb[pos] for pos in unopened]
+        best_k = costs.index(min(costs))
+        pos = unopened[best_k]
+        candidate = _Bin(phone_id=self._phone_ids[pos], phone_pos=pos)
+        size_kb = self._fit_kb(candidate, item, capacity_ms)
+        if size_kb > 0:
+            del unopened[best_k]
+            return candidate, size_kb
+        # Rare path: the cheapest phone rejects (RAM / atomic job too
+        # large).  Try the rest in (cost, phone_id) order; the sort is
+        # stable over the phone_id order of ``unopened``.
+        rest = sorted(
+            (k for k in range(len(unopened)) if k != best_k),
+            key=costs.__getitem__,
+        )
+        for k in rest:
+            pos = unopened[k]
+            candidate = _Bin(phone_id=self._phone_ids[pos], phone_pos=pos)
+            size_kb = self._fit_kb(candidate, item, capacity_ms)
+            if size_kb > 0:
+                del unopened[k]
+                return candidate, size_kb
         return None

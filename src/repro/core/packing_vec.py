@@ -52,6 +52,11 @@ columns are dropped as provably rejecting.
 
 Bin opening (Line 15) is one fused Equation-1 array expression over
 the unopened phones with an exact-equality ``phone_id`` tie-break.
+The size fitted at opening goes straight into the placement, which
+inserts the fresh bin into the sorted list and its mirrors once, at
+its post-placement height.  Collecting packs record plain placement
+rows, as the scalar kernel does (see :mod:`repro.core.packing`), so
+``Assignment`` records are built only for the schedule a caller reads.
 
 Why this is byte-identical
 --------------------------
@@ -61,8 +66,10 @@ scalar operation order term for term, so each computed (item, bin) fit
 verdict matches the scalar verdict exactly; every *skipped* pair is
 one the pruning argument proves the scalar probe would also reject.
 The sizes actually placed are still computed by the inherited scalar
-``_fit_kb``/``_pack_item_into_bin`` on plain Python floats — the
-arrays only decide which probes to issue and which items to skip.
+``_fit_kb`` on plain Python floats and placed by ``_place_and_sync``,
+which follows ``GreedyPacker._pack_item_into_bin`` statement for
+statement — the arrays only decide which probes to run and which
+items to skip.
 
 ``tests/core/test_packing_vec.py`` pins this kernel pack-by-pack to the
 scalar backend, and ``tests/core/test_golden_schedule.py`` pins full
@@ -85,7 +92,7 @@ from .packing import (
     _Item,
     _item_key,
 )
-from .schedule import ScheduleBuilder
+from .schedule import Row
 
 __all__ = ["VectorGreedyPacker"]
 
@@ -164,11 +171,7 @@ class VectorGreedyPacker(GreedyPacker):
         #: Lexicographic rank of each phone_id; equal-cost ties in bin
         #: opening resolve by smallest rank == smallest phone_id.
         ranks = np.zeros(n_phones, dtype=np.intp)
-        by_id = sorted(
-            range(n_phones), key=lambda i: instance.phones[i].phone_id
-        )
-        for rank, pos in enumerate(by_id):
-            ranks[pos] = rank
+        ranks[self._by_id] = np.arange(n_phones, dtype=np.intp)
         self._id_rank = ranks
         #: Static per-item "minimum need" — the cost the shortest bin
         #: must be able to absorb before the item can fit anywhere —
@@ -219,9 +222,6 @@ class VectorGreedyPacker(GreedyPacker):
         )
         self._okey_buf = np.empty(len(jobs))
         self._unopened0 = np.arange(n_phones, dtype=np.intp)
-        self._phone_ids = [phone.phone_id for phone in instance.phones]
-        #: Sorted-list index at which ``_admit_bin`` inserted the bin.
-        self._admit_at = 0
         #: Items marked in the current epoch always form a *prefix* of
         #: the sorted order: a scan marks exactly the items it walks
         #: past before its hit, and a split remainder (always unmarked)
@@ -241,8 +241,8 @@ class VectorGreedyPacker(GreedyPacker):
         """Run Algorithm 1 at ``capacity_ms``.
 
         ``collect=False`` runs the identical placement sequence but
-        skips schedule accumulation, returning a verdict-only result
-        (``schedule is None``).  The capacity search uses this for
+        skips recording placements, returning a verdict-only result
+        (``rows`` and ``schedule`` are None).  The capacity search uses this for
         bisection probes whose schedules would be discarded anyway,
         and materialises the winning capacity with one collecting
         pack at the end.
@@ -278,29 +278,30 @@ class VectorGreedyPacker(GreedyPacker):
         self._shipped[:, :] = False
 
         bins: list[_Bin] = []
-        builder = ScheduleBuilder() if collect else None
+        rows: list[Row] | None = [] if collect else None
 
         while self._order_n:
-            if self._scan_opened(bins, builder, capacity_ms):
+            if self._scan_opened(bins, rows, capacity_ms):
                 continue
             if not self._un_ids:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
             first = self._slot_item[self._order_buf[0]]
-            opened = self._open_bin_vec(first, bins, capacity_ms)
+            opened = self._open_bin_vec(first, capacity_ms)
             if opened is None:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
-            if not self._place_and_sync(
-                0, opened, self._admit_at, bins, builder, capacity_ms
-            ):
-                return PackingResult(feasible=False, capacity_ms=capacity_ms)
+            # The fresh bin enters the sorted list at its post-placement
+            # height, with the size the opening already fitted.
+            self._place_and_sync(
+                0, opened[0], None, bins, rows, capacity_ms, opened[1]
+            )
 
         max_height = max((b.height_ms for b in bins), default=0.0)
         return PackingResult(
             feasible=True,
             capacity_ms=capacity_ms,
-            schedule=builder.build() if collect else None,
             max_height_ms=float(max_height),
             opened_bins=len(bins),
+            rows=tuple(rows) if collect else None,
         )
 
     # -- internals -----------------------------------------------------------
@@ -311,7 +312,7 @@ class VectorGreedyPacker(GreedyPacker):
         bin_,
         src,
         bins,
-        builder,
+        rows,
         capacity_ms,
         size_kb=None,
     ) -> bool:
@@ -321,11 +322,12 @@ class VectorGreedyPacker(GreedyPacker):
         scalar ``_fit_kb``/``_exe_cost`` floats, same ``math.isclose``
         whole-placement test, same unique-key insertion points), but
         takes the bin's list index ``src`` from the caller — every
-        caller already knows it — and works directly on the order
-        array: the item is ``order[index]``'s slot, and the remainder
-        reinsertion point comes from a binary search over the order
-        mirror itself.  ``size_kb`` forwards a probe's already-computed
-        fit, when the caller has one.
+        caller already knows it; ``None`` marks a fresh bin that is not
+        in the list yet — and works directly on the order array: the
+        item is ``order[index]``'s slot, and the remainder reinsertion
+        point comes from a binary search over the order mirror itself.
+        ``size_kb`` forwards a probe's already-computed fit, when the
+        caller has one.
         """
         order = self._order_buf
         pos = int(order[index])
@@ -350,26 +352,40 @@ class VectorGreedyPacker(GreedyPacker):
             )
         bin_.height_ms += cost
         bin_.shipped_jobs.add(jid)
-        # Re-slot the grown bin.  Heights only grow, so it can only
-        # move right: instead of the parent's delete + re-``insort``
-        # (two full-tail shifts on the mirrors), rotate the
-        # ``(src, dst]`` window left by one.  The destination comes
-        # from a binary search over the height mirror, with equal
-        # heights resolved by the precomputed lexicographic phone-id
-        # ranks — the exact slot the parent's ``insort`` would pick.
-        # Most placements grow the shortest bin by less than the gap
-        # to its neighbour, where the cheap test below resolves
-        # ``dst == src`` with no array traffic at all.
+        # Slot the bin by its unique (height, phone_id) key: binary
+        # search over the height mirror, with equal heights resolved by
+        # the precomputed lexicographic phone-id ranks — the exact slot
+        # the parent's ``insort`` would pick.  Equal heights are common
+        # on replicated fleets (identical phones fill identically), so
+        # a tie run is bounded by a second binary search, never walked.
         bh, bp, be = self._bh_buf, self._bpos_buf, self._bep_buf
         nb = self._bn
         h = bin_.height_ms
-        # ``h == bh[src]`` (zero-cost placement) keeps the unique
-        # (height, phone_id) key, hence the exact same slot.  The
-        # right-neighbour height is read from the bin object — a plain
-        # float attribute, same value the ``bh`` mirror holds — while
-        # the old own height must come from the mirror (``bin_`` has
-        # already grown).
-        if (
+        ranks = self._id_rank
+        if src is None:
+            # A fresh bin is inserted once, at its grown height.
+            arr = bh[:nb]
+            dst = int(arr.searchsorted(h, "left"))
+            if dst < nb and arr[dst] == h:
+                q = int(arr.searchsorted(h, "right"))
+                dst += int(ranks[bp[dst:q]].searchsorted(ranks[ppos], "left"))
+            bins.insert(dst, bin_)
+            bh[dst + 1 : nb + 1] = bh[dst:nb]
+            bp[dst + 1 : nb + 1] = bp[dst:nb]
+            be[dst + 1 : nb + 1] = be[dst:nb]
+            self._bn = nb + 1
+        # Heights only grow, so an opened bin can only move right:
+        # instead of the parent's delete + re-``insort`` (two full-tail
+        # shifts on the mirrors), rotate the ``(src, dst]`` window left
+        # by one.  Most placements grow the shortest bin by less than
+        # the gap to its neighbour, where the cheap test below resolves
+        # ``dst == src`` with no array traffic at all.  ``h == bh[src]``
+        # (zero-cost placement) keeps the unique key, hence the exact
+        # same slot.  The right-neighbour height is read from the bin
+        # object — a plain float attribute, same value the ``bh``
+        # mirror holds — while the old own height must come from the
+        # mirror (``bin_`` has already grown).
+        elif (
             src + 1 >= nb
             or h < bins[src + 1].height_ms
             or h == bh[src]
@@ -378,15 +394,9 @@ class VectorGreedyPacker(GreedyPacker):
         else:
             arr = bh[:nb]
             p = int(arr.searchsorted(h, "left"))
-            # Equal heights are common on replicated fleets (identical
-            # phones fill identically), so the run is bounded with a
-            # second binary search — never a linear walk.
             if p < nb and arr[p] == h:
                 q = int(arr.searchsorted(h, "right"))
-                ranks = self._id_rank
-                p += int(
-                    ranks[bp[p:q]].searchsorted(ranks[ppos], "left")
-                )
+                p += int(ranks[bp[p:q]].searchsorted(ranks[ppos], "left"))
             # The stale entry at ``src`` (height < h) sits left of the
             # insertion point and vanishes, shifting it down by one.
             dst = p - 1
@@ -399,13 +409,9 @@ class VectorGreedyPacker(GreedyPacker):
         bh[dst] = h
         bp[dst] = ppos
         be[dst] = self._open_epoch_by_pos[ppos]
-        if builder is not None:
-            builder.place(
-                bin_.phone_id,
-                job.job_id,
-                job.task,
-                size_kb,
-                whole=packed_whole_input,
+        if rows is not None:
+            rows.append(
+                (bin_.phone_id, jid, job.task, size_kb, packed_whole_input)
             )
         self._shipped[bin_.phone_pos, pos] = True
         n = self._order_n
@@ -462,7 +468,7 @@ class VectorGreedyPacker(GreedyPacker):
     def _scan_opened(
         self,
         bins: list[_Bin],
-        builder: ScheduleBuilder,
+        rows: list[Row] | None,
         capacity_ms: float,
     ) -> bool:
         """Line 4 of Algorithm 1: first item that fits an opened bin.
@@ -515,7 +521,7 @@ class VectorGreedyPacker(GreedyPacker):
                     hit,
                     bidx,
                     bins,
-                    builder,
+                    rows,
                     capacity_ms,
                     size_kb=size_kb,
                 )
@@ -557,7 +563,7 @@ class VectorGreedyPacker(GreedyPacker):
                 index = ptr + start + chunk_idx
                 self._mark_ptr = index
                 return self._place_and_sync(
-                    index, bins[col], col, bins, builder, capacity_ms
+                    index, bins[col], col, bins, rows, capacity_ms
                 )
             marks[s] = epoch
             self._mark_ptr = ptr + stop
@@ -664,9 +670,13 @@ class VectorGreedyPacker(GreedyPacker):
         return row, int(cols[int(np.argmax(fit[row]))])
 
     def _open_bin_vec(
-        self, item: _Item, bins: list[_Bin], capacity_ms: float
-    ) -> _Bin | None:
-        """Vectorized Line 15: cheapest unopened phone for ``item``."""
+        self, item: _Item, capacity_ms: float
+    ) -> tuple[_Bin, float] | None:
+        """Vectorized Line 15: cheapest unopened phone for ``item``.
+
+        Returns the new bin (not yet in the sorted bin list) and the
+        size fitted into it.
+        """
         pos_arr = self._un_buf[: self._un_n]
         ids = self._un_ids
         job = item.job
@@ -686,8 +696,9 @@ class VectorGreedyPacker(GreedyPacker):
             # lexicographic rank (phone_ids are unique).
             k = int(ties[int(np.argmin(self._id_rank[pos_arr[ties]]))])
         candidate = _Bin(phone_id=ids[k], phone_pos=int(pos_arr[k]))
-        if self._fit_kb(candidate, item, capacity_ms) > 0:
-            return self._admit_bin(candidate, k, bins)
+        size_kb = self._fit_kb(candidate, item, capacity_ms)
+        if size_kb > 0:
+            return self._admit_bin(candidate, k), size_kb
         # Rare path: the cheapest phone rejects (RAM / atomic job too
         # large).  Walk the rest in (cost, phone_id) order, exactly as
         # the scalar fallback does.
@@ -699,12 +710,16 @@ class VectorGreedyPacker(GreedyPacker):
             if phone_id == cheapest_id:
                 continue
             fallback = _Bin(phone_id=phone_id, phone_pos=int(pos_arr[i]))
-            if self._fit_kb(fallback, item, capacity_ms) > 0:
-                return self._admit_bin(fallback, i, bins)
+            size_kb = self._fit_kb(fallback, item, capacity_ms)
+            if size_kb > 0:
+                return self._admit_bin(fallback, i), size_kb
         return None
 
-    def _admit_bin(self, bin_: _Bin, unopened_index: int, bins) -> _Bin:
-        """Open ``bin_``: new epoch, list insort, mirror inserts."""
+    def _admit_bin(self, bin_: _Bin, unopened_index: int) -> _Bin:
+        """Open ``bin_``: take it off the unopened list, start an epoch.
+
+        The caller's placement inserts it into the sorted bin list.
+        """
         un, un_n = self._un_buf, self._un_n
         un[unopened_index : un_n - 1] = un[unopened_index + 1 : un_n]
         self._un_n = un_n - 1
@@ -712,24 +727,4 @@ class VectorGreedyPacker(GreedyPacker):
         self._epoch += 1
         self._mark_ptr = 0
         self._open_epoch_by_pos[bin_.phone_pos] = self._epoch
-        bh, bp, be, n = self._bh_buf, self._bpos_buf, self._bep_buf, self._bn
-        view = bh[:n]
-        at = int(view.searchsorted(bin_.height_ms, "left"))
-        hi = int(view.searchsorted(bin_.height_ms, "right"))
-        if at != hi:
-            ranks = self._id_rank
-            at += int(
-                ranks[bp[at:hi]].searchsorted(
-                    ranks[bin_.phone_pos], "left"
-                )
-            )
-        bins.insert(at, bin_)
-        bh[at + 1 : n + 1] = bh[at:n]
-        bp[at + 1 : n + 1] = bp[at:n]
-        be[at + 1 : n + 1] = be[at:n]
-        bh[at] = bin_.height_ms
-        bp[at] = bin_.phone_pos
-        be[at] = self._epoch
-        self._bn = n + 1
-        self._admit_at = at
         return bin_

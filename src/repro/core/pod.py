@@ -38,12 +38,12 @@ import numpy as np
 from ..obs.tracing import Tracer, maybe_span
 from .capacity import CapacitySearch, available_cpus
 from .instance import SchedulingInstance, _DenseCostMap
-from .schedule import Assignment, Schedule
+from .schedule import Row
 
 __all__ = [
     "PodSolveReport",
     "PodSpec",
-    "assemble_schedule",
+    "assemble_rows",
     "default_pod_workers",
     "partition_phones",
     "pod_instance",
@@ -76,14 +76,16 @@ class PodSpec:
 class PodSolveReport:
     """Slim picklable outcome of one pod's capacity search.
 
-    ``assignments`` is the pod schedule flattened to
-    ``(phone_id, job_id, task, input_kb, whole)`` tuples in placement
-    order; the parent rebuilds :class:`~repro.core.schedule.Assignment`
-    records and concatenates pods in index order.
+    ``assignments`` is the pod search's placement rows
+    (``(phone_id, job_id, task, input_kb, whole)`` tuples, see
+    :data:`~repro.core.schedule.Row`) in placement order, forwarded as
+    the search recorded them; the parent concatenates pods in index
+    order and builds :class:`~repro.core.schedule.Assignment` records
+    once, for the global schedule.
     """
 
     index: int
-    assignments: tuple[tuple[str, str, str, float, bool], ...]
+    assignments: tuple[Row, ...]
     capacity_ms: float
     max_height_ms: float
     lower_bound_ms: float
@@ -99,19 +101,6 @@ class PodSolveReport:
     #: solves record straight into the caller's tracer and leave this
     #: empty.
     spans: tuple = ()
-
-    def build_assignments(self) -> tuple[Assignment, ...]:
-        """Rehydrate the flattened assignment tuples."""
-        return tuple(
-            Assignment(
-                phone_id=phone_id,
-                job_id=job_id,
-                task=task,
-                input_kb=input_kb,
-                whole=whole,
-            )
-            for phone_id, job_id, task, input_kb, whole in self.assignments
-        )
 
 
 def resolve_pod_count(pods: int | str, n_phones: int) -> int:
@@ -273,10 +262,7 @@ def solve_pod(
     wall_ms = (time.perf_counter() - started) * 1000.0
     return PodSolveReport(
         index=spec.index,
-        assignments=tuple(
-            (a.phone_id, a.job_id, a.task, a.input_kb, a.whole)
-            for a in result.schedule
-        ),
+        assignments=result.rows,
         capacity_ms=result.capacity_ms,
         max_height_ms=result.max_height_ms,
         lower_bound_ms=result.lower_bound_ms,
@@ -316,18 +302,19 @@ def solve_pod_lp(
             return None
 
 
-def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
-    """Concatenate pod schedules into the global one, pod-index order.
+def assemble_rows(reports: list[PodSolveReport]) -> tuple[Row, ...]:
+    """Concatenate pod placement rows into the global ones, pod-index order.
 
     Pods own disjoint phones, so the union is trivially a valid
     schedule whenever each pod schedule is; ordering by pod index
     (then each pod's own placement order) keeps the result
     deterministic across pool and serial execution.
     """
-    assignments: list[Assignment] = []
-    for report in sorted(reports, key=lambda r: r.index):
-        assignments.extend(report.build_assignments())
-    return Schedule(assignments)
+    return tuple(
+        row
+        for report in sorted(reports, key=lambda r: r.index)
+        for row in report.assignments
+    )
 
 
 # -- process-pool hooks ---------------------------------------------------

@@ -21,7 +21,19 @@ from dataclasses import dataclass
 
 from .instance import SchedulingInstance
 
-__all__ = ["Assignment", "Schedule", "ScheduleBuilder", "InfeasibleScheduleError"]
+__all__ = [
+    "Assignment",
+    "Schedule",
+    "ScheduleBuilder",
+    "InfeasibleScheduleError",
+    "Row",
+]
+
+#: One placement as a plain tuple, ``Assignment``'s fields in order:
+#: ``(phone_id, job_id, task, input_kb, whole)``.  The packers record
+#: these and pod workers ship them; :meth:`Schedule.from_rows` turns
+#: them into validated :class:`Assignment` records.
+Row = tuple[str, str, str, float, bool]
 
 
 class InfeasibleScheduleError(Exception):
@@ -60,6 +72,11 @@ class Schedule:
         self._per_phone = {
             phone_id: tuple(items) for phone_id, items in per_phone.items()
         }
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "Schedule":
+        """Build a schedule from placement rows (see :data:`Row`)."""
+        return cls([Assignment(*row) for row in rows])
 
     # -- structure ---------------------------------------------------------
 

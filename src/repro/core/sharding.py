@@ -62,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .instance import SchedulingInstance
 from .pod import (
     PodSolveReport,
     PodSpec,
-    assemble_schedule,
+    assemble_rows,
     default_pod_workers,
     partition_phones,
     pod_rate_tables,
@@ -123,6 +123,18 @@ class ShardedSearchResult(CapacitySearchResult):
     rebalance_moves: int = 0
     #: Per-pod diagnostics, pod-index order.
     pod_reports: tuple[PodSolveReport, ...] = ()
+
+
+def _holding(
+    result: ShardedSearchResult, schedule: Schedule
+) -> ShardedSearchResult:
+    """Give ``result`` the schedule already built from its ``rows``.
+
+    ``schedule`` is a cached property, so the result's first read
+    returns the round's own schedule instead of building a copy.
+    """
+    object.__setattr__(result, "schedule", schedule)
+    return result
 
 
 class ShardedScheduler:
@@ -273,7 +285,7 @@ class ShardedScheduler:
         inner = self._mono.last_result
         lower = inner.lower_bound_ms
         result = ShardedSearchResult(
-            **vars(inner),
+            **{f.name: getattr(inner, f.name) for f in fields(inner)},
             pods=1,
             pod_solve_ms_max=wall_ms,
             pod_solve_ms_sum=wall_ms,
@@ -281,6 +293,7 @@ class ShardedScheduler:
                 inner.max_height_ms / lower if lower > 0 else 0.0
             ),
         )
+        _holding(result, schedule)
         self._last_result = result
         self._stats.record(result, wall_ms)
         return schedule
@@ -349,7 +362,8 @@ class ShardedScheduler:
                     )
 
             with maybe_span(tracer, "assemble", category="pod"):
-                schedule = assemble_schedule(reports)
+                rows = assemble_rows(reports)
+                schedule = Schedule.from_rows(rows)
             if round_span is not None:
                 round_span.set_attr(
                     "capacity_ms",
@@ -367,6 +381,7 @@ class ShardedScheduler:
                     n_pods,
                     specs,
                     reports,
+                    rows,
                     schedule,
                     lp_floor_ms,
                     lp_certify_ms,
@@ -604,6 +619,7 @@ class ShardedScheduler:
         n_pods,
         specs,
         reports,
+        rows,
         schedule,
         lp_floor_ms,
         lp_certify_ms,
@@ -637,8 +653,8 @@ class ShardedScheduler:
             tel.inc("shard_rebalance_moves_total", float(moves))
             tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
         bounds = instance.capacity_bounds()
-        return ShardedSearchResult(
-            schedule=schedule,
+        result = ShardedSearchResult(
+            rows=rows,
             capacity_ms=capacity,
             max_height_ms=makespan,
             lower_bound_ms=bounds[0],
@@ -660,6 +676,7 @@ class ShardedScheduler:
                 sorted(reports, key=lambda r: r.index)
             ),
         )
+        return _holding(result, schedule)
 
 
 def _submit_pod_lp(pool, pods_phones, bmin, cmin):

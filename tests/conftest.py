@@ -56,6 +56,52 @@ def make_instance(
     return SchedulingInstance.build(jobs, phones, b, predictor)
 
 
+def campaign_shaped_instance(seed, *, free_phone=False):
+    """1–3 jobs over 13–22 phones drawn from a few duplicated types.
+
+    Phones of one type share ``b_i`` and every ``c_ij``, so their
+    Equation-1 opening costs tie exactly and only ``phone_id`` can break
+    the tie.  Phone ids are shuffled against phone positions, so
+    position order is not ``phone_id`` order.  ``free_phone`` zeroes one
+    phone's ``b_i`` and ``c_ij`` (a free-transfer, per-KB rate 0 bin).
+    """
+    rng = random.Random(seed)
+    n_phones = rng.randint(13, 22)
+    types = [
+        (rng.uniform(1.0, 40.0), rng.uniform(0.5, 30.0), rng.uniform(0.5, 30.0))
+        for _ in range(rng.randint(3, 6))
+    ]
+    ids = rng.sample(range(100, 1000), n_phones)
+    phones = tuple(
+        PhoneSpec(phone_id=f"ph{ident}", cpu_mhz=800.0 + 100.0 * (k % 7))
+        for k, ident in enumerate(ids)
+    )
+    kind = {phone.phone_id: rng.randrange(len(types)) for phone in phones}
+    jobs = tuple(
+        Job(
+            f"j{i}",
+            rng.choice(("primes", "blur")),
+            rng.choice((JobKind.BREAKABLE, JobKind.BREAKABLE, JobKind.ATOMIC)),
+            rng.uniform(0.0, 120.0),
+            rng.uniform(50.0, 4000.0),
+        )
+        for i in range(rng.randint(1, 3))
+    )
+    b = {pid: types[t][0] for pid, t in kind.items()}
+    c = {
+        (pid, job.job_id): types[t][1 if job.task == "primes" else 2]
+        for pid, t in kind.items()
+        for job in jobs
+    }
+    if free_phone:
+        free = phones[rng.randrange(n_phones)].phone_id
+        b[free] = 0.0
+        c.update({(free, job.job_id): 0.0 for job in jobs})
+    return SchedulingInstance(
+        jobs=jobs, phones=phones, b_ms_per_kb=b, c_ms_per_kb=c
+    )
+
+
 def replicated_testbed(n_phones, n_jobs):
     """The paper testbed copied to ``n_phones``, with ``n_jobs`` jobs."""
     testbed = paper_testbed()

@@ -5,10 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import capacity
-from repro.core.capacity import CapacitySearch, capacity_bounds
-from repro.core.packing import GreedyPacker
+from repro.core.capacity import (
+    CapacitySearch,
+    CapacitySearchResult,
+    capacity_bounds,
+)
+from repro.core.packing import GreedyPacker, PackingResult
+from repro.core.schedule import Assignment
 
-from ..conftest import make_instance
+from ..conftest import campaign_shaped_instance, make_instance
 
 
 class TestBounds:
@@ -97,3 +102,60 @@ class TestSearch:
         assert [
             (a.phone_id, a.job_id, a.input_kb) for a in first.schedule
         ] == [(a.phone_id, a.job_id, a.input_kb) for a in second.schedule]
+
+
+class TestRowBuiltSchedules:
+    """Packs record plain rows; ``Assignment``s are built on first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts ``Assignment`` constructions."""
+        counter = {"n": 0}
+        post_init = Assignment.__post_init__
+
+        def counting(self):
+            counter["n"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Assignment, "__post_init__", counting)
+        return counter
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_discarded_packs_build_no_assignments(self, built, kernel, seed):
+        instance = campaign_shaped_instance(seed)
+        search = CapacitySearch(kernel=kernel)
+        cold = search.run(instance)
+        warm = search.run(instance, warm_hint_ms=cold.capacity_ms)
+        assert cold.packer_passes > 1 and warm.packer_passes >= 1
+        assert built["n"] == 0
+        for result in (cold, warm):
+            before = built["n"]
+            schedule = result.schedule
+            assert built["n"] - before == len(schedule)
+            assert result.schedule is schedule
+            assert built["n"] - before == len(result.schedule)
+            schedule.validate(instance)
+
+    def test_scheduler_round_builds_one_schedule(self, built):
+        from repro.core.greedy import CwcScheduler
+
+        instance = campaign_shaped_instance(7)
+        schedule = CwcScheduler().schedule(instance)
+        assert built["n"] == len(schedule)
+
+    @pytest.mark.parametrize("input_kb", [0.0, -5.0, float("nan")])
+    def test_row_validation_is_deferred_not_dropped(self, input_kb):
+        rows = (("p0", "j0", "primes", input_kb, True),)
+        packed = PackingResult(True, 10.0, rows=rows)
+        with pytest.raises(ValueError, match="input_kb"):
+            packed.schedule
+        searched = CapacitySearchResult(
+            rows=rows,
+            capacity_ms=10.0,
+            max_height_ms=10.0,
+            lower_bound_ms=1.0,
+            upper_bound_ms=20.0,
+        )
+        with pytest.raises(ValueError, match="input_kb"):
+            searched.schedule

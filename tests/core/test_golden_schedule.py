@@ -35,7 +35,7 @@ from repro.workloads.mixes import (
     paper_testbed,
 )
 
-from ..conftest import make_instance
+from ..conftest import campaign_shaped_instance, make_instance
 
 
 def paper_instance():
@@ -215,3 +215,96 @@ def test_default_policy_search_kwargs_stay_golden(kernel):
     assert schedule_to_dict(via_policy) == schedule_to_dict(
         reference.schedule
     )
+
+
+# ---------------------------------------------------------------------------
+# campaign-shaped bin openings, pack by pack
+# ---------------------------------------------------------------------------
+
+
+def cheapest_phones_ram(instance):
+    """RAM caps that make every lowest-rate phone reject any partition.
+
+    The cheapest phones for each job then refuse the bin Algorithm 1
+    would open first (the cap sits under the minimum partition), which
+    forces the opening's walk in (cost, phone_id) order.
+    """
+    per_kb = instance.per_kb_matrix()
+    capped = {
+        instance.phones[pos].phone_id
+        for job_pos in range(len(instance.jobs))
+        for pos in (per_kb[:, job_pos] == per_kb[:, job_pos].min()).nonzero()[0]
+    }
+    return RamConstraint({phone_id: 0.5 for phone_id in capped})
+
+
+def assert_packs_match_reference_at_every_midpoint(instance, **packer_kwargs):
+    """Walk the search's midpoint grid; compare every pack with the reference.
+
+    The bracket follows the reference's own verdicts, so each midpoint
+    is one the capacity search would probe (certificates aside).
+    """
+    lower, upper = capacity_bounds(instance)
+    optimised = GreedyPacker(instance, **packer_kwargs)
+    reference = ReferenceGreedyPacker(instance, **packer_kwargs)
+    capacities = [upper * (1.0 + 1e-9) + 1e-9]
+    while upper - lower > 1.0 and len(capacities) < 60:
+        capacities.append((lower + upper) / 2.0)
+        if reference.pack(capacities[-1]).feasible:
+            upper = capacities[-1]
+        else:
+            lower = capacities[-1]
+    for capacity in capacities:
+        a = optimised.pack(capacity)
+        b = reference.pack(capacity)
+        assert a.feasible == b.feasible, capacity
+        assert a.max_height_ms == b.max_height_ms, capacity
+        assert a.opened_bins == b.opened_bins, capacity
+        if a.feasible:
+            assert schedule_to_dict(a.schedule) == schedule_to_dict(
+                b.schedule
+            ), capacity
+    return capacities
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_campaign_shaped_packs_match_reference(seed):
+    """Duplicated phone types: equal opening costs, phone_id tie-break."""
+    instance = campaign_shaped_instance(seed)
+    phone_types = {
+        (instance.b(p.phone_id),) + tuple(instance.c_row(pos))
+        for pos, p in enumerate(instance.phones)
+    }
+    assert len(phone_types) < len(instance.phones)
+    assert len(assert_packs_match_reference_at_every_midpoint(instance)) > 5
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_campaign_shaped_free_phone_matches_reference(seed):
+    """A per-KB rate of 0: the free-transfer fit branch at opening."""
+    instance = campaign_shaped_instance(seed, free_phone=True)
+    assert (instance.per_kb_matrix() == 0.0).any()
+    assert_packs_match_reference_at_every_midpoint(instance)
+    ram = RamConstraint({p.phone_id: 300.0 for p in instance.phones})
+    assert_packs_match_reference_at_every_midpoint(instance, ram=ram)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_campaign_shaped_ram_rejection_matches_reference(seed, monkeypatch):
+    """The cheapest phone rejects: the opening walks the costlier ones."""
+    instance = campaign_shaped_instance(seed, free_phone=seed % 2 == 1)
+    rejected_openings = 0
+    fit_kb = GreedyPacker._fit_kb
+
+    def counting_fit(packer, bin_, item, capacity_ms):
+        nonlocal rejected_openings
+        size_kb = fit_kb(packer, bin_, item, capacity_ms)
+        if not bin_.shipped_jobs and size_kb <= 0:
+            rejected_openings += 1
+        return size_kb
+
+    monkeypatch.setattr(GreedyPacker, "_fit_kb", counting_fit)
+    assert_packs_match_reference_at_every_midpoint(
+        instance, ram=cheapest_phones_ram(instance)
+    )
+    assert rejected_openings > 0

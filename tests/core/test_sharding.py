@@ -18,7 +18,7 @@ from repro.core.greedy import CwcScheduler
 from repro.core.policies import SchedulerConfig
 from repro.core.pod import (
     PodSpec,
-    assemble_schedule,
+    assemble_rows,
     default_pod_workers,
     partition_phones,
     pod_instance,
@@ -26,6 +26,7 @@ from repro.core.pod import (
     resolve_pod_count,
     solve_pod,
 )
+from repro.core.schedule import Schedule
 from repro.core.serialize import schedule_to_dict
 from repro.core.sharding import ShardedScheduler, _assign_greedy
 
@@ -139,7 +140,7 @@ class TestPodMechanics:
             PodSpec(index=0, phone_positions=pods[0], job_positions=jobs[:half]),
         ]
         reports = [solve_pod(fleet_instance, s, search) for s in specs]
-        schedule = assemble_schedule(reports)
+        schedule = Schedule.from_rows(assemble_rows(reports))
         schedule.validate(fleet_instance)
         first_job = next(iter(schedule)).job_id
         assert first_job in {

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from benchmarks.check_regression import main, parse_guard
+from benchmarks.check_regression import main, parse_exact, parse_guard
 
 
 def write_bench(path, records, schema=2):
@@ -114,3 +114,59 @@ class TestMain:
         bad.write_text("{}")
         with pytest.raises(SystemExit):
             main([str(bad), str(current)])
+
+
+class TestExact:
+    COUNTS = {
+        "fleet_scale_full_pass": {
+            "total_s": 10.0,
+            "packer_passes": 22,
+            "capacity_ms": 450087.1,
+        }
+    }
+
+    def run(self, tmp_path, field, value):
+        baseline = write_bench(tmp_path / "b.json", self.COUNTS)
+        moved = json.loads(json.dumps(self.COUNTS))
+        moved["fleet_scale_full_pass"][field] = value
+        current = write_bench(tmp_path / "c.json", moved)
+        return main(
+            [
+                str(baseline),
+                str(current),
+                "--exact",
+                f"fleet_scale_full_pass.{field}",
+            ]
+        )
+
+    def test_unchanged_count_passes(self, tmp_path, capsys):
+        assert self.run(tmp_path, "packer_passes", 22) == 0
+        assert "EXACT" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [21, 23])
+    def test_count_moving_either_way_fails(self, tmp_path, capsys, value):
+        assert self.run(tmp_path, "packer_passes", value) == 1
+        assert "CHANGED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [450087.0, 450087.2])
+    def test_float_moving_either_way_fails(self, tmp_path, value):
+        assert self.run(tmp_path, "capacity_ms", value) == 1
+
+    def test_missing_from_current_fails(self, tmp_path):
+        baseline = write_bench(tmp_path / "b.json", self.COUNTS)
+        current = write_bench(
+            tmp_path / "c.json", {"fleet_scale_full_pass": {"total_s": 10.0}}
+        )
+        args = [str(baseline), str(current)]
+        assert main(args + ["--exact", "fleet_scale_full_pass.packer_passes"]) == 1
+
+    def test_missing_from_baseline_skipped(self, bench_files, capsys):
+        baseline, current = bench_files
+        args = [str(baseline), str(current)]
+        assert main(args + ["--exact", "new_bench.packs"]) == 0
+        assert "skipping" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["noField", ".f", "rec.field:0.1"])
+    def test_malformed_exact_rejected(self, text):
+        with pytest.raises(SystemExit):
+            parse_exact(text)
