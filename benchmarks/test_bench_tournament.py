@@ -61,7 +61,7 @@ def test_bench_policy_tournament(record_scheduler_bench):
     started = time.perf_counter()
     report = run_tournament(
         6,
-        policies=("cwc-greedy", "replication", "energy-aware"),
+        policies=("cwc-greedy", "shortest-expected", "energy-aware"),
         regimes=("calm", "churn"),
         seed=0,
     )

@@ -995,7 +995,10 @@ def _cmd_fuzz(args) -> int:
     from .verify.fuzz import derive_seeds
 
     if args.replay:
-        replay = replay_artifact(args.replay)
+        try:
+            replay = replay_artifact(args.replay)
+        except ValueError as exc:
+            raise _UsageError(f"cannot replay {args.replay}: {exc}") from None
         outcome = replay.outcome
         print(f"replayed {args.replay}")
         print(f"  scenario digest : {outcome.digest}")
@@ -1155,7 +1158,10 @@ def _cmd_tournament(args) -> int:
     )
 
     if args.replay:
-        replay = replay_tournament(args.replay)
+        try:
+            replay = replay_tournament(args.replay)
+        except ValueError as exc:
+            raise _UsageError(f"cannot replay {args.replay}: {exc}") from None
         report = replay.report
         print(f"replayed {args.replay}")
         print(f"  recorded digest : {replay.recorded_digest}")

@@ -2,7 +2,7 @@
 
 CWC's base scheduler treats every plugged-in phone as equally likely to
 finish its queue; failures are handled reactively (checkpoint, migrate,
-reschedule).  The paper's feasibility study points at a proactive
+reschedule).  The paper's feasibility study points at a preventive
 option: per-user unplug profiles predict device-specific failures, so
 "tasks can be migrated to phones that are less likely to fail at the
 time of consideration."

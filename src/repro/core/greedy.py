@@ -117,12 +117,6 @@ class CwcScheduler:
 
     name = "cwc-greedy"
 
-    #: The default policy never requests proactive replication; the
-    #: attribute exists so ``CwcScheduler`` satisfies the pluggable
-    #: :class:`~repro.core.policies.SchedulingPolicy` protocol and the
-    #: server can read replica directives duck-typed off any policy.
-    last_replicas: tuple = ()
-
     def __init__(
         self,
         *,

@@ -16,26 +16,21 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..capacity import _KERNELS
-from ..greedy import CwcScheduler
+from ..greedy import CwcScheduler, Scheduler
 from ..sharding import ShardedScheduler
-from .base import ReplicaDirective, SchedulingPolicy
 from .energy import (
     EnergyAwarePolicy,
     assignment_energy_j,
     phone_cpu_draw_w,
     run_energy_joules,
 )
-from .replication import ReplicationPolicy
 from .sec import ShortestExpectedCompletionPolicy
 
 __all__ = [
     "DEFAULT_POLICY",
     "POLICY_NAMES",
     "EnergyAwarePolicy",
-    "ReplicaDirective",
-    "ReplicationPolicy",
     "SchedulerConfig",
-    "SchedulingPolicy",
     "ShortestExpectedCompletionPolicy",
     "assignment_energy_j",
     "drop_retired_keys",
@@ -49,7 +44,6 @@ DEFAULT_POLICY = "cwc-greedy"
 #: Every known policy, default first.
 POLICY_NAMES = (
     DEFAULT_POLICY,
-    "replication",
     "energy-aware",
     "shortest-expected",
 )
@@ -144,12 +138,8 @@ class SchedulerConfig:
             )
         return cls(**data)
 
-    def build(self, *, telemetry=None, unreliable=()) -> SchedulingPolicy:
-        """Construct the configured scheduler.
-
-        ``unreliable`` (phone ids to distrust) only reaches the
-        replication policy.
-        """
+    def build(self, *, telemetry=None) -> Scheduler:
+        """Construct the configured scheduler."""
         if self.pods is not None:
             return ShardedScheduler(
                 pods=self.pods,
@@ -165,8 +155,6 @@ class SchedulerConfig:
         }
         if self.policy == DEFAULT_POLICY:
             return CwcScheduler(**search)
-        if self.policy == "replication":
-            return ReplicationPolicy(unreliable=unreliable, **search)
         if self.policy == "energy-aware":
             return EnergyAwarePolicy(telemetry=telemetry)
         return ShortestExpectedCompletionPolicy(telemetry=telemetry)

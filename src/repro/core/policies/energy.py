@@ -101,8 +101,6 @@ class EnergyAwarePolicy:
 
     name = "energy-aware"
 
-    #: This policy never requests proactive replication.
-    last_replicas: tuple = ()
     #: No capacity search ran, so there are no search diagnostics.
     last_result = None
 

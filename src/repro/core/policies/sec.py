@@ -25,8 +25,6 @@ class ShortestExpectedCompletionPolicy:
 
     name = "shortest-expected"
 
-    #: This policy never requests proactive replication.
-    last_replicas: tuple = ()
     #: No capacity search ran, so there are no search diagnostics.
     last_result = None
 

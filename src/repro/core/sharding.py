@@ -166,10 +166,6 @@ class ShardedScheduler:
 
     name = "cwc-sharded"
 
-    #: Sharded scheduling never requests proactive replication (only
-    #: the default capacity-search policy may run sharded at all).
-    last_replicas: tuple = ()
-
     def __init__(
         self,
         *,

@@ -15,7 +15,6 @@ import heapq
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["EventLoop", "EventToken", "SimulationError"]
 
@@ -24,12 +23,10 @@ class SimulationError(Exception):
     """Raised for invalid uses of the event loop (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _Entry:
-    time_ms: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+# A heap entry is a ``[time_ms, seq, action]`` list.  ``seq`` is
+# unique, so heap comparisons never reach ``action`` and run in C;
+# cancelling an event sets its action slot to ``None``.
+_TIME, _SEQ, _ACTION = 0, 1, 2
 
 
 class EventToken:
@@ -37,19 +34,19 @@ class EventToken:
 
     __slots__ = ("_entry",)
 
-    def __init__(self, entry: _Entry) -> None:
+    def __init__(self, entry: list) -> None:
         self._entry = entry
 
     @property
     def time_ms(self) -> float:
-        return self._entry.time_ms
+        return self._entry[_TIME]
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        return self._entry[_ACTION] is None
 
     def cancel(self) -> None:
-        self._entry.cancelled = True
+        self._entry[_ACTION] = None
 
 
 class EventLoop:
@@ -67,7 +64,7 @@ class EventLoop:
 
     def __init__(self, *, start_ms: float = 0.0, telemetry=None) -> None:
         self._now = start_ms
-        self._heap: list[_Entry] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
         self._running = False
         #: Optional repro.obs Telemetry facade.  The hot dispatch loop
@@ -88,7 +85,7 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule in the past: {time_ms} < now {self._now}"
             )
-        entry = _Entry(time_ms=time_ms, seq=next(self._seq), action=action)
+        entry = [time_ms, next(self._seq), action]
         heapq.heappush(self._heap, entry)
         return EventToken(entry)
 
@@ -113,17 +110,17 @@ class EventLoop:
         cancelled = 0
         try:
             while self._heap:
-                entry = self._heap[0]
-                if until_ms is not None and entry.time_ms > until_ms:
+                time_ms, _, action = self._heap[0]
+                if until_ms is not None and time_ms > until_ms:
                     self._now = max(self._now, until_ms)
                     return
                 heapq.heappop(self._heap)
-                if entry.cancelled:
+                if action is None:
                     cancelled += 1
                     continue
-                self._now = entry.time_ms
+                self._now = time_ms
                 dispatched += 1
-                entry.action()
+                action()
             if until_ms is not None:
                 self._now = max(self._now, until_ms)
         finally:
@@ -135,7 +132,7 @@ class EventLoop:
 
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for entry in self._heap if entry[_ACTION] is not None)
 
     def pending_signature(self) -> tuple[tuple[float, int], ...]:
         """The live heap as sorted ``(time_ms, seq)`` pairs.
@@ -148,8 +145,8 @@ class EventLoop:
         """
         return tuple(
             sorted(
-                (entry.time_ms, entry.seq)
+                (entry[_TIME], entry[_SEQ])
                 for entry in self._heap
-                if not entry.cancelled
+                if entry[_ACTION] is not None
             )
         )

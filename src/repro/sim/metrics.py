@@ -129,10 +129,6 @@ class ResilienceReport:
     total_work_ms: float
     makespan_ms: float
     baseline_makespan_ms: float | None = None
-    #: Proactive replicas a scheduling policy launched at round start
-    #: (distinct from reactive straggler speculation above).
-    replications_launched: int = 0
-    replications_won: int = 0
 
     @property
     def total_faults_injected(self) -> int:
@@ -171,8 +167,6 @@ class ResilienceReport:
             "gave_up": self.gave_up,
             "speculations_launched": self.speculations_launched,
             "speculations_won": self.speculations_won,
-            "replications_launched": self.replications_launched,
-            "replications_won": self.replications_won,
             "verifications_launched": self.verifications_launched,
             "verify_mismatches": self.verify_mismatches,
             "quarantined": self.quarantined,
@@ -216,11 +210,6 @@ class ResilienceReport:
             f"  speculation         : {self.speculations_launched} launched, "
             f"{self.speculations_won} won"
         )
-        if self.replications_launched or self.replications_won:
-            lines.append(
-                f"  replication         : {self.replications_launched} "
-                f"launched, {self.replications_won} won"
-            )
         lines.append(
             f"  verification        : {self.verifications_launched} launched, "
             f"{self.verify_mismatches} mismatches, "
@@ -269,8 +258,6 @@ def compute_resilience_report(
         gave_up=count("gave_up"),
         speculations_launched=count("speculation_launched"),
         speculations_won=count("speculation_won"),
-        replications_launched=count("replication_launched"),
-        replications_won=count("replication_won"),
         verifications_launched=count("verify_launched"),
         verify_mismatches=count("verify_mismatch"),
         quarantined=count("quarantined"),

@@ -105,9 +105,6 @@ class RoundRecord:
     #: Scheduling policy that produced this round ("" for schedulers
     #: that expose no name).
     policy: str = ""
-    #: Proactive replica directives the policy attached to this round
-    #: (0 for policies that never replicate).
-    replicas: int = 0
     #: The round's scheduling instance, retained only when the server is
     #: constructed with ``record_instances=True`` (the verify oracle's
     #: tap); ``None`` otherwise to keep :class:`RunResult` light.
@@ -197,10 +194,6 @@ class _WorkItem:
 
     instance: _Instance
     role: _Role
-    #: True for proactive replicas a policy requested at round start
-    #: (as opposed to reactive straggler backups); only meaningful for
-    #: ``_Role.BACKUP`` items.
-    proactive: bool = False
 
     @property
     def redundant(self) -> bool:
@@ -962,7 +955,6 @@ class CentralServer:
         scheduling_wall_ms = (time.perf_counter() - started) * 1000.0
         schedule.validate(instance)
         search = getattr(self._scheduler, "last_result", None)
-        directives = tuple(getattr(self._scheduler, "last_replicas", ()) or ())
         self._rounds.append(
             RoundRecord(
                 round_index=self._round_index,
@@ -974,7 +966,6 @@ class CentralServer:
                 scheduling_wall_ms=scheduling_wall_ms,
                 search=search,
                 policy=getattr(self._scheduler, "name", ""),
-                replicas=len(directives),
                 instance=instance if self._record_instances else None,
             )
         )
@@ -1003,10 +994,8 @@ class CentralServer:
                 kernel=record.kernel,
                 pods=record.pods,
                 policy=record.policy,
-                replicas=record.replicas,
             )
 
-        whole_instances: dict[str, _Instance] = {}
         for phone_id, pipeline in self._pipelines.items():
             for assignment in schedule.for_phone(phone_id):
                 task_instance = _Instance(assignment=assignment)
@@ -1014,12 +1003,7 @@ class CentralServer:
                 task_instance.runners[phone_id] = item
                 pipeline.queue.append(item)
                 self._outstanding += 1
-                if assignment.whole:
-                    whole_instances[assignment.job_id] = task_instance
             pipeline.rescheduled = rescheduled
-
-        if directives:
-            self._launch_replicas(directives, whole_instances)
 
         for pipeline in self._pipelines.values():
             if pipeline.current is None and pipeline.queue:
@@ -1227,11 +1211,7 @@ class CentralServer:
             self._cancel_runner(rival_phone, rival_item)
         instance.runners.clear()
         if item.role is _Role.BACKUP:
-            self._note(
-                "replication_won" if item.proactive else "speculation_won",
-                pipeline.phone_id,
-                instance,
-            )
+            self._note("speculation_won", pipeline.phone_id, instance)
         elif instance.speculated:
             self._note("primary_won", pipeline.phone_id, instance)
         data = _CompletionData(
@@ -1487,39 +1467,6 @@ class CentralServer:
         self._note("speculation_launched", backup.phone_id, instance)
         if backup.current is None:
             self._start_next(backup)
-
-    def _launch_replicas(
-        self, directives, whole_instances: dict[str, "_Instance"]
-    ) -> None:
-        """Queue the proactive replicas a policy attached to this round.
-
-        Each directive is honoured only when it still makes sense at
-        dispatch time: the job must have been placed whole (split
-        partitions can't be duplicated — only whole results are
-        first-result-wins racers), the target phone must exist and be
-        available, and it must not already hold a copy.  A replica runs
-        as a ``_Role.BACKUP`` item, so the existing speculation
-        machinery guarantees the partition is credited exactly once and
-        the losing copy is cancelled; marking the instance
-        ``speculated`` keeps the reactive straggler path from stacking
-        a third copy on top.
-        """
-        for directive in directives:
-            instance = whole_instances.get(directive.job_id)
-            if instance is None or instance.resolved:
-                continue
-            pipeline = self._pipelines.get(directive.phone_id)
-            if pipeline is None or not pipeline.runtime.available:
-                continue
-            if directive.phone_id in instance.runners:
-                continue
-            instance.speculated = True
-            item = _WorkItem(
-                instance=instance, role=_Role.BACKUP, proactive=True
-            )
-            instance.runners[directive.phone_id] = item
-            pipeline.queue.append(item)
-            self._note("replication_launched", directive.phone_id, instance)
 
     def _abort_current(self, pipeline: _Pipeline, *, cause: str) -> None:
         """Cancel the in-flight op (crash/timeout) and retry or give up."""

@@ -373,17 +373,12 @@ def build_scenario_server(
         if scenario.hardened
         else None
     )
-    # Replication distrusts exactly the phones the chaos plan touches —
-    # derived from the scenario, so replays agree.
     scheduler = SchedulerConfig(
         policy=scenario.policy,
         kernel=scenario.kernel,
         warm_start=scenario.warm_start,
         pods=pods,
-    ).build(
-        telemetry=telemetry,
-        unreliable=tuple(sorted(scenario.chaos.phone_ids())),
-    )
+    ).build(telemetry=telemetry)
     return CentralServer(
         scenario.phones,
         truth,

@@ -111,8 +111,8 @@ class ChaosRegime:
 
 
 #: The stock regimes: a mostly-healthy night and a hostile one.  The
-#: churn profile is deliberately flap-heavy — that is the condition
-#: replication-style policies claim to win.
+#: churn profile is deliberately flap-heavy, so reactive speculation
+#: and rescheduling carry real weight.
 REGIMES: dict[str, ChaosRegime] = {
     "calm": ChaosRegime(
         name="calm",
@@ -549,10 +549,10 @@ def run_tournament(
     Per (regime, scenario) every policy sees the *identical* fuzzed
     scenario and the *identical* regime-sampled chaos plan — the only
     free variable on a leg is the policy, so the scoreboard compares
-    like with like.  Legs are hardened (speculation armed) so the
-    default policy's reactive backups genuinely compete with the
-    replication policy's proactive ones; result verification stays off
-    to keep duplicate executions out of the energy bill.
+    like with like.  Legs are hardened (speculation armed) so every
+    policy's placements meet the server's reactive backups; result
+    verification stays off to keep duplicate executions out of the
+    energy bill.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")

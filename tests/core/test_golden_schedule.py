@@ -173,7 +173,6 @@ def test_warm_start_matches_cold_schedule():
 
 POLICY_NAMES = (
     "cwc-greedy",
-    "replication",
     "energy-aware",
     "shortest-expected",
 )

@@ -206,7 +206,7 @@ def test_min_partition_floor_respected(packer_cls):
 
 POLICIES = pytest.mark.parametrize(
     "policy_name",
-    ["cwc-greedy", "replication", "energy-aware", "shortest-expected"],
+    ["cwc-greedy", "energy-aware", "shortest-expected"],
 )
 
 
@@ -220,29 +220,12 @@ def test_every_policy_yields_valid_deterministic_schedules(
 
     On arbitrary generated instances every policy must (a) produce a
     schedule that passes full validation — every byte covered exactly
-    once, atomic jobs whole — (b) be deterministic, and (c) only ask
-    for replicas of whole-job assignments on phones that did not
-    already run the job.
+    once, atomic jobs whole — and (b) be deterministic.
     """
     from repro.core.policies import SchedulerConfig
-    from repro.core.policies.base import whole_assignments
 
     config = SchedulerConfig(policy=policy_name)
-    policy = config.build()
-    schedule = policy.schedule(case)
+    schedule = config.build().schedule(case)
     schedule.validate(case)
     again = config.build().schedule(case)
     assert schedule_to_dict(schedule) == schedule_to_dict(again)
-
-    whole = set(whole_assignments(schedule))
-    placed = {
-        (phone_id, a.job_id)
-        for phone_id in schedule.phone_ids
-        for a in schedule.for_phone(phone_id)
-    }
-    for directive in policy.last_replicas:
-        # The replicated job must be placed whole somewhere...
-        assert any(j == directive.job_id for _, j in whole)
-        # ...and the replica target must not already run it.
-        assert (directive.phone_id, directive.job_id) not in placed
-        assert directive.phone_id in {p.phone_id for p in case.phones}

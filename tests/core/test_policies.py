@@ -3,20 +3,18 @@
 Three contracts matter:
 
 * **Interface** — every registry policy satisfies the
-  :class:`~repro.core.policies.SchedulingPolicy` protocol, produces
+  :class:`~repro.core.greedy.Scheduler` protocol, produces
   schedules that pass :meth:`~repro.core.schedule.Schedule.validate`,
   and is deterministic (same instance in, byte-identical schedule out).
-* **Default byte-identity** — ``SchedulerConfig().build()`` and the
-  replication policy's base packing are byte-identical to a plain
-  :class:`~repro.core.greedy.CwcScheduler`, so the pre-policy digests
-  and the differential harness stay pinned.
+* **Default byte-identity** — ``SchedulerConfig().build()`` is
+  byte-identical to a plain :class:`~repro.core.greedy.CwcScheduler`,
+  so the pre-policy digests and the differential harness stay pinned.
 * **One config** — :class:`~repro.core.policies.SchedulerConfig`
   rejects every invalid combination when it is constructed, round-trips
   through JSON, and builds schedulers byte-identical to the direct
   constructors.
-* **Policy semantics** — replication directives are well-formed (whole
-  jobs, never the primary's phone, budget respected), and the energy
-  model's joules arithmetic is exact.
+* **Policy semantics** — the energy model's joules arithmetic is
+  exact, and the searchless policies place whole jobs.
 """
 
 import json
@@ -24,25 +22,18 @@ import random
 
 import pytest
 
-from repro.core.greedy import CwcScheduler
+from repro.core.greedy import CwcScheduler, Scheduler
 from repro.core.policies import (
     DEFAULT_POLICY,
     POLICY_NAMES,
     EnergyAwarePolicy,
-    ReplicaDirective,
-    ReplicationPolicy,
     SchedulerConfig,
-    SchedulingPolicy,
     ShortestExpectedCompletionPolicy,
     assignment_energy_j,
     phone_cpu_draw_w,
     run_energy_joules,
 )
-from repro.core.policies.base import (
-    check_fraction,
-    sorted_jobs_by_cost,
-    whole_assignments,
-)
+from repro.core.policies.base import check_fraction, sorted_jobs_by_cost
 from repro.core.model import PhoneSpec
 from repro.core.serialize import schedule_to_dict
 from repro.core.sharding import ShardedScheduler
@@ -83,7 +74,6 @@ class TestRegistry:
     @pytest.mark.parametrize(
         ("name", "cls"),
         [
-            ("replication", ReplicationPolicy),
             ("energy-aware", EnergyAwarePolicy),
             ("shortest-expected", ShortestExpectedCompletionPolicy),
         ],
@@ -98,9 +88,8 @@ class TestRegistry:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_every_policy_satisfies_the_protocol(self, name):
         policy = build_policy(name)
-        assert isinstance(policy, SchedulingPolicy)
+        assert isinstance(policy, Scheduler)
         assert policy.name == name
-        assert policy.last_replicas == ()
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_search_kwargs_accepted_by_every_policy(self, name):
@@ -137,10 +126,7 @@ class TestPolicyValidity:
         instance = make_instance(
             n_phones=1, n_breakable=2, n_atomic=1, seed=2
         )
-        policy = build_policy(name)
-        policy.schedule(instance).validate(instance)
-        # One phone leaves nowhere to replicate.
-        assert policy.last_replicas == ()
+        build_policy(name).schedule(instance).validate(instance)
 
 
 class TestDefaultByteIdentity:
@@ -151,13 +137,6 @@ class TestDefaultByteIdentity:
         plain = CwcScheduler().schedule(instance)
         assert schedule_to_dict(via_registry) == schedule_to_dict(plain)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_replication_packing_matches_default(self, seed):
-        instance = fuzzed_instance(seed)
-        replicated = build_policy("replication").schedule(instance)
-        plain = CwcScheduler().schedule(instance)
-        assert schedule_to_dict(replicated) == schedule_to_dict(plain)
-
 
 # ---------------------------------------------------------------------------
 # the scheduler config
@@ -167,7 +146,6 @@ class TestDefaultByteIdentity:
 #: match: non-default policies only run monolithically.
 DIRECT = [
     ("cwc-greedy", None, CwcScheduler),
-    ("replication", None, ReplicationPolicy),
     ("energy-aware", None, EnergyAwarePolicy),
     ("shortest-expected", None, ShortestExpectedCompletionPolicy),
     ("cwc-greedy", 1, lambda: ShardedScheduler(pods=1, pod_workers=1)),
@@ -204,7 +182,7 @@ class TestSchedulerConfig:
             ({"pods": "many"}, "pods must be >= 1"),
             ({"pods": 2, "pod_workers": 0}, "pod_workers must be >= 1"),
             ({"pods": 2, "policy": "energy-aware"}, "'cwc-greedy'"),
-            ({"pods": "auto", "policy": "replication"}, "'cwc-greedy'"),
+            ({"pods": "auto", "policy": "shortest-expected"}, "'cwc-greedy'"),
             ({"pod_workers": 2}, "--pod-workers requires --pods"),
         ],
     )
@@ -218,7 +196,7 @@ class TestSchedulerConfig:
         "config",
         [
             SchedulerConfig(),
-            SchedulerConfig(policy="replication", kernel="numpy"),
+            SchedulerConfig(policy="shortest-expected", kernel="numpy"),
             SchedulerConfig(warm_start=True, pods="auto"),
             SchedulerConfig(pods=3, pod_workers=2),
         ],
@@ -252,21 +230,11 @@ class TestSchedulerConfig:
 
     def test_from_dict_revalidates(self):
         with pytest.raises(ValueError, match="'cwc-greedy'"):
-            SchedulerConfig.from_dict({"policy": "replication", "pods": 2})
+            SchedulerConfig.from_dict({"policy": "energy-aware", "pods": 2})
 
     def test_config_is_frozen(self):
         with pytest.raises(AttributeError):
             SchedulerConfig().pods = 2
-
-    def test_build_threads_unreliable_to_replication_only(self):
-        built = SchedulerConfig(policy="replication").build(
-            unreliable=("p0",)
-        )
-        assert built._unreliable == frozenset({"p0"})
-        # Other schedulers ignore it.
-        assert type(SchedulerConfig().build(unreliable=("p0",))) is (
-            CwcScheduler
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +243,6 @@ class TestSchedulerConfig:
 
 
 class TestBaseHelpers:
-    def test_replica_directive_validates(self):
-        with pytest.raises(ValueError, match="phone_id"):
-            ReplicaDirective(phone_id="", job_id="j")
-        with pytest.raises(ValueError, match="job_id"):
-            ReplicaDirective(phone_id="p", job_id="")
-
-    def test_whole_assignments_skips_split_jobs(self):
-        instance = fuzzed_instance(5)
-        schedule = CwcScheduler().schedule(instance)
-        pairs = whole_assignments(schedule)
-        by_job = {}
-        for phone_id in schedule.phone_ids:
-            for assignment in schedule.for_phone(phone_id):
-                by_job.setdefault(assignment.job_id, []).append(assignment)
-        for phone_id, job_id in pairs:
-            (assignment,) = by_job[job_id]
-            assert assignment.whole
-
     def test_sorted_jobs_by_cost_is_lpt_with_stable_ties(self):
         instance = fuzzed_instance(5)
         ordered = sorted_jobs_by_cost(instance)
@@ -316,103 +266,6 @@ class TestBaseHelpers:
 
     def test_check_fraction_passes_through(self):
         assert check_fraction("frac", 1) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# replication planning
-# ---------------------------------------------------------------------------
-
-
-class TestReplicationPlanning:
-    def test_ctor_validation(self):
-        with pytest.raises(ValueError, match="replication_factor"):
-            ReplicationPolicy(replication_factor=0)
-        with pytest.raises(ValueError, match="max_replicas"):
-            ReplicationPolicy(max_replicas=-1)
-
-    def test_directives_are_whole_jobs_on_other_phones(self):
-        instance = fuzzed_instance(3)
-        policy = ReplicationPolicy()
-        schedule = policy.schedule(instance)
-        whole = dict(
-            (job_id, phone_id)
-            for phone_id, job_id in whole_assignments(schedule)
-        )
-        phone_ids = {p.phone_id for p in instance.phones}
-        assert policy.last_replicas
-        for directive in policy.last_replicas:
-            assert directive.job_id in whole
-            assert directive.phone_id in phone_ids
-            # Never duplicate onto the phone already running the job.
-            assert directive.phone_id != whole[directive.job_id]
-
-    def test_budget_defaults_to_fleet_size(self):
-        instance = fuzzed_instance(3)
-        policy = ReplicationPolicy()
-        policy.schedule(instance)
-        assert len(policy.last_replicas) <= len(instance.phones)
-
-    @pytest.mark.parametrize("cap", (0, 1, 2))
-    def test_max_replicas_cap(self, cap):
-        instance = fuzzed_instance(3)
-        policy = ReplicationPolicy(max_replicas=cap)
-        policy.schedule(instance)
-        assert len(policy.last_replicas) <= cap
-
-    def test_unreliable_filter_limits_candidates(self):
-        instance = fuzzed_instance(3)
-        baseline = ReplicationPolicy()
-        schedule = baseline.schedule(instance)
-        whole = whole_assignments(schedule)
-        assert whole
-        distrusted_phone = whole[0][0]
-        policy = ReplicationPolicy(unreliable=(distrusted_phone,))
-        policy.schedule(instance)
-        allowed = {
-            job_id
-            for phone_id, job_id in whole
-            if phone_id == distrusted_phone
-        }
-        assert {d.job_id for d in policy.last_replicas} <= allowed
-        # Replicas land on phones the policy still trusts first.
-        for directive in policy.last_replicas:
-            assert directive.phone_id != distrusted_phone
-
-    def test_unreliable_phones_absent_from_instance_yield_nothing(self):
-        instance = fuzzed_instance(3)
-        policy = ReplicationPolicy(unreliable=("no-such-phone",))
-        policy.schedule(instance)
-        assert policy.last_replicas == ()
-
-    def test_replication_factor_requests_extra_copies(self):
-        instance = make_instance(
-            n_breakable=1, n_atomic=2, n_phones=6, seed=9
-        )
-        single = ReplicationPolicy(replication_factor=1)
-        single.schedule(instance)
-        double = ReplicationPolicy(replication_factor=2, max_replicas=100)
-        double.schedule(instance)
-        assert len(double.last_replicas) >= len(single.last_replicas)
-        # The same job may appear twice, but never twice on one phone.
-        seen = set()
-        for directive in double.last_replicas:
-            key = (directive.phone_id, directive.job_id)
-            assert key not in seen
-            seen.add(key)
-
-    def test_warm_state_delegates_to_inner_scheduler(self):
-        policy = ReplicationPolicy(warm_start=True)
-        instance = fuzzed_instance(4)
-        policy.schedule(instance)
-        state = policy.warm_state()
-        assert state["warm_start"] is True
-        assert state["last_capacity_ms"] is not None
-        policy.reset_warm_state()
-        assert policy.warm_state()["last_capacity_ms"] is None
-        policy.restore_warm_state(state)
-        assert policy.warm_state() == state
-        assert policy.stats.rounds == 1
-        assert policy.last_result is not None
 
 
 # ---------------------------------------------------------------------------

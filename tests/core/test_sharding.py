@@ -511,4 +511,3 @@ class TestPolicyRejection:
         scheduler = SchedulerConfig(pods=2, policy="cwc-greedy").build()
         assert isinstance(scheduler, ShardedScheduler)
         assert scheduler.name == "cwc-sharded"
-        assert scheduler.last_replicas == ()

@@ -274,6 +274,35 @@ class TestStragglersAndSpeculation:
         assert len(won) <= len(launched)
         assert completed_kb(result) == pytest.approx(total_input(jobs))
 
+    def test_losing_backup_is_not_credited(self):
+        # p0 runs 3x slow: the watchdog fires at 2x its prediction and
+        # backs the job up on idle p1, but the primary has only 1x to
+        # go while the backup must copy and execute from scratch.  The
+        # primary wins, the backup is cancelled, credit stays single.
+        phones, truth, predictor, b = make_setup(n_phones=2)
+        jobs = tuple(
+            Job(f"a{i}", "primes", JobKind.ATOMIC, 40.0, 500.0)
+            for i in range(2)
+        )
+        result = run_server(
+            phones, truth, predictor, b, jobs,
+            chaos=ChaosPlan(slowdowns=[CpuSlowdown("p0", 0.0, 3.0)]),
+            resilience=ResiliencePolicy(straggler_factor=2.0, speculate=True),
+        )
+        (launched,) = result.trace.resilience_events_of("speculation_launched")
+        (won,) = result.trace.resilience_events_of("primary_won")
+        assert won.job_id == launched.job_id
+        assert won.phone_id != launched.phone_id
+        assert not result.trace.resilience_events_of("speculation_won")
+        assert result.trace.wasted_work_ms() > 0.0
+        credits = [
+            c.phone_id
+            for c in result.trace.completions
+            if c.job_id == won.job_id
+        ]
+        assert credits == [won.phone_id]
+        assert completed_kb(result) == pytest.approx(total_input(jobs))
+
     def test_losing_copies_counted_as_wasted_work(self):
         result = run_server(
             *make_setup(),

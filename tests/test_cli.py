@@ -488,3 +488,41 @@ class TestTraceCommand:
         )
         assert (bundle / "trace.json").is_file()
         assert (bundle / "profile.txt").is_file()
+
+
+class TestReplayOfRetiredPolicy:
+    """Artifacts naming a policy this release lacks exit 2, no traceback."""
+
+    def test_fuzz_replay_exits_2(self, tmp_path, capsys):
+        from repro.verify.fuzz import ARTIFACT_FORMAT, generate_scenario
+
+        scenario = generate_scenario(42).to_dict()
+        scenario["policy"] = "replication"
+        path = tmp_path / "fuzz-42.json"
+        path.write_text(
+            json.dumps(
+                {"format": ARTIFACT_FORMAT, "digest": "", "scenario": scenario}
+            )
+        )
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay" in err
+        assert "'replication'" in err
+
+    def test_tournament_replay_exits_2(self, tmp_path, capsys):
+        from repro.verify.tournament import (
+            run_tournament,
+            write_tournament_artifact,
+        )
+
+        report = run_tournament(
+            1, policies=("cwc-greedy",), regimes=("calm",), seed=3
+        )
+        path = write_tournament_artifact(report, tmp_path)
+        payload = json.loads(path.read_text())
+        payload["policies"] = ["cwc-greedy", "replication"]
+        path.write_text(json.dumps(payload))
+        assert main(["tournament", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay" in err
+        assert "'replication'" in err

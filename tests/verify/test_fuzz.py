@@ -213,7 +213,7 @@ class TestChaosPlanRoundTrip:
 class TestPolicyScenarios:
     """Scenarios parametrised over the pluggable scheduling policies."""
 
-    NON_DEFAULT = ("replication", "energy-aware", "shortest-expected")
+    NON_DEFAULT = ("energy-aware", "shortest-expected")
 
     def test_default_scenario_dict_has_no_policy_key(self):
         # Digest compatibility: pre-policy artifacts replay unchanged,

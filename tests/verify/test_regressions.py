@@ -108,56 +108,13 @@ class TestLateArrivalKeepAlive:
         assert outcome.ok, [str(v) for v in outcome.violations]
 
 
-class TestPolicyReplicaAccounting:
-    """Tournament finds: replica directives meet chaos mid-flight.
+class TestPolicyUnderChaos:
+    """Tournament find: a non-default policy meets chaos mid-flight.
 
-    Proactive replicas ride the speculation machinery, which must keep
-    crediting each partition exactly once even when the replica's
-    target — or the primary — fails between planning and completion.
-    Each scenario here is a hand-shrunk chaos plan from early
-    tournament legs; the oracle's conservation and single-credit
-    invariants are the assertion.
+    A hand-shrunk chaos plan from an early tournament leg; the
+    oracle's conservation and single-credit invariants are the
+    assertion.
     """
-
-    def replication_scenario(self, chaos, arrivals=()):
-        import dataclasses
-
-        return dataclasses.replace(
-            scenario_with(chaos, arrivals), policy="replication"
-        )
-
-    def test_replica_target_offline_mid_run_conserves_bytes(self):
-        # p1 (the natural replica target) dies 2 s in: the replica is
-        # lost with it, but the primary's credit must stand alone.
-        scenario = self.replication_scenario(
-            chaos=ChaosPlan(
-                failures=[PlannedFailure("p1", 2_000.0, online=False)]
-            ),
-        )
-        outcome = run_scenario(scenario)
-        assert outcome.ok, [str(v) for v in outcome.violations]
-
-    def test_primary_offline_leaves_replica_to_finish(self):
-        scenario = self.replication_scenario(
-            chaos=ChaosPlan(
-                failures=[PlannedFailure("p0", 2_000.0, online=False)]
-            ),
-        )
-        outcome = run_scenario(scenario)
-        assert outcome.ok, [str(v) for v in outcome.violations]
-
-    def test_replicas_with_late_arrival_stay_single_credit(self):
-        # The parked-monitor interaction (above) crossed with proactive
-        # replication: the arrival restarts a round whose directives
-        # must not double-credit the drained first round's jobs.
-        scenario = self.replication_scenario(
-            chaos=ChaosPlan(
-                failures=[PlannedFailure("p0", 4_005_000.0, online=False)]
-            ),
-            arrivals=((4_000_000.0, "j1"),),
-        )
-        outcome = run_scenario(scenario)
-        assert outcome.ok, [str(v) for v in outcome.violations]
 
     def test_energy_policy_under_offline_chaos_stays_clean(self):
         import dataclasses

@@ -27,7 +27,7 @@ from repro.verify.tournament import (
     write_tournament_artifact,
 )
 
-POLICIES = ("cwc-greedy", "replication", "shortest-expected")
+POLICIES = ("cwc-greedy", "energy-aware", "shortest-expected")
 
 
 def small_tournament(seed=5, runs=2, regimes=("calm", "churn")):
@@ -156,10 +156,10 @@ class TestTournamentDeterminism:
 
     def test_cell_lookup_and_summary(self):
         report = small_tournament()
-        cell = report.cell("replication", "calm")
+        cell = report.cell("energy-aware", "calm")
         assert isinstance(cell, PolicyCell)
         with pytest.raises(KeyError):
-            report.cell("replication", "no-such-regime")
+            report.cell("energy-aware", "no-such-regime")
         lines = report.summary_lines()
         assert any("regime calm" in line for line in lines)
         assert any(report.digest in line for line in lines)
