@@ -16,6 +16,9 @@ Figure 13 compares ``T_cwc`` (the greedy scheduler) against
 median gap of about 18 %.
 
 The LP is assembled sparsely and solved with scipy's HiGHS backend.
+scipy is loaded on the first solve (:func:`load_solver`), not on import:
+the CWC server itself only runs the greedy packer, so a run that never
+certifies never pays for the LP stack.
 
 Pod-aggregated relaxation
 -------------------------
@@ -44,17 +47,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .instance import SchedulingInstance
 
 __all__ = [
     "PodRelaxedSolution",
     "RelaxedSolution",
+    "load_solver",
     "solve_pod_relaxed_makespan",
     "solve_relaxed_makespan",
 ]
+
+#: ``scipy.sparse`` and ``scipy.optimize.linprog``, bound by
+#: :func:`load_solver`.  ``linprog`` stays a module attribute so a test
+#: can patch it before or after the first load.
+sparse = None
+linprog = None
+
+
+def load_solver() -> None:
+    """Import the LP stack (scipy's sparse matrices and HiGHS) once.
+
+    Both solvers call this before their first solve.  A caller that
+    forks workers which will solve LPs calls it first, so every child
+    inherits the loaded modules instead of importing them itself.
+    """
+    global sparse, linprog
+    if sparse is None:
+        from scipy import sparse
+    if linprog is None:
+        from scipy.optimize import linprog
 
 
 @dataclass(frozen=True)
@@ -80,6 +102,7 @@ def solve_relaxed_makespan(instance: SchedulingInstance) -> RelaxedSolution:
     with phones varying slowest.  Raises ``RuntimeError`` if HiGHS fails,
     which for this always-feasible LP indicates malformed input.
     """
+    load_solver()
     phones = instance.phones
     jobs = instance.jobs
     n_phones = len(phones)
@@ -271,6 +294,7 @@ def solve_pod_relaxed_makespan(
                 )
             seen.add(pos)
 
+    load_solver()
     if tables is not None:
         bmin, cmin = tables
     else:

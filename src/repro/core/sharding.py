@@ -47,6 +47,9 @@ LP worker solves the LP inline (the identical floor); a HiGHS failure
 (``RuntimeError``, in either process) leaves ``lp_floor_ms=None``,
 falls back to the uncertified magical-bin ratio and increments the
 ``shard_lp_failures_total`` counter; any other exception propagates.
+A certifying scheduler loads the LP stack in its constructor
+(:func:`~repro.core.lp_bound.load_solver`), so each round's fork pool
+and the inline path start with HiGHS already imported.
 The pod solves follow the same rule: a dead pool re-solves the pods
 serially (identical reports), while an exception raised inside a pod
 worker propagates.
@@ -71,6 +74,7 @@ from ..obs.tracing import maybe_span
 from .capacity import CapacitySearch, CapacitySearchResult
 from .greedy import CwcScheduler, SchedulingStats
 from .instance import SchedulingInstance
+from .lp_bound import load_solver
 from .pod import (
     PodSolveReport,
     PodSpec,
@@ -189,6 +193,10 @@ class ShardedScheduler:
         self._pods = pods
         self._pod_workers = pod_workers
         self._certify = certify
+        if certify:
+            # Load scipy here, once: a fork child would otherwise import
+            # it afresh every round before its first pod LP.
+            load_solver()
         self._warm_start = warm_start
         #: Monolithic delegate for resolved pod count 1 — byte-identical
         #: to a standalone CwcScheduler with the same knobs.

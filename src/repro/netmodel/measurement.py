@@ -75,11 +75,13 @@ def measure_fleet(
     """Measure every phone's link; return ``{phone_id: b_i}`` in ms/KB.
 
     Uses a short session per phone (the "periodic (short) bandwidth
-    measurement test... prior to scheduling" of Section 3.1).
+    measurement test... prior to scheduling" of Section 3.1).  Only the
+    trace's mean reaches the scheduler, so no spread is computed: each
+    ``b_i`` equals ``measure_link(link, ...).b_ms_per_kb`` exactly.
     """
     return {
-        phone_id: measure_link(
-            link, duration_s=duration_s, interval_s=interval_s
-        ).b_ms_per_kb
+        phone_id: kbps_to_b_ms_per_kb(
+            statistics.fmean(link.bandwidth_trace(duration_s, interval_s))
+        )
         for phone_id, link in links.items()
     }

@@ -53,6 +53,7 @@ import enum
 import hashlib
 import json
 import time
+import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -622,9 +623,12 @@ class CentralServer:
         self._samplers_installed = True
         samplers = self._tel.samplers
         assert samplers is not None
+        # The caller's facade keeps these probes after the run; holding
+        # the server weakly leaves no cycle to keep a finished run alive.
+        server = weakref.proxy(self)
 
         def fleet_utilisation() -> float:
-            pipelines = self._pipelines
+            pipelines = server._pipelines
             busy = sum(1 for p in pipelines.values() if p.current is not None)
             return busy / len(pipelines) if pipelines else 0.0
 
@@ -634,17 +638,19 @@ class CentralServer:
             lambda: float(
                 sum(
                     1
-                    for p in self._pipelines.values()
+                    for p in server._pipelines.values()
                     if p.runtime.available
                 )
             ),
         )
         samplers.add_probe(
             "server_queue_depth",
-            lambda: float(sum(len(p.queue) for p in self._pipelines.values())),
+            lambda: float(
+                sum(len(p.queue) for p in server._pipelines.values())
+            ),
         )
         samplers.add_probe(
-            "outstanding_dispatches", lambda: float(self._outstanding)
+            "outstanding_dispatches", lambda: float(server._outstanding)
         )
         stats = getattr(self._scheduler, "stats", None)
         if stats is not None:
@@ -656,7 +662,7 @@ class CentralServer:
             "phone_busy",
             lambda: {
                 phone_id: (1.0 if pipe.current is not None else 0.0)
-                for phone_id, pipe in self._pipelines.items()
+                for phone_id, pipe in server._pipelines.items()
             },
         )
 
@@ -1779,11 +1785,16 @@ class CentralServer:
     def _start_monitor(self, phone_id: str) -> None:
         pipeline = self._pipelines[phone_id]
 
+        # ``_monitors`` outlives the run; reaching the server through a
+        # weak proxy leaves no cycle, so a finished run is freed as soon
+        # as its last reference goes.
+        server = weakref.proxy(self)
+
         def is_responsive() -> bool:
             return pipeline.runtime.state is not PhoneState.OFFLINE
 
         def on_detect(detected_at_ms: float) -> None:
-            self._on_offline_detected(pipeline, detected_at_ms)
+            server._on_offline_detected(pipeline, detected_at_ms)
 
         assert self._loop is not None
         monitor = KeepAliveMonitor(

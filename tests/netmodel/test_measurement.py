@@ -68,3 +68,18 @@ class TestMeasureFleet:
             for i in range(5)
         }
         assert all(value > 0 for value in measure_fleet(links).values())
+
+    def test_b_equals_measure_link_exactly(self):
+        # measure_fleet skips the spread but must keep every b_i bit for
+        # bit: campaign digests are built from these values.
+        for tech in NetworkTechnology:
+            for seed in range(3):
+                fleet = measure_fleet(
+                    {"p": WirelessLink.for_technology(tech, seed=seed)},
+                    duration_s=45.0,
+                )
+                single = measure_link(
+                    WirelessLink.for_technology(tech, seed=seed),
+                    duration_s=45.0,
+                )
+                assert fleet["p"] == single.b_ms_per_kb
