@@ -7,7 +7,7 @@ prediction-error convergence) instead of hand reconstruction:
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket
   histograms keyed by name + labels, Prometheus-renderable;
 * :mod:`repro.obs.events` — the envelope-schema event bus and its
-  JSONL sink;
+  JSONL reader;
 * :mod:`repro.obs.samplers` — sim-clock time-series samplers with
   columnar storage;
 * :mod:`repro.obs.telemetry` — the facade handed to instrumented
@@ -27,7 +27,6 @@ from .events import (
     EventBus,
     EventOrderError,
     EventSchemaError,
-    RotatingJsonlSink,
     read_events_jsonl,
     validate_event_dict,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",
-    "RotatingJsonlSink",
     "RunReport",
     "SamplerSet",
     "Series",

@@ -6,8 +6,9 @@ A :class:`RunReport` is the durable product of a telemetry-enabled run:
   snapshot, the distilled summary (fleet utilisation, fault counts,
   round-latency percentiles, top-N slowest phones), and an index of
   the series files;
-* ``events.jsonl`` — the unified event log, one envelope per line
-  (append-only, schema-validated by :func:`repro.obs.events.validate_event_dict`);
+* ``events.jsonl`` — the event log (run and round boundaries and
+  dispatches), one envelope per line, schema-validated by
+  :func:`repro.obs.events.validate_event_dict`;
 * ``timeline.json`` — the run's :class:`~repro.sim.trace.TimelineTrace`
   in its canonical :meth:`~repro.sim.trace.TimelineTrace.to_dict` form
   (every copy/execute span, completion, failure, chaos and resilience
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -199,7 +201,9 @@ def build_run_report(
     ``telemetry`` must be an enabled facade that instrumented the run
     that produced ``result``.  The summary's utilisation block is
     :func:`~repro.sim.metrics.compute_run_metrics` on the result's
-    timeline trace, which the report also carries whole.
+    timeline trace, which the report also carries whole; its fault,
+    failure, completion and retry counts are read off the same trace.
+    Only the round count and round latencies come from telemetry.
     """
     from ..sim.metrics import compute_run_metrics
 
@@ -208,10 +212,9 @@ def build_run_report(
             "cannot build a run report from disabled telemetry; "
             "pass Telemetry.create(...) into the run first"
         )
-    metrics = compute_run_metrics(result.trace)
-    fault_counts: dict[str, int] = {}
-    for event in telemetry.bus.of_component("chaos"):
-        fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
+    trace = result.trace
+    metrics = compute_run_metrics(trace)
+    fault_counts = Counter(record.kind for record in trace.chaos)
 
     slowest = sorted(
         metrics.phones, key=lambda p: (-p.finish_ms, p.phone_id)
@@ -224,9 +227,11 @@ def build_run_report(
         "finish_spread_fraction": round(metrics.finish_spread_fraction, 9),
         "mean_copy_fraction": round(metrics.mean_copy_fraction, 9),
         "fault_counts": dict(sorted(fault_counts.items())),
-        "failures_detected": len(telemetry.bus.of_kind("failure")),
-        "completions": len(telemetry.bus.of_kind("complete")),
-        "retries": len(telemetry.bus.of_kind("retry")),
+        "failures_detected": len(trace.failures),
+        "completions": len(trace.completions),
+        "retries": sum(
+            1 for event in trace.resilience_events if event.kind == "retry"
+        ),
         "rounds": len(telemetry.bus.of_kind("round_end")),
         "round_latency_ms": {
             "count": latency.count if latency else 0,
@@ -256,7 +261,7 @@ def build_run_report(
         events=[event.to_dict() for event in telemetry.bus.events],
         series=list(telemetry.samplers.series),
         spans=tracer.to_dicts() if tracer is not None else [],
-        timeline=result.trace.to_dict(),
+        timeline=trace.to_dict(),
     )
 
 

@@ -29,26 +29,12 @@ __all__ = ["Series", "SamplerSet"]
 
 @dataclass
 class Series:
-    """One columnar time series: name + labels + (time, value) columns.
-
-    With ``max_samples`` set the series is a ring buffer: the newest
-    ``max_samples`` rows are retained, older rows are discarded and
-    counted in ``dropped`` — the memory bound that lets a multi-night
-    campaign sample forever without growing without bound.
-    """
+    """One columnar time series: name + labels + (time, value) columns."""
 
     name: str
     labels: dict[str, str] = field(default_factory=dict)
     times_ms: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
-    max_samples: int | None = None
-    dropped: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError(
-                f"max_samples must be >= 1, got {self.max_samples!r}"
-            )
 
     def append(self, time_ms: float, value: float) -> None:
         if self.times_ms and time_ms < self.times_ms[-1]:
@@ -58,11 +44,6 @@ class Series:
             )
         self.times_ms.append(float(time_ms))
         self.values.append(float(value))
-        if self.max_samples is not None and len(self.times_ms) > self.max_samples:
-            overflow = len(self.times_ms) - self.max_samples
-            del self.times_ms[:overflow]
-            del self.values[:overflow]
-            self.dropped += overflow
 
     def __len__(self) -> int:
         return len(self.times_ms)
@@ -84,17 +65,17 @@ class Series:
             "labels": dict(sorted(self.labels.items())),
             "times_ms": [round(t, 6) for t in self.times_ms],
             "values": [round(v, 9) for v in self.values],
-            "dropped": self.dropped,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Series":
+        # Dicts from older bundles also carry a ``"dropped"`` count,
+        # which is ignored.
         return cls(
             name=data["name"],
             labels=dict(data.get("labels", {})),
             times_ms=[float(t) for t in data["times_ms"]],
             values=[float(v) for v in data["values"]],
-            dropped=int(data.get("dropped", 0)),
         )
 
     def write_csv(self, path: str | Path) -> None:
@@ -136,21 +117,10 @@ class SamplerSet:
     case).
     """
 
-    def __init__(
-        self,
-        *,
-        period_ms: float = 5_000.0,
-        max_samples: int | None = None,
-    ) -> None:
+    def __init__(self, *, period_ms: float = 5_000.0) -> None:
         if period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {period_ms!r}")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(
-                f"max_samples must be >= 1, got {max_samples!r}"
-            )
         self.period_ms = period_ms
-        #: Ring-buffer bound applied to every series (None = unbounded).
-        self.max_samples = max_samples
         self._probes: list[tuple[str, Callable[[], float]]] = []
         self._multi_probes: list[
             tuple[str, Callable[[], dict]]
@@ -223,14 +193,9 @@ class SamplerSet:
                     labels = dict(label_key)
                 self._record(name, labels, now_ms, value)
 
-    @property
-    def dropped_samples(self) -> int:
-        """Total ring-buffer evictions across every series."""
-        return sum(series.dropped for series in self._series.values())
-
     def _record(
         self, name: str, labels: dict, now_ms: float, value: float
     ) -> None:
-        series = Series(name=name, labels=labels, max_samples=self.max_samples)
+        series = Series(name=name, labels=labels)
         existing = self._series.setdefault(series.key(), series)
         existing.append(now_ms, value)

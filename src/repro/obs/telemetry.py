@@ -25,15 +25,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING
 
 from .events import Event, EventBus
 from .registry import MetricsRegistry
 from .samplers import SamplerSet
 from .tracing import Tracer
-
-if TYPE_CHECKING:
-    pass
 
 __all__ = ["Telemetry", "NULL_TELEMETRY", "new_run_id"]
 
@@ -78,40 +74,25 @@ class Telemetry:
         run_id: str | None = None,
         *,
         sample_period_ms: float = 5_000.0,
-        sink=None,
         wall_clock=time.time,
-        max_events: int | None = None,
-        max_samples: int | None = None,
         tracing: bool = False,
-        max_spans: int | None = None,
     ) -> "Telemetry":
         """A fully armed facade with fresh registry, bus, and samplers.
 
-        ``max_events`` / ``max_samples`` bound in-memory telemetry for
-        long-horizon runs: the event bus keeps only the newest
-        ``max_events`` envelopes (pair with a
-        :class:`~repro.obs.events.RotatingJsonlSink` ``sink`` to keep
-        the durable log complete) and every sampler series becomes a
-        ring of at most ``max_samples`` rows.
-
-        ``tracing=True`` arms a :class:`~repro.obs.tracing.Tracer`
-        (``max_spans`` ring-bounds its store).  The tracer is opt-in
-        separately from metrics/events because span recording sits on
-        per-probe hot paths: components gate on ``telemetry.tracer is
-        not None`` so a tracerless facade costs one attribute load.
+        ``tracing=True`` arms a :class:`~repro.obs.tracing.Tracer`.
+        The tracer is opt-in separately from metrics/events because
+        span recording sits on per-probe hot paths: components gate on
+        ``telemetry.tracer is not None`` so a tracerless facade costs
+        one attribute load.
         """
         run_id = run_id or new_run_id()
         return cls(
             enabled=True,
             run_id=run_id,
             registry=MetricsRegistry(),
-            bus=EventBus(
-                run_id, sink=sink, wall_clock=wall_clock, max_events=max_events
-            ),
-            samplers=SamplerSet(
-                period_ms=sample_period_ms, max_samples=max_samples
-            ),
-            tracer=Tracer(run_id, max_spans=max_spans) if tracing else None,
+            bus=EventBus(run_id, wall_clock=wall_clock),
+            samplers=SamplerSet(period_ms=sample_period_ms),
+            tracer=Tracer(run_id) if tracing else None,
         )
 
     @classmethod

@@ -2,9 +2,10 @@
 
 A :class:`Tracer` records :class:`TraceSpan` intervals — named phases
 of work with explicit parent links — under the same discipline the
-event bus applies to envelopes: a fixed schema, monotone-envelope
-validation at close time, and a ring-bounded in-memory store so a
-long-horizon run cannot grow without bound.
+event bus applies to envelopes: a fixed schema and monotone-envelope
+validation at close time.  The store keeps every span; a multi-night
+campaign drains each night's child tracer (:meth:`Tracer.drain_dicts`)
+into its own.
 
 Dual clocks.  Every span carries a *wall* interval (``start_wall_s`` /
 ``end_wall_s``, read from an injectable monotonic clock) and an
@@ -46,7 +47,6 @@ is reproducible byte-for-byte.
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -245,11 +245,8 @@ class _OpenSpan:
 class Tracer:
     """Span recorder for one run (or one worker-side segment of one).
 
-    ``max_spans`` ring-bounds the closed-span store exactly like the
-    event bus's ``max_events``: the newest spans win, and
-    ``dropped_spans`` counts the evicted.  The oracle's span-tree
-    invariants assume an unbounded store (they treat a missing parent
-    as a violation), so validation runs bound ``max_spans=None``.
+    The closed-span store keeps every span: the oracle's span-tree
+    invariants treat a missing parent as a violation.
     """
 
     def __init__(
@@ -258,22 +255,20 @@ class Tracer:
         *,
         process: str = "main",
         wall_clock=time.monotonic,
-        max_spans: int | None = None,
     ) -> None:
         self.run_id = run_id
         self.default_process = process
         self._wall_clock = wall_clock
-        self._spans: deque[TraceSpan] = deque(maxlen=max_spans)
+        self._spans: list[TraceSpan] = []
         self._open: dict[int, _OpenSpan] = {}
         self._stack: list[_OpenSpan] = []
         self._next_id = 1
-        self.dropped_spans = 0
 
     # -- introspection ------------------------------------------------------
 
     @property
     def spans(self) -> tuple[TraceSpan, ...]:
-        """Closed spans in close order (oldest retained first)."""
+        """Closed spans in close order."""
         return tuple(self._spans)
 
     @property
@@ -385,7 +380,7 @@ class Tracer:
             status=status,
             attrs=handle.attrs,
         )
-        self._record(span)
+        self._spans.append(span)
         return span
 
     @contextmanager
@@ -518,16 +513,9 @@ class Tracer:
                 status=data.get("status", "ok"),
                 attrs=dict(data.get("attrs", {})),
             )
-            self._record(span)
+            self._spans.append(span)
             adopted.append(span)
         return adopted
-
-    # -- internals ----------------------------------------------------------
-
-    def _record(self, span: TraceSpan) -> None:
-        if self._spans.maxlen is not None and len(self._spans) == self._spans.maxlen:
-            self.dropped_spans += 1
-        self._spans.append(span)
 
 
 #: Reusable disabled context manager returned by :func:`maybe_span`.

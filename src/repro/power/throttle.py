@@ -136,7 +136,7 @@ class MimdThrottle:
         self._last_recal_percent: float | None = None
         self.adjustments: list[tuple[float, float, float]] = []  # (t, beta, sleep)
         #: Optional repro.obs Telemetry facade (duty-cycle decisions are
-        #: mirrored as ``throttle`` events; β/δ deviation as a gauge).
+        #: counted; β/δ deviation and sleep are gauges).
         self._tel = telemetry
 
     # -- introspection (used by tests and the Fig. 10 experiment) --------
@@ -221,15 +221,6 @@ class MimdThrottle:
             )
             tel.set_gauge("throttle_profile_deviation", deviation)
             tel.set_gauge("throttle_sleep_s", self._sleep_s)
-            tel.event(
-                "throttle",
-                "duty_adjust",
-                sim_time_ms=now_s * 1000.0,
-                beta_s=beta,
-                delta_s=self._delta_s,
-                sleep_s=self._sleep_s,
-                deviation=deviation,
-            )
 
     def _tick_duty_cycle(self, now_s: float) -> bool:
         assert self._run_s is not None and self._sleep_s is not None

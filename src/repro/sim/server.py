@@ -298,8 +298,10 @@ class CentralServer:
         :meth:`run`.
     telemetry:
         An optional :class:`~repro.obs.telemetry.Telemetry` facade.  When
-        armed, every dispatch/completion/failure/chaos/resilience action
-        is mirrored onto the unified event bus, round latencies feed the
+        armed, the run and round boundaries and every dispatch go onto
+        the event bus, completions, failures, chaos faults and
+        resilience actions are counted (the records themselves live in
+        the run's trace), round latencies feed the
         ``round_latency_ms`` histogram, and fleet-level samplers (phone
         utilisation, queue depth, outstanding dispatches, capacity probe
         counts) are driven from the server's event hooks.  One facade
@@ -737,48 +739,20 @@ class CentralServer:
         )
 
     def _record_chaos(self, record: ChaosRecord) -> None:
-        """Append a chaos ground-truth record; mirror it as a chaos event."""
+        """Append a chaos ground-truth record and count it."""
         assert self._loop is not None and self._trace is not None
-        now = self._loop.now_ms
-        self._trace.add_chaos(record, at_ms=now)
-        tel = self._tel
-        if tel.enabled:
-            tel.inc("chaos_faults_total", kind=record.kind)
-            tel.event(
-                "chaos",
-                record.kind,
-                sim_time_ms=now,
-                severity="warning",
-                phone_id=record.phone_id,
-                fires_at_ms=record.time_ms,
-                detail=record.detail,
-            )
+        self._trace.add_chaos(record, at_ms=self._loop.now_ms)
+        self._tel.inc("chaos_faults_total", kind=record.kind)
 
-    def _record_failure_event(
-        self,
-        phone_id: str,
-        *,
-        online: bool,
-        failed_at_ms: float,
-        detected_at_ms: float,
-        job_id: str | None,
-    ) -> None:
+    def _record_failure(self, record: FailureRecord) -> None:
+        """Append a failure as the server detected it and count it."""
+        assert self._trace is not None
+        self._trace.add_failure(record, at_ms=record.detected_at_ms)
         tel = self._tel
         if not tel.enabled:
             return
-        tel.inc("failures_total", online="true" if online else "false")
-        tel.event(
-            "server",
-            "failure",
-            sim_time_ms=detected_at_ms,
-            severity="warning",
-            phone_id=phone_id,
-            online=online,
-            failed_at_ms=failed_at_ms,
-            detected_at_ms=detected_at_ms,
-            job_id=job_id or "",
-        )
-        tel.maybe_sample(detected_at_ms)
+        tel.inc("failures_total", online="true" if record.online else "false")
+        tel.maybe_sample(record.detected_at_ms)
 
     def _end_round_telemetry(self) -> None:
         """Observe the latency of the round that just drained."""
@@ -1315,18 +1289,6 @@ class CentralServer:
                 data.local_execution_ms,
                 kind="execute",
             )
-            tel.event(
-                "server",
-                "complete",
-                sim_time_ms=now,
-                phone_id=data.phone_id,
-                job_id=assignment.job_id,
-                task=assignment.task,
-                input_kb=assignment.input_kb,
-                completed_at_ms=data.time_ms,
-                local_execution_ms=data.local_execution_ms,
-                rescheduled=data.rescheduled,
-            )
             tel.maybe_sample(now)
         if self._on_result is not None:
             self._on_result(
@@ -1356,18 +1318,6 @@ class CentralServer:
     # resilience: timeouts, stragglers, speculation
     # ------------------------------------------------------------------
 
-    #: Resilience kinds that signal something went wrong (vs. routine
-    #: defensive bookkeeping) — they surface as warning-severity events.
-    _WARN_KINDS = frozenset(
-        {
-            "timeout",
-            "straggler_detected",
-            "verify_mismatch",
-            "quarantined",
-            "gave_up",
-        }
-    )
-
     def _note(
         self,
         kind: str,
@@ -1389,20 +1339,7 @@ class CentralServer:
             ),
             at_ms=now,
         )
-        tel = self._tel
-        if tel.enabled:
-            tel.inc("resilience_events_total", kind=kind)
-            tel.event(
-                "server",
-                kind,
-                sim_time_ms=now,
-                severity=(
-                    "warning" if kind in self._WARN_KINDS else "info"
-                ),
-                phone_id=phone_id,
-                job_id=job_id or "",
-                detail=detail,
-            )
+        self._tel.inc("resilience_events_total", kind=kind)
 
     def _cancel_guard_tokens(self, op: _Operation) -> None:
         if op.timeout_token is not None:
@@ -1724,7 +1661,7 @@ class CentralServer:
         self._drain_queue_on_loss(pipeline, online=True)
         pipeline.runtime.state = PhoneState.UNPLUGGED
         self._monitors[pipeline.phone_id].stop()
-        self._trace.add_failure(
+        self._record_failure(
             FailureRecord(
                 phone_id=pipeline.phone_id,
                 failed_at_ms=now,
@@ -1732,15 +1669,7 @@ class CentralServer:
                 online=True,
                 job_id=failed_job_id,
                 processed_kb=processed_kb,
-            ),
-            at_ms=now,
-        )
-        self._record_failure_event(
-            pipeline.phone_id,
-            online=True,
-            failed_at_ms=now,
-            detected_at_ms=now,
-            job_id=failed_job_id,
+            )
         )
         self._maybe_end_round()
 
@@ -1842,7 +1771,7 @@ class CentralServer:
             if pipeline.failed_at_ms is not None
             else detected_at_ms
         )
-        self._trace.add_failure(
+        self._record_failure(
             FailureRecord(
                 phone_id=pipeline.phone_id,
                 failed_at_ms=failed_at,
@@ -1850,14 +1779,6 @@ class CentralServer:
                 online=False,
                 job_id=failed_job_id,
                 processed_kb=0.0,
-            ),
-            at_ms=detected_at_ms,
-        )
-        self._record_failure_event(
-            pipeline.phone_id,
-            online=False,
-            failed_at_ms=failed_at,
-            detected_at_ms=detected_at_ms,
-            job_id=failed_job_id,
+            )
         )
         self._maybe_end_round()

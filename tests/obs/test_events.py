@@ -1,6 +1,5 @@
 """Tests for the structured event bus and envelope schema."""
 
-import io
 import json
 
 import pytest
@@ -68,16 +67,6 @@ class TestEmit:
         bus.emit("server", "complete", sim_time_ms=2.0)
         assert len(bus.of_component("server")) == 2
         assert len(bus.of_kind("unplug")) == 1
-
-    def test_sink_streams_jsonl(self):
-        sink = io.StringIO()
-        bus = make_bus(sink=sink)
-        bus.emit("server", "a", sim_time_ms=0.0)
-        bus.emit("server", "b", sim_time_ms=1.0)
-        lines = sink.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            validate_event_dict(json.loads(line))
 
 
 class TestValidation:

@@ -10,6 +10,8 @@ The load-bearing guarantees:
 * telemetry disabled changes nothing: schedules stay byte-identical.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.greedy import CwcScheduler
@@ -83,9 +85,11 @@ def chaos_run():
 
 class TestInstrumentedRun:
     def test_all_events_validate(self, chaos_run):
-        telemetry, _ = chaos_run
+        telemetry, result = chaos_run
         events = telemetry.bus.events
-        assert len(events) > 20
+        # run start/end, round start/end per round, one per dispatch.
+        copies = [s for s in result.trace.spans if s.kind.value == "copy"]
+        assert len(events) == 2 + 2 * len(result.rounds) + len(copies)
         for event in events:
             validate_event_dict(event.to_dict())
 
@@ -97,15 +101,28 @@ class TestInstrumentedRun:
         assert seqs == list(range(len(seqs)))
 
     def test_lifecycle_events_present(self, chaos_run):
-        telemetry, _ = chaos_run
+        telemetry, result = chaos_run
         bus = telemetry.bus
         assert len(bus.of_kind("run_start")) == 1
         assert len(bus.of_kind("run_end")) == 1
         assert bus.of_kind("dispatch")
-        assert bus.of_kind("complete")
         assert bus.of_kind("round_start")
         assert bus.of_kind("round_end")
-        assert bus.of_component("chaos")
+        # Timeline records are kept once, in the trace, never on the bus.
+        trace = result.trace
+        assert trace.completions and trace.chaos and trace.resilience_events
+        assert {e.kind for e in bus} == {
+            "run_start",
+            "run_end",
+            "round_start",
+            "round_end",
+            "dispatch",
+        }
+        assert not bus.of_component("chaos")
+        assert not bus.of_kind("complete")
+        assert not bus.of_kind("failure")
+        for event in trace.resilience_events:
+            assert not bus.of_kind(event.kind)
 
     def test_round_latency_histogram_non_empty(self, chaos_run):
         telemetry, _ = chaos_run
@@ -141,6 +158,61 @@ class TestInstrumentedRun:
         telemetry, result = chaos_run
         assert result.trace.spans
         assert not telemetry.bus.of_kind("span")
+
+
+def trace_counts(trace):
+    """The summary's record counts, derived from a timeline trace."""
+    return {
+        "fault_counts": dict(sorted(Counter(c.kind for c in trace.chaos).items())),
+        "failures_detected": len(trace.failures),
+        "completions": len(trace.completions),
+        "retries": sum(1 for e in trace.resilience_events if e.kind == "retry"),
+    }
+
+
+def assert_summary_counts_match(telemetry, result):
+    summary = build_run_report(result, telemetry).summary
+    expected = trace_counts(result.trace)
+    assert {key: summary[key] for key in expected} == expected
+    # The registry counts the same records independently of the trace.
+    registry = telemetry.registry
+    assert summary["completions"] == registry.counter_value("completions_total")
+    assert summary["failures_detected"] == sum(
+        registry.counter_value("failures_total", online=online)
+        for online in ("true", "false")
+    )
+    assert summary["retries"] == registry.counter_value(
+        "resilience_events_total", kind="retry"
+    )
+    for kind, count in summary["fault_counts"].items():
+        assert registry.counter_value("chaos_faults_total", kind=kind) == count
+    assert summary["rounds"] == len(result.rounds)
+    return summary
+
+
+class TestSummaryFromTrace:
+    def test_chaos_fixture(self, chaos_run):
+        telemetry, result = chaos_run
+        summary = assert_summary_counts_match(telemetry, result)
+        assert summary["fault_counts"] and summary["completions"]
+
+    def test_fuzz_scenario_with_failures_and_retries(self):
+        from repro.verify.fuzz import (
+            build_scenario_server,
+            generate_scenario,
+            scenario_workload,
+        )
+
+        scenario = generate_scenario(16)
+        telemetry = Telemetry.create(run_id="fuzz-16")
+        initial, arrivals = scenario_workload(scenario)
+        result = build_scenario_server(scenario, telemetry=telemetry).run(
+            initial, arrivals=arrivals
+        )
+        summary = assert_summary_counts_match(telemetry, result)
+        assert summary["failures_detected"] > 0
+        assert summary["retries"] > 0
+        assert summary["fault_counts"]
 
 
 class TestRunReportBundle:

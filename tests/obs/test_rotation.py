@@ -1,17 +1,6 @@
-"""Tests for bounded telemetry: rotating sinks, ring buffers, stitching."""
+"""The event log is one JSONL file, and in-memory telemetry keeps every record."""
 
-import json
-
-import pytest
-
-from repro.obs import (
-    EventBus,
-    EventSchemaError,
-    RotatingJsonlSink,
-    Telemetry,
-    read_events_jsonl,
-)
-from repro.obs.samplers import SamplerSet, Series
+from repro.obs import EventBus, Telemetry, read_events_jsonl
 
 
 def fill(bus, n):
@@ -20,155 +9,28 @@ def fill(bus, n):
 
 
 class TestRotatingSink:
-    def test_segments_rotate_on_line_count(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=7)
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 23)
-        sink.close()
-        index = json.loads((tmp_path / "events.index.json").read_text())
-        assert [s["lines"] for s in index["segments"]] == [7, 7, 7, 2]
-        assert index["dropped_lines"] == 0
-
-    def test_segments_rotate_on_bytes(self, tmp_path):
-        sink = RotatingJsonlSink(
-            tmp_path, max_lines_per_segment=10_000,
-            max_bytes_per_segment=500,
-        )
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 20)
-        sink.close()
-        assert len(sink.segment_paths) > 1
-        for seg_path in sink.segment_paths[:-1]:
-            assert seg_path.stat().st_size >= 500
-
-    def test_max_segments_bounds_disk(self, tmp_path):
-        sink = RotatingJsonlSink(
-            tmp_path, max_lines_per_segment=5, max_segments=2
-        )
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 23)
-        sink.close()
-        on_disk = sorted(p.name for p in tmp_path.glob("*.jsonl"))
-        assert len(on_disk) == 2
-        assert sink.dropped_lines == 15
-        assert sink.total_lines == 8
-
-    def test_stitched_read_recovers_every_event(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=4)
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 11)
-        sink.close()
-        by_dir = read_events_jsonl(tmp_path)
-        by_index = read_events_jsonl(tmp_path / "events.index.json")
-        assert by_dir == by_index
-        assert [e["seq"] for e in by_dir] == list(range(11))
-
     def test_single_file_read_still_works(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=4)
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 6)
-        sink.close()
-        first = read_events_jsonl(tmp_path / "events-000000.jsonl")
-        assert len(first) == 4
-
-    def test_missing_segment_detected(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=3)
-        fill(EventBus("r", sink=sink, wall_clock=lambda: 0.0), 7)
-        sink.close()
-        (tmp_path / "events-000001.jsonl").unlink()
-        with pytest.raises(EventSchemaError, match="missing"):
-            read_events_jsonl(tmp_path)
-
-    def test_line_count_mismatch_detected(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=3)
-        bus = EventBus("r", sink=sink, wall_clock=lambda: 0.0)
+        bus = EventBus("r", wall_clock=lambda: 0.0)
         fill(bus, 6)
-        sink.close()
-        seg = tmp_path / "events-000000.jsonl"
-        lines = seg.read_text().splitlines()
-        seg.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(EventSchemaError, match="records 3 lines"):
-            read_events_jsonl(tmp_path)
-
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(EventSchemaError, match="no .*index"):
-            read_events_jsonl(tmp_path)
-
-    def test_param_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="max_lines_per_segment"):
-            RotatingJsonlSink(tmp_path, max_lines_per_segment=0)
-        with pytest.raises(ValueError, match="max_segments"):
-            RotatingJsonlSink(tmp_path, max_segments=0)
+        path = tmp_path / "events.jsonl"
+        assert bus.write_jsonl(path) == 6
+        events = read_events_jsonl(path)
+        assert [e["seq"] for e in events] == list(range(6))
 
 
 class TestEventBusRing:
-    def test_ring_bounds_memory_not_seq(self):
-        bus = EventBus("r", wall_clock=lambda: 0.0, max_events=5)
-        fill(bus, 23)
-        assert len(bus) == 5
-        assert bus.dropped_events == 18
-        assert [e.seq for e in bus.events] == list(range(18, 23))
-
-    def test_sink_still_receives_everything(self, tmp_path):
-        sink = RotatingJsonlSink(tmp_path, max_lines_per_segment=100)
-        bus = EventBus("r", sink=sink, wall_clock=lambda: 0.0, max_events=3)
-        fill(bus, 12)
-        sink.close()
-        assert len(read_events_jsonl(tmp_path)) == 12
-
     def test_unbounded_by_default(self):
         bus = EventBus("r", wall_clock=lambda: 0.0)
         fill(bus, 50)
         assert len(bus) == 50
-        assert bus.dropped_events == 0
-
-    def test_max_events_validated(self):
-        with pytest.raises(ValueError, match="max_events"):
-            EventBus("r", max_events=0)
-
-
-class TestSeriesRing:
-    def test_ring_keeps_newest(self):
-        series = Series(name="s", max_samples=3)
-        for i in range(10):
-            series.append(float(i), float(i))
-        assert series.times_ms == [7.0, 8.0, 9.0]
-        assert series.dropped == 7
-
-    def test_dropped_survives_serialisation(self):
-        series = Series(name="s", max_samples=2)
-        for i in range(5):
-            series.append(float(i), float(i))
-        again = Series.from_dict(series.to_dict())
-        assert again.dropped == 3
-        assert again.values == [3.0, 4.0]
-
-    def test_sampler_set_applies_bound(self):
-        sams = SamplerSet(period_ms=1.0, max_samples=4)
-        sams.add_probe("x", lambda: 1.0)
-        for i in range(10):
-            sams.sample_now(float(i))
-        (series,) = sams.series
-        assert len(series) == 4
-        assert sams.dropped_samples == 6
-
-    def test_max_samples_validated(self):
-        with pytest.raises(ValueError, match="max_samples"):
-            SamplerSet(max_samples=0)
-        with pytest.raises(ValueError, match="max_samples"):
-            Series(name="s", max_samples=-1)
+        assert [e.seq for e in bus.events] == list(range(50))
 
 
 class TestTelemetryPassthrough:
-    def test_create_wires_the_bounds(self):
-        tel = Telemetry.create(
-            "run", wall_clock=lambda: 0.0, max_events=3, max_samples=4
-        )
-        for i in range(10):
-            tel.event("run", "k", sim_time_ms=float(i))
-            tel.record_sample("s", float(i), 1.0)
-        assert len(tel.bus) == 3
-        assert tel.bus.dropped_events == 7
-        assert tel.samplers.dropped_samples == 6
-
     def test_defaults_stay_unbounded(self):
         tel = Telemetry.create("run", wall_clock=lambda: 0.0)
         for i in range(10):
             tel.event("run", "k", sim_time_ms=float(i))
+            tel.record_sample("s", float(i), 1.0)
         assert len(tel.bus) == 10
-        assert tel.bus.dropped_events == 0
+        assert len(tel.samplers.get_series("s")) == 10

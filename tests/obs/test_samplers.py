@@ -32,6 +32,19 @@ class TestSeries:
         assert clone.times_ms == series.times_ms
         assert clone.values == series.values
 
+    def test_from_dict_accepts_legacy_dropped_count(self):
+        legacy = {
+            "name": "util",
+            "labels": {"id": "p0"},
+            "times_ms": [7.0, 8.0],
+            "values": [0.5, 0.75],
+            "dropped": 7,
+        }
+        series = Series.from_dict(legacy)
+        assert series.times_ms == [7.0, 8.0]
+        assert series.values == [0.5, 0.75]
+        assert "dropped" not in series.to_dict()
+
     def test_csv_roundtrip(self, tmp_path):
         series = Series(name="util")
         series.append(0.0, 0.25)

@@ -107,15 +107,6 @@ def test_end_without_sim_carries_start_sim():
     assert span.start_sim_ms == 42.0 and span.end_sim_ms == 42.0
 
 
-def test_ring_bound_drops_oldest():
-    tracer = make_tracer(max_spans=2)
-    for i in range(5):
-        with tracer.span(f"s{i}"):
-            pass
-    assert [s.name for s in tracer.spans] == ["s3", "s4"]
-    assert tracer.dropped_spans == 3
-
-
 def test_as_current_makes_explicit_handle_the_stack_parent():
     tracer = make_tracer()
     round_h = tracer.start("round")
