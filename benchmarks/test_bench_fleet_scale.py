@@ -91,6 +91,11 @@ def test_bench_fleet_scale_full_pass(record_scheduler_bench):
     assert result.shortcircuit_skips > 0, (
         "certificates never fired at fleet scale — the dead zone is back"
     )
+    # Distinct rate rows the search materialised: one list per phone
+    # class it touched (read without materialising the rest).
+    row_lists = len(
+        {id(row) for row in instance.per_kb_rows()._rows if row is not None}
+    )
     record_scheduler_bench(
         "fleet_scale_full_pass",
         phones=len(instance.phones),
@@ -103,6 +108,8 @@ def test_bench_fleet_scale_full_pass(record_scheduler_bench):
         packer_passes=result.packer_passes,
         bisection_steps=result.bisection_steps,
         shortcircuit_skips=result.shortcircuit_skips,
+        phone_classes=len(instance.phone_classes()[1]),
+        per_kb_row_lists=row_lists,
         kernel=result.kernel,
     )
     print(

@@ -20,12 +20,30 @@ chains.  The authoritative storage is a dense float64 ``c`` matrix
 (phones × jobs): ``__post_init__`` validates the input tables and pins
 the matrix once, and every derived view — the ``b_i + c_ij`` per-KB rate
 matrix (Equation 1), its transpose, the row lists the scalar packer
-reads, the capacity bracket — is computed lazily from it with exactly
-the same floating-point operation order as the original dict-chain code.
-Schedulers built on these caches therefore produce byte-identical
-schedules (see ``tests/core/test_golden_schedule.py``); pod workers
-inherit the matrix copy-on-write through ``fork`` instead of pickling
-the cost table element by element.
+reads — is computed lazily from it with exactly the same floating-point
+operation order as the original dict-chain code.  Schedulers built on
+these caches therefore produce byte-identical schedules (see
+``tests/core/test_golden_schedule.py``); pod workers inherit the matrix
+copy-on-write through ``fork`` instead of pickling the cost table
+element by element.
+
+Phone classes
+-------------
+A fleet is a few phone types, replicated: ``c_ij`` depends only on the
+(phone, task) pair, and ``b_i`` is measured per type.  :meth:`build`
+therefore tags each phone with the class of its per-task prediction
+row, and the instance refines that tag by ``b_i`` into
+:meth:`SchedulingInstance.phone_classes` — phones in one class have
+bit-identical ``b_i + c_ij`` rows, so :meth:`per_kb_rows` hands every
+member the same list (18 lists for the 1000-phone replicated testbed,
+not 1000).  Pod sub-instances inherit their parent's classes; an
+instance built from a plain ``c`` mapping has one class per phone.
+
+The capacity bracket (:meth:`SchedulingInstance.capacity_bounds`)
+streams ``b_i + c_ij`` through small row blocks of the ``c`` matrix and
+never builds the full per-KB matrix, so a caller that needs only the
+bracket (the sharded scheduler's parent, which packs nothing itself)
+holds no fleet-wide per-KB copy.
 """
 
 from __future__ import annotations
@@ -51,18 +69,27 @@ class _DenseCostMap(Mapping):
     supplies ``items``/``get``/``__eq__``, and ``__getitem__`` returns
     plain Python floats), and hands its matrix to the instance's dense
     caches without any per-element work.
+
+    ``row_class`` optionally tags each phone (by position) with a class
+    index such that phones with equal tags have bit-identical ``c``
+    rows; ``None`` claims nothing (every phone its own class).
     """
 
-    __slots__ = ("_phone_ids", "_job_ids", "_mat", "_phone_pos", "_job_pos")
+    __slots__ = (
+        "_phone_ids", "_job_ids", "_mat", "_phone_pos", "_job_pos",
+        "row_class",
+    )
 
     def __init__(
         self,
         phone_ids: tuple[str, ...],
         job_ids: tuple[str, ...],
         rows,
+        row_class: tuple[int, ...] | None = None,
     ) -> None:
         self._phone_ids = phone_ids
         self._job_ids = job_ids
+        self.row_class = row_class
         mat = np.asarray(rows, dtype=np.float64)
         if mat.ndim != 2 or mat.shape != (len(phone_ids), len(job_ids)):
             mat = mat.reshape((len(phone_ids), len(job_ids)))
@@ -96,11 +123,13 @@ class _DenseCostMap(Mapping):
             "phone_ids": self._phone_ids,
             "job_ids": self._job_ids,
             "mat": self._mat,
+            "row_class": self.row_class,
         }
 
     def __setstate__(self, state):
         self._phone_ids = state["phone_ids"]
         self._job_ids = state["job_ids"]
+        self.row_class = state.get("row_class")
         mat = state["mat"]
         mat.setflags(write=False)
         self._mat = mat
@@ -108,19 +137,23 @@ class _DenseCostMap(Mapping):
         self._job_pos = {jid: i for i, jid in enumerate(self._job_ids)}
 
 
-class _LazyRowList:
-    """Row-indexed view of a matrix that materializes rows on demand.
+class _ClassRowList:
+    """Per-KB rate rows by phone position, one shared list per class.
 
-    ``rows[i]`` is ``matrix[i].tolist()``, converted on first access
-    and cached — readers see plain Python floats, bit-identical to the
-    matrix, without paying an up-front full-matrix conversion.
+    ``rows[i]`` is ``matrix[r].tolist()`` for the first member ``r`` of
+    phone ``i``'s class.  A class's row is converted on the first read
+    of any member and stored for every member, so readers see plain
+    Python floats, bit-identical to the matrix, without an up-front
+    conversion of every class.
     """
 
-    __slots__ = ("_mat", "_rows")
+    __slots__ = ("_mat", "_class_of", "_members", "_rows")
 
-    def __init__(self, mat) -> None:
+    def __init__(self, mat, class_of, members) -> None:
         self._mat = mat
-        self._rows: list[list[float] | None] = [None] * mat.shape[0]
+        self._class_of = class_of
+        self._members = members
+        self._rows: list[list[float] | None] = [None] * len(class_of)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -128,7 +161,10 @@ class _LazyRowList:
     def __getitem__(self, i: int) -> list[float]:
         row = self._rows[i]
         if row is None:
-            row = self._rows[i] = self._mat[i].tolist()
+            members = self._members[self._class_of[i]]
+            row = self._mat[members[0]].tolist()
+            for m in members:
+                self._rows[m] = row
         return row
 
     def __iter__(self):
@@ -170,7 +206,9 @@ class SchedulingInstance:
         if len(set(phone_ids)) != len(phone_ids):
             raise ValueError("duplicate phone ids in instance")
 
-        b_vec, c_mat = self._validate_and_densify(phone_ids, job_ids)
+        b_vec, c_mat, row_class = self._validate_and_densify(
+            phone_ids, job_ids
+        )
         c_mat.setflags(write=False)
 
         # Dense hot-path caches (the dataclass is frozen, hence setattr).
@@ -183,18 +221,21 @@ class SchedulingInstance:
         set_(self, "_phone_pos", {pid: i for i, pid in enumerate(phone_ids)})
         set_(self, "_b_vec", b_vec)
         set_(self, "_c_mat", c_mat)
+        set_(self, "_row_class", row_class)
         set_(self, "_bounds_cache", None)
         set_(self, "_slowest_cache", None)
 
     def _validate_and_densify(
         self, phone_ids: tuple[str, ...], job_ids: tuple[str, ...]
     ):
-        """Check every b/c entry and return the dense ``(b, c)`` tables.
+        """Check every b/c entry; return ``(b, c, c-row classes)``.
 
-        Validation order matches the original implementation exactly
-        (phone-major, ``b_i`` before that phone's ``c`` row) so the same
-        malformed input raises the same error; the clean common case is
-        one vectorized finite/non-negative sweep over the matrix.
+        The classes are the dense map's ``row_class`` when its matrix is
+        used as is, else ``None``.  Validation order matches the
+        original implementation exactly (phone-major, ``b_i`` before
+        that phone's ``c`` row) so the same malformed input raises the
+        same error; the clean common case is one vectorized
+        finite/non-negative sweep over the matrix.
         """
         dense = (
             self.c_ms_per_kb.aligned_matrix(phone_ids, job_ids)
@@ -222,7 +263,7 @@ class SchedulingInstance:
                 b_vec.append(b)
                 if bad_row is not None and pos == bad_row:
                     self._raise_bad_c(phone.phone_id, dense[pos].tolist())
-            return b_vec, dense
+            return b_vec, dense, self.c_ms_per_kb.row_class
         c_rows: list[list[float]] = []
         for phone in self.phones:
             b = self.b_ms_per_kb.get(phone.phone_id)
@@ -248,7 +289,7 @@ class SchedulingInstance:
         c_mat = np.asarray(c_rows, dtype=np.float64).reshape(
             (len(phone_ids), len(job_ids))
         )
-        return b_vec, c_mat
+        return b_vec, c_mat, None
 
     def _raise_bad_c(self, phone_id: str, row: list[float]) -> None:
         for job, c in zip(self.jobs, row):
@@ -276,7 +317,9 @@ class SchedulingInstance:
         calls (and millions of Python-loop iterations) into a few
         thousand.  The (phone, task) consultation order is the same
         first-occurrence order the original job-scan used, so stateful
-        predictors see an identical call sequence.
+        predictors see an identical call sequence.  Phones with equal
+        per-task prediction rows share a ``c``-row class (see
+        :meth:`phone_classes`).
         """
         jobs = tuple(jobs)
         phones = tuple(phones)
@@ -291,16 +334,22 @@ class SchedulingInstance:
             count=len(jobs),
         )
         mat = np.empty((len(phones), len(jobs)), dtype=np.float64)
+        row_ids: dict[bytes, int] = {}
+        row_class = []
         for pos, phone in enumerate(phones):
             by_task = np.array(
                 [predictor.predict_ms_per_kb(phone, task) for task in tasks],
                 dtype=np.float64,
             )
             np.take(by_task, col_task, out=mat[pos])
+            row_class.append(
+                row_ids.setdefault(by_task.tobytes(), len(row_ids))
+            )
         c = _DenseCostMap(
             tuple(phone.phone_id for phone in phones),
             tuple(job.job_id for job in jobs),
             mat,
+            tuple(row_class),
         )
         return cls(
             jobs=jobs,
@@ -381,35 +430,56 @@ class SchedulingInstance:
         """``c_ij`` as a dense float64 ndarray (phones × jobs)."""
         return self._c_mat
 
-    def c_rows(self) -> list[list[float]]:
-        """``c_ij`` rows by phone position, columns by job position."""
-        cached = getattr(self, "_c_rows_cache", None)
-        if cached is None:
-            cached = self._c_mat.tolist()
-            object.__setattr__(self, "_c_rows_cache", cached)
-        return cached
-
     def c_row(self, phone_pos: int) -> list[float]:
-        """One phone's ``c_ij`` row without materializing every row."""
-        cached = getattr(self, "_c_rows_cache", None)
-        if cached is not None:
-            return cached[phone_pos]
+        """One phone's ``c_ij`` row as Python floats."""
         return self._c_mat[phone_pos].tolist()
 
-    def per_kb_rows(self) -> "_LazyRowList":
+    def phone_classes(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(class_of, members)``: the instance's phone classes.
+
+        ``class_of[i]`` is phone position ``i``'s class; classes are
+        numbered in order of first appearance, and ``members[k]`` lists
+        class ``k``'s phone positions in order.  Two phones share a
+        class only if their ``b_i`` and their whole ``c`` rows are
+        bit-identical — the ``c``-row tags that :meth:`build` (or a pod
+        parent) put on the cost map, refined by the bits of ``b_i`` — so
+        every per-KB rate of a class is its first member's.  Without
+        tags every phone is its own class.
+        """
+        cached = getattr(self, "_classes_cache", None)
+        if cached is None:
+            if self._row_class is None:
+                keys = range(len(self._b_vec))
+            else:
+                b_bits = self.b_array().view(np.uint64).tolist()
+                keys = zip(self._row_class, b_bits)
+            index: dict = {}
+            class_of = tuple(index.setdefault(key, len(index)) for key in keys)
+            members: list[list[int]] = [[] for _ in index]
+            for pos, k in enumerate(class_of):
+                members[k].append(pos)
+            cached = (class_of, tuple(map(tuple, members)))
+            object.__setattr__(self, "_classes_cache", cached)
+        return cached
+
+    def per_kb_rows(self) -> "_ClassRowList":
         """``b_i + c_ij`` rows by phone position (Equation 1's rate).
 
-        Returned as a lazily-materializing row list: converting the
-        full matrix to Python lists costs ~150 ms at the paper's
-        1000 × 5000 fleet scale, but the packers' scalar paths only
-        touch the rows of phones they actually probe.  Each row is
-        converted on first access and cached for the instance's life,
-        so every reader still sees plain Python floats (bit-identical
-        to the matrix values).
+        One list of Python floats per phone *class*
+        (:meth:`phone_classes`), shared by every member and converted
+        from :meth:`per_kb_matrix` (which every packer builds anyway) on
+        first access: the packers' scalar paths read rates through these
+        rows, and on a replicated fleet the class rows are a handful of
+        lists instead of a fleet-wide copy of the matrix.  Callers must
+        not mutate a row.
         """
         cached = getattr(self, "_per_kb_rows_cache", None)
         if cached is None:
-            cached = _LazyRowList(self.per_kb_matrix())
+            cached = _ClassRowList(
+                self.per_kb_matrix(), *self.phone_classes()
+            )
             object.__setattr__(self, "_per_kb_rows_cache", cached)
         return cached
 
@@ -503,24 +573,25 @@ class SchedulingInstance:
         # ``+ 0.0``, which is exact on the positive partial sums
         # involved.
         #
-        # The matrix is walked in row *blocks* so no full phones × jobs
-        # temporary is ever materialised (three of them dominated this
-        # function's time at fleet scale).  Per-row cumsums are
-        # independent, so blocking the upper bound is trivially exact;
-        # the per-job aggregate seeds each block's axis-0 cumsum with
-        # the running total as row zero, which reproduces the global
-        # sequential add order element for element.
-        jobs = self.jobs
-        pkb = self.per_kb_matrix()
+        # The rates are streamed: each row block computes its own
+        # ``b_i + c_ij`` (the same float64 adds as ``per_kb_matrix``)
+        # and is dropped before the next, so neither the full per-KB
+        # matrix nor any full phones × jobs temporary is materialised.
+        # Per-row cumsums are independent, so blocking the upper bound
+        # is trivially exact; the per-job aggregate seeds each block's
+        # axis-0 cumsum with the running total as row zero, which
+        # reproduces the global sequential add order element for
+        # element.
+        c = self._c_mat
         b = self.b_array()
         exe, load = self.job_load_arrays()
-        n_phones, n_jobs = pkb.shape
-        block = 128
+        n_phones, n_jobs = c.shape
+        block = 32
         upper = -math.inf
         aggregate = np.zeros(n_jobs, dtype=np.float64)
         for s in range(0, n_phones, block):
             e = min(n_phones, s + block)
-            pb = pkb[s:e]
+            pb = b[s:e, None] + c[s:e]
             per_phone = exe[None, :] * b[s:e, None] + load[None, :] * pb
             blk_max = float(np.cumsum(per_phone, axis=1)[:, -1].max())
             if blk_max > upper:

@@ -154,7 +154,9 @@ def pod_instance(
     fresh :class:`~repro.core.instance._DenseCostMap`, so the
     sub-instance costs one rectangle copy instead of a per-entry
     rebuild; validation in the sub-instance constructor is the cheap
-    dense path.
+    dense path.  The pod inherits the parent's phone classes
+    (:meth:`~repro.core.instance.SchedulingInstance.phone_classes`), so
+    its class rows are as few as the parent's.
     """
     phones = tuple(instance.phones[i] for i in phone_positions)
     jobs = tuple(instance.jobs[j] for j in job_positions)
@@ -164,10 +166,12 @@ def pod_instance(
             np.asarray(job_positions, dtype=np.intp),
         )
     ]
+    class_of, _ = instance.phone_classes()
     dense = _DenseCostMap(
         tuple(phone.phone_id for phone in phones),
         tuple(job.job_id for job in jobs),
         block,
+        tuple(class_of[i] for i in phone_positions),
     )
     b_table = {phone.phone_id: instance.b(phone.phone_id) for phone in phones}
     return SchedulingInstance(

@@ -374,10 +374,11 @@ class ShardedScheduler:
                     max(report.capacity_ms for report in reports),
                 )
             # wall_ms is the scheduling work proper; the result
-            # bookkeeping below (dominated by capacity_bounds at fleet
-            # scale) stays outside it but inside the root span so the
-            # trace decomposition accounts for the whole schedule()
-            # call.
+            # bookkeeping below (mostly the full instance's capacity
+            # bracket, streamed in row blocks so the parent never holds
+            # a fleet-wide per-KB matrix) stays outside it but inside
+            # the root span so the trace decomposition accounts for the
+            # whole schedule() call.
             wall_ms = (time.perf_counter() - started) * 1000.0
             with maybe_span(tracer, "finish_round", category="pod"):
                 result = self._finish_round(

@@ -1,12 +1,24 @@
 """Unit tests for SchedulingInstance construction and lookups."""
 
-import pytest
+import pickle
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core._reference import reference_capacity_bounds
 from repro.core.instance import SchedulingInstance
 from repro.core.model import Job, JobKind, PhoneSpec
+from repro.core.pod import pod_instance
 from repro.core.prediction import RuntimePredictor
 
-from ..conftest import make_instance, make_phones, make_predictor
+from ..conftest import (
+    make_instance,
+    make_phones,
+    make_predictor,
+    replicated_testbed,
+)
 
 
 class TestBuild:
@@ -139,3 +151,150 @@ class TestLookups:
         assert all(j.is_atomic for j in atomic)
         assert all(j.is_breakable for j in breakable)
         assert len(atomic) + len(breakable) == len(small_instance.jobs)
+
+
+def phone_type(phone_id: str) -> str:
+    """The testbed phone a replicated ``<id>-c<copy>`` phone copies."""
+    return phone_id.rsplit("-c", 1)[0]
+
+
+class TestPhoneClasses:
+    def test_replicas_share_one_row_object(self):
+        instance = replicated_testbed(n_phones=45, n_jobs=30)
+        class_of, members = instance.phone_classes()
+        types = [phone_type(p.phone_id) for p in instance.phones]
+        assert len(members) == len(set(types))
+        assert sorted(sum(members, ())) == list(range(len(types)))
+        rows = instance.per_kb_rows()
+        matrix = instance.per_kb_matrix()
+        for i, phone_i in enumerate(types):
+            assert i in members[class_of[i]]
+            for j, phone_j in enumerate(types):
+                same = class_of[i] == class_of[j]
+                assert same == (phone_i == phone_j)
+                assert (rows[i] is rows[j]) == same
+            assert (
+                np.asarray(rows[i], dtype=np.float64).tobytes()
+                == matrix[i].tobytes()
+            )
+
+    def test_classes_refine_by_b(self):
+        phones = tuple(
+            PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0) for i in range(4)
+        )
+        jobs = [Job("j", "primes", JobKind.BREAKABLE, 40.0, 100.0)]
+        b = {"p0": 1.0, "p1": 2.0, "p2": 1.0, "p3": 2.0}
+        instance = SchedulingInstance.build(
+            jobs, phones, b, make_predictor(phones)
+        )
+        assert instance.phone_classes() == ((0, 1, 0, 1), ((0, 2), (1, 3)))
+        rows = instance.per_kb_rows()
+        assert rows[0] is rows[2] and rows[0] is not rows[1]
+
+    def test_raw_c_map_gets_singleton_classes(self):
+        phones = tuple(
+            PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0) for i in range(3)
+        )
+        jobs = (Job("j", "primes", JobKind.BREAKABLE, 40.0, 100.0),)
+        instance = SchedulingInstance(
+            jobs=jobs,
+            phones=phones,
+            b_ms_per_kb={p.phone_id: 1.0 for p in phones},
+            c_ms_per_kb={(p.phone_id, "j"): 5.0 for p in phones},
+        )
+        singletons = ((0, 1, 2), ((0,), (1,), (2,)))
+        assert instance.phone_classes() == singletons
+        rows = instance.per_kb_rows()
+        assert rows[0] == rows[1] and rows[0] is not rows[1]
+        sub = pod_instance(instance, (0, 1, 2), (0,))
+        assert sub.phone_classes() == singletons
+
+    def test_pod_instance_inherits_classes(self):
+        instance = replicated_testbed(n_phones=45, n_jobs=30)
+        class_of, _ = instance.phone_classes()
+        positions = tuple(range(1, 45, 4))
+        sub = pod_instance(instance, positions, tuple(range(0, 30, 3)))
+        sub_class_of, sub_members = sub.phone_classes()
+        assert len(sub_members) == len(
+            {class_of[i] for i in positions}
+        )
+        for a, i in enumerate(positions):
+            for b, j in enumerate(positions):
+                assert (sub_class_of[a] == sub_class_of[b]) == (
+                    class_of[i] == class_of[j]
+                )
+
+    def test_pickled_cost_map_keeps_classes(self):
+        instance = replicated_testbed(n_phones=40, n_jobs=12)
+        restored = pickle.loads(pickle.dumps(instance.c_ms_per_kb))
+        assert restored.row_class == instance.c_ms_per_kb.row_class
+        rebuilt = SchedulingInstance(
+            jobs=instance.jobs,
+            phones=instance.phones,
+            b_ms_per_kb=instance.b_ms_per_kb,
+            c_ms_per_kb=restored,
+        )
+        assert rebuilt.phone_classes() == instance.phone_classes()
+
+
+#: Ordinary per-KB rates; ``0.0`` is a frequent boundary draw.
+_rates = st.floats(min_value=0.0, max_value=80.0)
+
+
+@st.composite
+def bracket_tables(draw):
+    """Jobs plus b/c tables; half span several row blocks of phones."""
+    n_phones = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=33, max_value=100),
+        )
+    )
+    n_jobs = draw(st.integers(min_value=1, max_value=5))
+    jobs = tuple(
+        Job(
+            f"j{j}",
+            "primes",
+            JobKind.ATOMIC if draw(st.booleans()) else JobKind.BREAKABLE,
+            draw(st.floats(min_value=0.0, max_value=60.0)),
+            draw(st.floats(min_value=1.0, max_value=2000.0)),
+        )
+        for j in range(n_jobs)
+    )
+    phones = tuple(
+        PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0) for i in range(n_phones)
+    )
+    b, c = {}, {}
+    for phone in phones:
+        kind = draw(st.integers(min_value=0, max_value=9))
+        if kind == 0:
+            # A zero-rate row: free transfer and free compute.
+            b[phone.phone_id] = 0.0
+            c.update({(phone.phone_id, job.job_id): 0.0 for job in jobs})
+            continue
+        # The smallest subnormal ``b_i``: where ``c_ij`` is 0 the rate's
+        # reciprocal overflows to inf.
+        b[phone.phone_id] = 5e-324 if kind == 1 else draw(_rates)
+        for job in jobs:
+            c[(phone.phone_id, job.job_id)] = draw(_rates)
+    return jobs, phones, b, c
+
+
+class TestCapacityBracket:
+    @settings(max_examples=80, deadline=None)
+    @given(tables=bracket_tables())
+    def test_streamed_bracket_matches_reference(self, tables):
+        jobs, phones, b, c = tables
+
+        def fresh():
+            return SchedulingInstance(
+                jobs=jobs, phones=phones, b_ms_per_kb=b, c_ms_per_kb=c
+            )
+
+        want = reference_capacity_bounds(fresh())
+        streamed = fresh()
+        assert streamed.capacity_bounds() == want
+        assert getattr(streamed, "_per_kb_matrix", None) is None
+        cached = fresh()
+        cached.per_kb_matrix()
+        assert cached.capacity_bounds() == want

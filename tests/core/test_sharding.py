@@ -442,6 +442,20 @@ class TestShardedScheduler:
         assert scheduler.stats.rounds == 2
         assert scheduler.stats.packer_passes > 0
 
+    def test_parent_builds_no_fleet_wide_per_kb_matrix(
+        self, fleet_instance
+    ):
+        scheduler = ShardedScheduler(pods=4, pod_workers=None)
+        scheduler.schedule(fleet_instance)
+        result = scheduler.last_result
+        assert result.pods == 4 and result.lp_floor_ms is not None
+        assert (
+            result.lower_bound_ms,
+            result.upper_bound_ms,
+        ) == fleet_instance.capacity_bounds()
+        for cache in ("_per_kb_matrix", "_per_kb_matrix_t"):
+            assert getattr(fleet_instance, cache, None) is None, cache
+
     def test_certify_off_skips_lp_floor(self, fleet_instance):
         scheduler = ShardedScheduler(
             pods=2, certify=False, pod_workers=None
