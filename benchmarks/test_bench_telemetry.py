@@ -1,15 +1,13 @@
 """Telemetry-overhead benches: disabled must cost (almost) nothing.
 
-PR 4 threads an optional telemetry facade through the scheduler's hot
-path — the packing kernel wrapper, the capacity search, the scheduler
-``schedule()`` — all guarded by a single ``enabled`` check.  These
-benches pin the guarantee that the *disabled* path (the default for
-every existing caller) did not regress the PR 2/3 scheduler wins:
+An optional telemetry facade is threaded through the scheduler's hot
+path — the capacity search's probes and the scheduler ``schedule()`` —
+all guarded by a single ``enabled`` check (the packing kernels carry
+no instrumentation at all: the search times its own probes, and only
+when telemetry is enabled).  These benches pin the guarantee that the
+*disabled* path (the default for every existing caller) costs the
+scheduler nothing measurable:
 
-* the instrumented ``pack()`` wrapper is compared against the raw
-  kernel body (``_pack_impl`` — exactly the pre-telemetry pack) on the
-  same packer and capacities, same machine, same session: the median
-  overhead must stay within ±5 %;
 * a full telemetry-disabled mid-scale scheduling pass is recorded as
   ``telemetry_disabled_mid_pass`` in ``BENCH_scheduler.json``, so CI's
   ``check_regression.py --guard telemetry_disabled_mid_pass.total_s:0.05``
@@ -18,76 +16,14 @@ every existing caller) did not regress the PR 2/3 scheduler wins:
   observes, never steers), with its overhead recorded for context.
 """
 
-import statistics
 import time
 
 from repro.core.capacity import CapacitySearch
 from repro.core.greedy import CwcScheduler
-from repro.core.packing import GreedyPacker
 from repro.core.serialize import schedule_to_dict
 from repro.obs import Telemetry
 
 from .test_bench_fleet_scale import _fleet_instance
-
-#: Allowed fractional overhead of the instrumented pack wrapper over
-#: the raw kernel body when telemetry is disabled.
-MAX_PACK_OVERHEAD = 0.05
-
-_TRIALS = 9
-_PACKS_PER_TRIAL = 40
-
-
-def _interleaved_medians(fn_a, fn_b, capacities) -> tuple[float, float]:
-    """Median sweep times for two pack paths, trials interleaved A/B.
-
-    Interleaving keeps slow drift (thermal throttling, background
-    load) from landing entirely on one side of the comparison.
-    """
-    trials_a, trials_b = [], []
-    for _ in range(_TRIALS):
-        for fn, sink in ((fn_a, trials_a), (fn_b, trials_b)):
-            started = time.perf_counter()
-            for capacity_ms in capacities:
-                fn(capacity_ms)
-            sink.append(time.perf_counter() - started)
-    return statistics.median(trials_a), statistics.median(trials_b)
-
-
-def test_bench_pack_wrapper_overhead(record_scheduler_bench):
-    """Instrumented pack() vs the raw kernel body, telemetry disabled."""
-    instance = _fleet_instance(n_phones=72, n_jobs=600)
-    packer = GreedyPacker(instance)
-    lower, upper = instance.capacity_bounds()
-    step = (upper - lower) / _PACKS_PER_TRIAL
-    capacities = [lower + step * i for i in range(1, _PACKS_PER_TRIAL + 1)]
-
-    # Warm both paths once (allocation, branch predictors, caches).
-    packer._pack_impl(capacities[0])
-    packer.pack(capacities[0])
-
-    raw_s, wrapped_s = _interleaved_medians(
-        packer._pack_impl, packer.pack, capacities
-    )
-    overhead = wrapped_s / raw_s - 1.0
-
-    record_scheduler_bench(
-        "telemetry_pack_overhead",
-        phones=len(instance.phones),
-        jobs=len(instance.jobs),
-        raw_s=round(raw_s, 4),
-        wrapped_s=round(wrapped_s, 4),
-        overhead_fraction=round(overhead, 4),
-    )
-    print(
-        f"\npack wrapper overhead (72x600, {_PACKS_PER_TRIAL} packs, "
-        f"median of {_TRIALS}): raw {raw_s * 1000:.1f} ms, "
-        f"wrapped {wrapped_s * 1000:.1f} ms ({overhead * 100:+.1f}%)"
-    )
-    assert overhead <= MAX_PACK_OVERHEAD, (
-        f"telemetry-disabled pack wrapper costs {overhead * 100:.1f}% "
-        f"(allowed {MAX_PACK_OVERHEAD * 100:.0f}%) — the hot path "
-        "regressed; recording must stay out of the disabled path"
-    )
 
 
 def test_bench_telemetry_disabled_mid_pass(record_scheduler_bench):

@@ -93,6 +93,7 @@ original implementation.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -531,6 +532,7 @@ class CapacitySearch:
             """One real pack at ``cap`` (verdict-only when deferring)."""
             nonlocal packs
             packs += 1
+            started = time.perf_counter() if tel.enabled else 0.0
             if tracer is not None:
                 with tracer.span(
                     "pack", category="capacity", capacity_ms=cap
@@ -550,7 +552,9 @@ class CapacitySearch:
                     outcome="feasible" if attempt.feasible else "infeasible",
                 )
                 tel.observe(
-                    "pack_wall_ms", packer.last_pack_wall_ms, kernel=kernel
+                    "pack_wall_ms",
+                    (time.perf_counter() - started) * 1000.0,
+                    kernel=kernel,
                 )
             return attempt
 

@@ -27,10 +27,10 @@ Each scan (Line 4 of Algorithm 1: first unmarked item that fits in an
 opened bin) runs in two stages:
 
 * **scalar head** — the first few walked items are probed with the
-  inherited scalar ``_fit_kb`` loop, bin by bin with the scalar walk's
-  early cutoff.  Scans on feasible packs almost always place one of
-  these items, and a handful of ~1 µs scalar probes beats any array
-  call overhead;
+  shared scalar fit rule (:func:`~repro.core.packing.fit_kb`), bin by
+  bin with the scalar walk's early cutoff.  Scans on feasible packs
+  almost always place one of these items, and a handful of ~1 µs
+  scalar probes beats any array call overhead;
 * **vectorized tail** — if the head fails, the remaining walked items
   are processed in geometrically growing row chunks, each chunk
   evaluating the entire fit test (headroom, per-KB rate, whole-fit
@@ -65,11 +65,10 @@ and scalar Python, and every vectorized expression reproduces the
 scalar operation order term for term, so each computed (item, bin) fit
 verdict matches the scalar verdict exactly; every *skipped* pair is
 one the pruning argument proves the scalar probe would also reject.
-The sizes actually placed are still computed by the inherited scalar
-``_fit_kb`` on plain Python floats and placed by ``_place_and_sync``,
-which follows ``GreedyPacker._pack_item_into_bin`` statement for
-statement — the arrays only decide which probes to run and which
-items to skip.
+The sizes actually placed are still computed by the shared scalar fit
+rule on plain Python floats and placed by ``_place_and_sync``, which
+follows the scalar kernel's placement statement for statement — the
+arrays only decide which probes to run and which items to skip.
 
 ``tests/core/test_packing_vec.py`` pins this kernel pack-by-pack to the
 scalar backend, and ``tests/core/test_golden_schedule.py`` pins full
@@ -79,29 +78,44 @@ capacity searches under both kernels to the frozen reference.
 from __future__ import annotations
 
 import math
-import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .instance import SchedulingInstance
-from .model import MIN_PARTITION_KB
-from .packing import (
-    GreedyPacker,
-    PackingResult,
-    _Bin,
-    _Item,
-    _item_key,
-)
+from .model import MIN_PARTITION_KB, Job
+from .packing import GreedyPacker, PackingResult, fit_kb
 from .schedule import Row
 
 __all__ = ["VectorGreedyPacker"]
 
-#: Walked items probed with scalar ``_fit_kb`` before switching to 2-D
+#: Walked items probed with the scalar fit rule before switching to 2-D
 #: blocks.  Feasible-pack scans nearly always place one of these.
 _SCALAR_HEAD = 4
 
 #: First vectorized row-chunk size; grows geometrically afterwards.
 _CHUNK_ROWS = 128
+
+
+@dataclass(slots=True)
+class _Item:
+    """A job together with the input that is still unpacked."""
+
+    job: Job
+    job_pos: int
+    remaining_kb: float
+
+
+@dataclass(slots=True)
+class _Bin:
+    """One opened phone: its height, per-KB row and shipped executables."""
+
+    phone_id: str
+    phone_pos: int
+    row: list[float]
+    height_ms: float = 0.0
+    shipped_jobs: set[str] = field(default_factory=set)
+
 
 class VectorGreedyPacker(GreedyPacker):
     """Algorithm 1 with dense-array scans and probes.
@@ -138,16 +152,11 @@ class VectorGreedyPacker(GreedyPacker):
         self._exe_arr, self._input_arr = instance.job_load_arrays()
         #: Any zero per-KB rate forces the "free transfer" fit branch.
         self._any_free = bool((self._pkb_mat <= 0).any())
-        if ram is not None:
-            self._ram_arr = np.asarray(
-                [
-                    ram.clamp_fit(phone.phone_id, math.inf)
-                    for phone in instance.phones
-                ],
-                dtype=np.float64,
-            )
-        else:
-            self._ram_arr = None
+        self._ram_arr = (
+            None
+            if ram is None
+            else np.asarray(self._ram_caps, dtype=np.float64)
+        )
         #: shipped[i, j] — phone position i already holds job j's
         #: executable (the dense mirror of each bin's shipped set).
         self._shipped = np.empty((n_phones, len(jobs)), dtype=bool)
@@ -158,7 +167,6 @@ class VectorGreedyPacker(GreedyPacker):
         self._mark_epoch = np.empty(len(jobs), dtype=np.intp)
         self._order_buf = np.empty(len(jobs), dtype=np.intp)
         self._order_n = 0
-        self._slot_item: list[_Item | None] = []
         self._epoch = 0
         self._bh_buf = np.empty(n_phones)
         self._bpos_buf = np.empty(n_phones, dtype=np.intp)
@@ -188,28 +196,16 @@ class VectorGreedyPacker(GreedyPacker):
         )
         self._need0_ms = x0 * self._min_per_kb_arr * (1.0 - 1e-9)
         self._hcut = np.empty(len(jobs))
-        #: Item pool, built and sorted once: the initial sort key
-        #: (``input_kb * c_slowest``) is capacity-independent, so every
-        #: pack starts from the same order.  ``pack`` resets the three
-        #: mutable fields instead of reconstructing 5 000 objects.
-        pool = [
-            _Item(
-                job=job,
-                job_pos=pos,
-                remaining_kb=job.input_kb,
-                key_ms=job.input_kb * self._c_slowest[pos],
-            )
+        #: Item objects by job position, built once: ``pack`` resets
+        #: their remaining sizes instead of reconstructing 5 000 objects.
+        self._slot_item = [
+            _Item(job=job, job_pos=pos, remaining_kb=job.input_kb)
             for pos, job in enumerate(jobs)
         ]
-        pool.sort(key=_item_key)
-        self._item_pool = pool
-        self._key0 = [item.key_ms for item in pool]
-        self._input0 = [item.job.input_kb for item in pool]
-        self._slot_item = [None] * len(jobs)
-        for item in pool:
-            self._slot_item[item.job_pos] = item
+        #: Every pack starts from the scalar kernel's item order.
+        order = self._item_order()
         self._order0 = np.asarray(
-            [item.job_pos for item in pool], dtype=np.intp
+            [pos for _, _, pos in order], dtype=np.intp
         )
         #: Sort-key mirror of ``_order_buf``: ``_okey_buf[i]`` is
         #: ``-key_ms`` of the item at order position ``i`` (ascending,
@@ -218,7 +214,7 @@ class VectorGreedyPacker(GreedyPacker):
         #: C ``searchsorted`` over floats instead of a Python-level
         #: binary search through item objects.
         self._okey0 = np.asarray(
-            [-item.key_ms for item in pool], dtype=np.float64
+            [neg_key for neg_key, _, _ in order], dtype=np.float64
         )
         self._okey_buf = np.empty(len(jobs))
         self._unopened0 = np.arange(n_phones, dtype=np.intp)
@@ -247,27 +243,18 @@ class VectorGreedyPacker(GreedyPacker):
         and materialises the winning capacity with one collecting
         pack at the end.
         """
-        started = time.perf_counter()
-        result = self._pack_impl(capacity_ms, collect=collect)
-        self._note_pack(result, started)
-        return result
-
-    def _pack_impl(
-        self, capacity_ms: float, *, collect: bool = True
-    ) -> PackingResult:
         if capacity_ms <= 0:
             return PackingResult(feasible=False, capacity_ms=capacity_ms)
 
         instance = self._instance
-        for index, item in enumerate(self._item_pool):
-            item.remaining_kb = self._input0[index]
-            item.key_ms = self._key0[index]
-            item.failed_epoch = -1
+        n_jobs = len(self._slot_item)
+        for item, input_kb in zip(self._slot_item, self._input_kb):
+            item.remaining_kb = input_kb
         self._rem[:] = self._input_arr
         self._mark_epoch.fill(-1)
-        self._order_buf[: len(self._item_pool)] = self._order0
-        self._okey_buf[: len(self._item_pool)] = self._okey0
-        self._order_n = len(self._item_pool)
+        self._order_buf[:n_jobs] = self._order0
+        self._okey_buf[:n_jobs] = self._okey0
+        self._order_n = n_jobs
         np.subtract(capacity_ms, self._need0_ms, out=self._hcut)
         self._epoch = 0
         self._mark_ptr = 0
@@ -306,6 +293,21 @@ class VectorGreedyPacker(GreedyPacker):
 
     # -- internals -----------------------------------------------------------
 
+    def _fit(self, bin_: _Bin, item: _Item, capacity_ms: float) -> float:
+        """:func:`~repro.core.packing.fit_kb` of ``item`` in ``bin_``."""
+        pos, ppos = item.job_pos, bin_.phone_pos
+        headroom = capacity_ms - bin_.height_ms
+        if item.job.job_id not in bin_.shipped_jobs:
+            headroom -= self._exe_kb[pos] * self._b[ppos]
+        return fit_kb(
+            headroom,
+            bin_.row[pos],
+            item.remaining_kb,
+            self._atomic[pos],
+            self._min_partition_kb,
+            self._ram_caps[ppos],
+        )
+
     def _place_and_sync(
         self,
         index,
@@ -316,10 +318,10 @@ class VectorGreedyPacker(GreedyPacker):
         capacity_ms,
         size_kb=None,
     ) -> bool:
-        """``GreedyPacker._pack_item_into_bin`` fused with mirror repair.
+        """The scalar kernel's placement fused with mirror repair.
 
         Replicates the parent's placement statement for statement (same
-        scalar ``_fit_kb``/``_exe_cost`` floats, same ``math.isclose``
+        :func:`~repro.core.packing.fit_kb` floats, same ``math.isclose``
         whole-placement test, same unique-key insertion points), but
         takes the bin's list index ``src`` from the caller — every
         caller already knows it; ``None`` marks a fresh bin that is not
@@ -336,20 +338,19 @@ class VectorGreedyPacker(GreedyPacker):
         jid = job.job_id
         ppos = bin_.phone_pos
         if size_kb is None:
-            size_kb = self._fit_kb(bin_, item, capacity_ms)
+            size_kb = self._fit(bin_, item, capacity_ms)
         if size_kb <= 0:
             return False
         close = math.isclose(size_kb, item.remaining_kb)
-        packed_whole_input = item.is_whole and close
-        # ``_exe_cost`` inlined: a shipped executable contributes an
-        # exact 0.0, and ``0.0 + y == y`` bitwise for the non-negative
-        # transfer term, so the branch reproduces the parent's sum.
+        packed_whole_input = close and math.isclose(
+            item.remaining_kb, self._input_kb[pos]
+        )
+        # A shipped executable would contribute an exact 0.0, and
+        # ``0.0 + y == y`` bitwise for the non-negative transfer term.
         if jid in bin_.shipped_jobs:
-            cost = size_kb * self._per_kb_rows[ppos][pos]
+            cost = size_kb * bin_.row[pos]
         else:
-            cost = job.executable_kb * self._b[ppos] + size_kb * (
-                self._per_kb_rows[ppos][pos]
-            )
+            cost = job.executable_kb * self._b[ppos] + size_kb * bin_.row[pos]
         bin_.height_ms += cost
         bin_.shipped_jobs.add(jid)
         # Slot the bin by its unique (height, phone_id) key: binary
@@ -431,9 +432,7 @@ class VectorGreedyPacker(GreedyPacker):
             # ``q - 1`` once the old entry vanishes — exactly the
             # parent's post-delete ``insort`` slot.
             item.remaining_kb = rem_kb = item.remaining_kb - size_kb
-            item.key_ms = key_ms = rem_kb * self._c_slowest[pos]
-            item.failed_epoch = -1
-            neg_key = -key_ms
+            neg_key = -(rem_kb * self._c_slowest[pos])
             tail = okey[index + 1 : n]
             j = int(tail.searchsorted(neg_key, "left"))
             if j < tail.size and tail[j] == neg_key:
@@ -473,7 +472,7 @@ class VectorGreedyPacker(GreedyPacker):
     ) -> bool:
         """Line 4 of Algorithm 1: first item that fits an opened bin.
 
-        Mirrors ``GreedyPacker._pack_into_opened`` decision for
+        Mirrors the scalar kernel's Line-4 scan decision for
         decision; see the module docstring for the scalar-head /
         vectorized-tail split and why the batched marking and
         stale-column pruning are exact.
@@ -511,7 +510,7 @@ class VectorGreedyPacker(GreedyPacker):
             for bidx, bin_ in enumerate(bins):
                 if bin_.height_ms > h_max:
                     break
-                size_kb = self._fit_kb(bin_, item, capacity_ms)
+                size_kb = self._fit(bin_, item, capacity_ms)
                 if size_kb > 0:
                     hit = bin_
                     break
@@ -617,7 +616,7 @@ class VectorGreedyPacker(GreedyPacker):
             col_list = cols.tolist()
             ep_list = row_ep.tolist()
             slots = self._slot_item
-            fit = self._fit_kb
+            fit = self._fit
             for r in range(sel.size):
                 prefix = int(n_i[r])
                 mark = ep_list[r]
@@ -695,8 +694,9 @@ class VectorGreedyPacker(GreedyPacker):
             # Smallest phone_id among the ties == smallest precomputed
             # lexicographic rank (phone_ids are unique).
             k = int(ties[int(np.argmin(self._id_rank[pos_arr[ties]]))])
-        candidate = _Bin(phone_id=ids[k], phone_pos=int(pos_arr[k]))
-        size_kb = self._fit_kb(candidate, item, capacity_ms)
+        pos = int(pos_arr[k])
+        candidate = _Bin(ids[k], pos, self._per_kb_rows[pos])
+        size_kb = self._fit(candidate, item, capacity_ms)
         if size_kb > 0:
             return self._admit_bin(candidate, k), size_kb
         # Rare path: the cheapest phone rejects (RAM / atomic job too
@@ -709,8 +709,9 @@ class VectorGreedyPacker(GreedyPacker):
         for _, phone_id, i in entries:
             if phone_id == cheapest_id:
                 continue
-            fallback = _Bin(phone_id=phone_id, phone_pos=int(pos_arr[i]))
-            size_kb = self._fit_kb(fallback, item, capacity_ms)
+            pos = int(pos_arr[i])
+            fallback = _Bin(phone_id, pos, self._per_kb_rows[pos])
+            size_kb = self._fit(fallback, item, capacity_ms)
             if size_kb > 0:
                 return self._admit_bin(fallback, i), size_kb
         return None

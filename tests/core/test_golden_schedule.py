@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.core import packing
 from repro.core._reference import (
     ReferenceCapacitySearch,
     ReferenceGreedyPacker,
@@ -288,22 +289,85 @@ def test_campaign_shaped_free_phone_matches_reference(seed):
     assert_packs_match_reference_at_every_midpoint(instance, ram=ram)
 
 
+class BranchSpy:
+    """Counts the scalar kernel's rare branches while packs run.
+
+    * ``slivers`` — placements cut by the sliver rule (``remaining -
+      max_kb < min_partition``), which places ``remaining -
+      min_partition``;
+    * ``rejected_openings`` — fits rejected inside a bin opening, i.e.
+      the cheapest phone refused and the opening walked on (the rare
+      path);
+    * ``opened_bin_placements`` — placements on a one-job instance into
+      a bin opened earlier in the same pack (a phone listed twice).
+    """
+
+    def __init__(self, monkeypatch):
+        self.slivers = 0
+        self.rejected_openings = 0
+        self.opened_bin_placements = 0
+        self._opening = False
+        fit = packing.fit_kb
+        open_bin = GreedyPacker._open_bin
+        pack = GreedyPacker.pack
+
+        def counting_fit(headroom, per_kb, remaining, atomic, min_kb, cap):
+            size_kb = fit(headroom, per_kb, remaining, atomic, min_kb, cap)
+            if 0 < size_kb < remaining and size_kb == remaining - min_kb:
+                self.slivers += 1
+            if self._opening and size_kb <= 0:
+                self.rejected_openings += 1
+            return size_kb
+
+        def counting_open(packer, *args):
+            self._opening = True
+            try:
+                return open_bin(packer, *args)
+            finally:
+                self._opening = False
+
+        def counting_pack(packer, capacity_ms):
+            result = pack(packer, capacity_ms)
+            if result.feasible and len({row[1] for row in result.rows}) == 1:
+                phones = [row[0] for row in result.rows]
+                self.opened_bin_placements += len(phones) - len(set(phones))
+            return result
+
+        monkeypatch.setattr(packing, "fit_kb", counting_fit)
+        monkeypatch.setattr(GreedyPacker, "_open_bin", counting_open)
+        monkeypatch.setattr(GreedyPacker, "pack", counting_pack)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_campaign_shaped_ram_rejection_matches_reference(seed, monkeypatch):
     """The cheapest phone rejects: the opening walks the costlier ones."""
     instance = campaign_shaped_instance(seed, free_phone=seed % 2 == 1)
-    rejected_openings = 0
-    fit_kb = GreedyPacker._fit_kb
-
-    def counting_fit(packer, bin_, item, capacity_ms):
-        nonlocal rejected_openings
-        size_kb = fit_kb(packer, bin_, item, capacity_ms)
-        if not bin_.shipped_jobs and size_kb <= 0:
-            rejected_openings += 1
-        return size_kb
-
-    monkeypatch.setattr(GreedyPacker, "_fit_kb", counting_fit)
+    spy = BranchSpy(monkeypatch)
     assert_packs_match_reference_at_every_midpoint(
         instance, ram=cheapest_phones_ram(instance)
     )
-    assert rejected_openings > 0
+    assert spy.rejected_openings > 0
+
+
+def test_campaign_shaped_grid_reaches_rare_branches(monkeypatch):
+    """The golden grid drives every rare branch of the flat kernel.
+
+    Each pack of the campaign-shaped grid (plain, free-phone with a RAM
+    cap, cheapest-phone RAM rejection) is compared with the reference
+    by ``assert_packs_match_reference_at_every_midpoint``; the spies
+    prove the sliver rule, a placement into an already-opened bin on a
+    one-job instance and the rare opening path all ran among them.
+    """
+    spy = BranchSpy(monkeypatch)
+    for seed in range(12):
+        instance = campaign_shaped_instance(seed)
+        assert_packs_match_reference_at_every_midpoint(instance)
+        free = campaign_shaped_instance(seed, free_phone=True)
+        ram = RamConstraint({p.phone_id: 300.0 for p in free.phones})
+        assert_packs_match_reference_at_every_midpoint(free, ram=ram)
+        assert_packs_match_reference_at_every_midpoint(
+            instance, ram=cheapest_phones_ram(instance)
+        )
+    assert spy.slivers > 0
+    assert spy.opened_bin_placements > 0
+    assert spy.rejected_openings > 0
