@@ -849,7 +849,7 @@ def _cmd_trace(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"failed to load trace: {exc}", file=sys.stderr)
             return 2
-        # No event log here, so only the structural span invariants run.
+        # No run result here, so only the structural span invariants run.
         oracle = Oracle(include=("span-tree", "span-nesting"))
         violations = oracle.check_run(None, (), spans=spans, collect=True)
         print(f"{path}: {len(spans)} span(s)")
@@ -873,7 +873,6 @@ def _cmd_trace(args) -> int:
         violations = Oracle().check_run(
             result,
             scenario.jobs,
-            events=telemetry.bus.events,
             spans=telemetry.tracer.spans,
             collect=True,
         )

@@ -572,8 +572,7 @@ class CapacitySearch:
                 category="capacity",
                 hint_ms=warm_hint_ms,
             ):
-                attempt = packer.pack(warm_hint_ms)
-            packs += 1
+                attempt = probe(warm_hint_ms, collect=True)
             if attempt.feasible:
                 hint = warm_hint_ms
                 hint_result = attempt
@@ -659,8 +658,7 @@ class CapacitySearch:
                     category="capacity",
                     capacity_ms=best_capacity,
                 ):
-                    attempt = packer.pack(best_capacity)
-                packs += 1
+                    attempt = probe(best_capacity, collect=True)
                 if attempt.feasible:
                     best = attempt
                 else:

@@ -372,15 +372,11 @@ def crash_restore_check(
         if restore_telemetry is not None
         else None
     )
-    restore_events = (
-        restore_telemetry.bus.events if restore_telemetry is not None else None
-    )
     violations = [
         str(v)
         for v in oracle.check_run(
             restored,
             scenario.jobs,
-            events=restore_events,
             spans=restore_spans,
             collect=True,
         )

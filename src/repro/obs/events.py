@@ -9,7 +9,7 @@ emitted at a monotonically non-decreasing simulation time and appended
 to an in-memory log that serialises to JSONL (one envelope per line).
 
 The bus carries only what no result object keeps: the run and round
-boundaries and each dispatch.  Completions, failures, chaos faults and
+boundaries.  Dispatches, completions, failures, chaos faults and
 resilience actions are recorded once, in the run's
 :class:`~repro.sim.trace.TimelineTrace`, and the scheduler's rounds in
 its :class:`~repro.sim.server.RoundRecord` list.

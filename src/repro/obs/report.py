@@ -6,8 +6,8 @@ A :class:`RunReport` is the durable product of a telemetry-enabled run:
   snapshot, the distilled summary (fleet utilisation, fault counts,
   round-latency percentiles, top-N slowest phones), and an index of
   the series files;
-* ``events.jsonl`` — the event log (run and round boundaries and
-  dispatches), one envelope per line, schema-validated by
+* ``events.jsonl`` — the event log (run and round boundaries), one
+  envelope per line, schema-validated by
   :func:`repro.obs.events.validate_event_dict`;
 * ``timeline.json`` — the run's :class:`~repro.sim.trace.TimelineTrace`
   in its canonical :meth:`~repro.sim.trace.TimelineTrace.to_dict` form

@@ -11,9 +11,10 @@ Dual clocks.  Every span carries a *wall* interval (``start_wall_s`` /
 ``end_wall_s``, read from an injectable monotonic clock) and an
 optional *sim* interval (``start_sim_ms`` / ``end_sim_ms``).  Wall
 time answers the profiler's question ("where did ``solve_s`` go?");
-sim time ties lifecycle spans back to the event log.  Scheduler-side
-spans (capacity search, pod solves) carry wall only; server-side
-lifecycle spans (dispatch, execute, retry) carry both.
+sim time ties lifecycle spans back to the run's timeline.
+Scheduler-side spans (capacity search, pod solves) carry wall only;
+server-side lifecycle spans (run, round, copy, execute, retry) carry
+both.
 
 Cross-process propagation.  Worker processes cannot share the parent's
 ``Tracer``.  Instead the parent pickles a :class:`SpanContext` into the

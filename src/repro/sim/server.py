@@ -222,10 +222,6 @@ class _Operation:
     includes_executable: bool
     timeout_token: EventToken | None = None
     watchdog_token: EventToken | None = None
-    #: The tracer handle of the scheduling round this op was dispatched
-    #: under (None when tracing is disarmed).  Kept on the op so spans
-    #: recorded after the round drained still parent on *their* round.
-    trace_round: object | None = None
 
     @property
     def assignment(self) -> Assignment:
@@ -298,10 +294,10 @@ class CentralServer:
         :meth:`run`.
     telemetry:
         An optional :class:`~repro.obs.telemetry.Telemetry` facade.  When
-        armed, the run and round boundaries and every dispatch go onto
-        the event bus, completions, failures, chaos faults and
-        resilience actions are counted (the records themselves live in
-        the run's trace), round latencies feed the
+        armed, the run and round boundaries go onto the event bus,
+        dispatches, completions, failures, chaos faults and resilience
+        actions are counted (the records themselves live in the run's
+        trace), round latencies feed the
         ``round_latency_ms`` histogram, and fleet-level samplers (phone
         utilisation, queue depth, outstanding dispatches, capacity probe
         counts) are driven from the server's event hooks.  One facade
@@ -462,11 +458,13 @@ class CentralServer:
         except BaseException:
             # A crash hook (durability drill) or a sim bug killed the
             # run mid-flight: close every in-flight span so the store
-            # holds only finished, checkpointable segments.
+            # holds only finished, checkpointable segments, then lay
+            # out the ops the timeline recorded before the kill.
             if tracer is not None:
                 tracer.abort_open(
                     status="interrupted", sim_time_ms=loop.now_ms
                 )
+                self._record_fleet_lanes(tracer)
                 self._run_span = None
                 self._round_span = None
             raise
@@ -476,24 +474,6 @@ class CentralServer:
 
         unfinished = self._failed.drain()
         if tracer is not None:
-            # Undetected offline phones can hold an op forever (their
-            # monitor was parked when the run drained); flush those as
-            # interrupted so every dispatch owns exactly one tracer span.
-            # The timeline trace never saw these ops end, and adding
-            # them now would move the makespan and every digest, so
-            # this close is tracer-only.
-            for pipeline in self._pipelines.values():
-                if pipeline.current is not None:
-                    failed_at = pipeline.failed_at_ms
-                    self._close_op(
-                        pipeline,
-                        pipeline.current,
-                        end_ms=(
-                            failed_at if failed_at is not None else loop.now_ms
-                        ),
-                        interrupted=True,
-                        in_trace=False,
-                    )
             if self._round_span is not None:
                 tracer.end(
                     self._round_span,
@@ -501,6 +481,7 @@ class CentralServer:
                     status="interrupted",
                 )
                 self._round_span = None
+            self._record_fleet_lanes(tracer)
             tracer.end(
                 self._run_span,
                 sim_time_ms=loop.now_ms,
@@ -675,23 +656,15 @@ class CentralServer:
         *,
         end_ms: float,
         interrupted: bool = False,
-        in_trace: bool = True,
     ) -> None:
         """Close one pipeline op: the single place a finished op is recorded.
 
         Builds the op's :class:`Span` once (ending at ``end_ms``, never
         before the op started) and appends it to the timeline trace,
-        which every run metric, the oracle and the crash-restore digest
-        read.  With a tracer armed, the same span also lands on the
-        ``fleet/<phone>`` lane, recorded retroactively at its resolution
-        instant (the sim interval is exact; the wall interval is the
-        recording moment, which keeps the tracer off the sim's critical
-        path).  That span parents on the round the op was dispatched
-        under while the round is still open, else on the run root: an op
-        on a silently failed phone can outlive its round by any number
-        of scheduling instants.  ``in_trace=False`` records the tracer
-        span alone.
+        which every run metric, the oracle, the crash-restore digest
+        and the tracer's ``fleet/<phone>`` lanes read.
         """
+        assert self._loop is not None and self._trace is not None
         assignment = op.assignment
         span = Span(
             phone_id=pipeline.phone_id,
@@ -704,39 +677,65 @@ class CentralServer:
             interrupted=interrupted,
             speculative=op.item.redundant,
         )
-        if in_trace:
-            assert self._loop is not None and self._trace is not None
-            now = self._loop.now_ms
-            self._trace.add_span(span, at_ms=now)
-            tel = self._tel
-            if tel.enabled:
-                tel.observe(
-                    "span_duration_ms", span.duration_ms, kind=span.kind.value
-                )
-                tel.maybe_sample(now)
-        tracer = self._tracer
-        if tracer is None:
-            return
-        parent = op.trace_round
-        if parent is None or parent.closed:
-            parent = self._run_span
-        handle = tracer.start(
-            span.kind.value,
-            category="fleet",
-            process=f"fleet/{span.phone_id}",
-            parent=parent,
-            sim_time_ms=span.start_ms,
-            job_id=span.job_id,
-            task=assignment.task,
-            role=op.item.role.value,
-            attempt=op.item.instance.attempt,
-            input_kb=span.input_kb,
-        )
-        tracer.end(
-            handle,
-            sim_time_ms=span.end_ms,
-            status="interrupted" if interrupted else "ok",
-        )
+        now = self._loop.now_ms
+        self._trace.add_span(span, at_ms=now)
+        tel = self._tel
+        if tel.enabled:
+            tel.observe(
+                "span_duration_ms", span.duration_ms, kind=span.kind.value
+            )
+            tel.maybe_sample(now)
+
+    def _record_fleet_lanes(self, tracer) -> None:
+        """Derive the ``fleet/<phone>`` tracer lanes from the timeline.
+
+        Called once, at run end (or at a kill), with every round
+        closed.  Each timeline span becomes one ``copy`` or
+        ``execute`` tracer span with the same sim interval, interrupted
+        exactly when the timeline span is.  It parents on the latest
+        round that started at or before the op and ended no earlier
+        than the op did, else on the run root: an op on a silently
+        failed phone can outlive its round by any number of scheduling
+        instants.  The lanes carry no wall time of their own; each span
+        is stamped at its parent's start.
+        """
+        assert self._trace is not None
+        run_id = self._run_span.span_id
+        rounds = [
+            s for s in tracer.spans
+            if s.name == "round" and s.parent_id == run_id
+        ]
+        for span in self._trace.spans:
+            parent = next(
+                (
+                    r for r in reversed(rounds)
+                    if r.start_sim_ms <= span.start_ms
+                    and r.end_sim_ms >= span.end_ms
+                ),
+                self._run_span,
+            )
+            tracer.adopt(
+                [
+                    {
+                        "span_id": 1,
+                        "parent_id": None,
+                        "name": span.kind.value,
+                        "category": "fleet",
+                        "process": f"fleet/{span.phone_id}",
+                        "start_wall_s": parent.start_wall_s,
+                        "end_wall_s": parent.start_wall_s,
+                        "start_sim_ms": span.start_ms,
+                        "end_sim_ms": span.end_ms,
+                        "status": "interrupted" if span.interrupted else "ok",
+                        "attrs": {
+                            "job_id": span.job_id,
+                            "task": self._jobs_by_id[span.job_id].task,
+                            "input_kb": span.input_kb,
+                        },
+                    }
+                ],
+                parent=parent,
+            )
 
     def _record_chaos(self, record: ChaosRecord) -> None:
         """Append a chaos ground-truth record and count it."""
@@ -1089,25 +1088,11 @@ class CentralServer:
             duration_ms=duration,
             token=token,
             includes_executable=includes_exe,
-            trace_round=self._round_span,
         )
         pipeline.current = op
         tel = self._tel
         if tel.enabled:
             tel.inc("dispatches_total", role=item.role.value)
-            tel.event(
-                "server",
-                "dispatch",
-                sim_time_ms=now,
-                phone_id=pipeline.phone_id,
-                job_id=assignment.job_id,
-                task=assignment.task,
-                role=item.role.value,
-                input_kb=assignment.input_kb,
-                copy_kb=copy_kb,
-                includes_executable=includes_exe,
-                attempt=item.instance.attempt,
-            )
             tel.maybe_sample(now)
         expected = copy_kb * self._measured_b[pipeline.phone_id]
         self._arm_timeout(pipeline, op, expected_ms=expected)
@@ -1136,7 +1121,6 @@ class CentralServer:
             duration_ms=duration,
             token=token,
             includes_executable=False,
-            trace_round=op.trace_round,
         )
         pipeline.current = execute_op
         predicted = (

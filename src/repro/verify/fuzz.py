@@ -451,11 +451,10 @@ def run_scenario(
         )
 
     oracle = Oracle()
-    events = telemetry.bus.events if telemetry is not None else None
     spans = telemetry.tracer.spans if telemetry is not None else None
     violations = list(
         oracle.check_run(
-            result, scenario.jobs, events=events, spans=spans, collect=True
+            result, scenario.jobs, spans=spans, collect=True
         )
     )
     violations.extend(oracle.check_rounds(result, collect=True))

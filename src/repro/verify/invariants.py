@@ -5,7 +5,7 @@ one of two scopes:
 
 * **run invariants** inspect a finished simulation — the
   :class:`~repro.sim.trace.TimelineTrace`, the completions/failures
-  bookkeeping, and (optionally) the unified telemetry event stream;
+  bookkeeping, and (optionally) the tracer's closed spans;
 * **schedule invariants** inspect one scheduling decision — a
   :class:`~repro.core.schedule.Schedule` against its
   :class:`~repro.core.instance.SchedulingInstance` and, when known, the
@@ -81,18 +81,13 @@ class Invariant:
 class RunContext:
     """Everything a run-scope invariant may inspect.
 
-    ``events`` is the unified telemetry event stream (a sequence of
-    :class:`~repro.obs.events.Event` or envelope dicts) when the run was
-    telemetry-armed; invariants needing it skip silently when absent.
     ``spans`` is the tracer's closed-span store (a sequence of
     :class:`~repro.obs.tracing.TraceSpan` or span dicts) when the run
-    was tracing-armed; the span invariants assume an unbounded store,
-    so validation runs must not ring-bound the tracer.
+    was tracing-armed; the span invariants skip silently when absent.
     """
 
     result: Any  # repro.sim.server.RunResult (duck-typed to avoid cycles)
     jobs: Sequence[Any]
-    events: Sequence[Any] | None = None
     spans: Sequence[Any] | None = None
 
 
@@ -315,6 +310,42 @@ def _check_makespan_consistency(ctx: RunContext) -> None:
             )
 
 
+@run_invariant(
+    "interruption-owns-span",
+    "every failure naming a job, crash hit and dispatch timeout owns an "
+    "interrupted span on its phone that ends at the record's instant",
+)
+def _check_interruption_owns_span(ctx: RunContext) -> None:
+    trace = ctx.result.trace
+    records = [
+        ("failure", f.phone_id, f.job_id, f.failed_at_ms)
+        for f in trace.failures
+        if f.job_id is not None
+    ]
+    records += [
+        ("task_crash hit", c.phone_id, None, c.time_ms)
+        for c in trace.chaos
+        if c.kind == "task_crash" and c.detail == "hit"
+    ]
+    records += [
+        ("timeout", e.phone_id, e.job_id, e.time_ms)
+        for e in trace.resilience_events
+        if e.kind == "timeout"
+    ]
+    for what, phone_id, job_id, at_ms in records:
+        if not any(
+            span.interrupted
+            and (job_id is None or span.job_id == job_id)
+            and abs(span.end_ms - max(span.start_ms, at_ms)) <= TOL_MS
+            for span in trace.spans_for(phone_id)
+        ):
+            raise InvariantViolation(
+                f"{what} on phone {phone_id!r}"
+                + (f" (job {job_id!r})" if job_id is not None else "")
+                + f" at {at_ms} ms owns no interrupted span ending there"
+            )
+
+
 def _normalized_spans(ctx: RunContext):
     """``ctx.spans`` as :class:`~repro.obs.tracing.TraceSpan` objects.
 
@@ -417,50 +448,6 @@ def _check_span_nesting(ctx: RunContext) -> None:
                     f"parent {parent.span_id} ({parent.name!r}) "
                     f"[{parent.start_sim_ms}, {parent.end_sim_ms}]"
                 )
-
-
-@run_invariant(
-    "span-dispatch-match",
-    "every dispatch event owns exactly one copy span at the same "
-    "(phone, job, sim instant), and vice versa",
-)
-def _check_span_dispatch_match(ctx: RunContext) -> None:
-    if ctx.spans is None or ctx.events is None:
-        return
-    from ..obs.events import Event
-
-    def _key(phone_id, job_id, sim_ms):
-        return (phone_id, job_id, round(float(sim_ms), 6))
-
-    dispatches: dict[tuple, int] = {}
-    for event in ctx.events:
-        data = event.to_dict() if isinstance(event, Event) else event
-        if data.get("component") != "server" or data.get("kind") != "dispatch":
-            continue
-        payload = data["payload"]
-        key = _key(payload["phone_id"], payload["job_id"], data["sim_time_ms"])
-        dispatches[key] = dispatches.get(key, 0) + 1
-
-    copies: dict[tuple, int] = {}
-    for span in _normalized_spans(ctx):
-        if span.name != "copy" or span.category != "fleet":
-            continue
-        phone_id = span.process.split("/", 1)[-1]
-        key = _key(phone_id, span.attrs.get("job_id"), span.start_sim_ms)
-        copies[key] = copies.get(key, 0) + 1
-
-    for key, count in dispatches.items():
-        if copies.get(key, 0) != count:
-            raise InvariantViolation(
-                f"dispatch event {key} has {copies.get(key, 0)} matching "
-                f"copy span(s), expected {count}"
-            )
-    for key, count in copies.items():
-        if dispatches.get(key, 0) != count:
-            raise InvariantViolation(
-                f"copy span {key} has {dispatches.get(key, 0)} matching "
-                f"dispatch event(s), expected {count}"
-            )
 
 
 # ---------------------------------------------------------------------------

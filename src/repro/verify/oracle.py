@@ -74,7 +74,6 @@ class Oracle:
         result: Any,
         jobs: Sequence[Any],
         *,
-        events: Sequence[Any] | None = None,
         spans: Sequence[Any] | None = None,
         collect: bool = False,
     ) -> list[Violation]:
@@ -85,7 +84,7 @@ class Oracle:
         ``spans`` is the tracer's closed-span store (objects or dicts);
         when given, the span invariants run too.
         """
-        ctx = RunContext(result=result, jobs=jobs, events=events, spans=spans)
+        ctx = RunContext(result=result, jobs=jobs, spans=spans)
         return self._apply(self._run_invariants, ctx, collect)
 
     def check_rounds(

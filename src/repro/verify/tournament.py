@@ -401,11 +401,10 @@ def run_leg(scenario: Scenario, *, arm_telemetry: bool = True) -> TournamentLeg:
             error=f"{type(exc).__name__}: {exc}",
         )
     oracle = Oracle()
-    events = telemetry.bus.events if telemetry is not None else None
     spans = telemetry.tracer.spans if telemetry is not None else None
     violations: list[Violation] = list(
         oracle.check_run(
-            result, scenario.jobs, events=events, spans=spans, collect=True
+            result, scenario.jobs, spans=spans, collect=True
         )
     )
     violations.extend(oracle.check_rounds(result, collect=True))

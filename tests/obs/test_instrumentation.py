@@ -77,6 +77,29 @@ class TestCapacityAndSchedulerMetrics:
         assert not hasattr(packer, "packs_issued")
         assert not hasattr(packer, "last_pack_wall_ms")
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_every_pack_is_a_counted_probe(self, kernel, warm):
+        """Hint verification and materialisation count like any probe."""
+        instance = make_instance(
+            n_breakable=6, n_atomic=3, n_phones=6, seed=5
+        )
+        hint = None
+        if warm:
+            hint = CapacitySearch(kernel=kernel).run(instance).capacity_ms
+        tel = Telemetry.create(run_id="probe-count")
+        result = CapacitySearch(telemetry=tel, kernel=kernel).run(
+            instance, warm_hint_ms=hint
+        )
+        assert result.warm_start_used is warm
+        registry = tel.registry
+        probes = sum(
+            registry.counter_value("capacity_probes_total", outcome=o)
+            for o in ("feasible", "infeasible")
+        )
+        wall = registry.histogram("pack_wall_ms", kernel=kernel)
+        assert probes == wall.count == result.packer_passes > 0
+
 
 class TestEngineCounters:
     def test_dispatch_and_cancel_counts(self):

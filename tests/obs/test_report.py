@@ -87,9 +87,8 @@ class TestInstrumentedRun:
     def test_all_events_validate(self, chaos_run):
         telemetry, result = chaos_run
         events = telemetry.bus.events
-        # run start/end, round start/end per round, one per dispatch.
-        copies = [s for s in result.trace.spans if s.kind.value == "copy"]
-        assert len(events) == 2 + 2 * len(result.rounds) + len(copies)
+        # run start/end and round start/end per round, nothing else.
+        assert len(events) == 2 + 2 * len(result.rounds)
         for event in events:
             validate_event_dict(event.to_dict())
 
@@ -105,7 +104,6 @@ class TestInstrumentedRun:
         bus = telemetry.bus
         assert len(bus.of_kind("run_start")) == 1
         assert len(bus.of_kind("run_end")) == 1
-        assert bus.of_kind("dispatch")
         assert bus.of_kind("round_start")
         assert bus.of_kind("round_end")
         # Timeline records are kept once, in the trace, never on the bus.
@@ -116,11 +114,11 @@ class TestInstrumentedRun:
             "run_end",
             "round_start",
             "round_end",
-            "dispatch",
         }
         assert not bus.of_component("chaos")
         assert not bus.of_kind("complete")
         assert not bus.of_kind("failure")
+        assert not bus.of_kind("dispatch")
         for event in trace.resilience_events:
             assert not bus.of_kind(event.kind)
 

@@ -1,12 +1,12 @@
-"""Each closed pipeline op is recorded once, then mirrored on its lane.
+"""Each closed pipeline op is recorded once; its fleet lane is derived.
 
-The server builds one :class:`~repro.sim.trace.Span` per finished
-copy/execute op and records the ``fleet/<phone>`` tracer span from that
-same span, so the two records must agree op for op: same phone, job,
-kind and sim interval, and ``status == "interrupted"`` exactly when the
-trace span is ``interrupted``.  The only tracer spans allowed without a
-trace twin are the run-end flush of ops still held by undetected
-offline phones, which the trace deliberately never records.
+The server appends one :class:`~repro.sim.trace.Span` per finished
+copy/execute op to the timeline trace and, with a tracer armed, builds
+the ``fleet/<phone>`` lanes from that trace at run end.  So the two
+records must agree one to one: same phone, job, kind and sim interval,
+and ``status == "interrupted"`` exactly when the trace span is
+``interrupted``.  Each lane span hangs off the latest round that
+contains its sim interval, or off the run when no round does.
 """
 
 from collections import Counter
@@ -19,6 +19,7 @@ from repro.verify.fuzz import (
     generate_scenario,
     scenario_workload,
 )
+from repro.verify.oracle import Oracle
 
 
 def traced_run(seed):
@@ -29,46 +30,73 @@ def traced_run(seed):
     return server.run(initial, arrivals=arrivals), telemetry.tracer.spans
 
 
-def op_key(phone_id, job_id, kind, start_ms, end_ms, interrupted):
-    return (phone_id, job_id, kind, start_ms, end_ms, interrupted)
+def is_op(span):
+    return span.category == "fleet" and span.name in ("copy", "execute")
 
 
 # Fuzz seeds whose scenarios inject chaos faults and phone failures, so
 # interrupted ops (crashes, unplugs, silent failures) are on both sides.
-@pytest.mark.parametrize("seed", [2, 9, 20])
+@pytest.mark.parametrize("seed", [2, 9, 16, 20])
 def test_fleet_spans_mirror_the_timeline_trace(seed):
     result, tracer_spans = traced_run(seed)
     assert result.trace.chaos and result.trace.failures
     assert any(s.interrupted for s in result.trace.spans)
 
-    trace_ops = Counter(
-        op_key(
+    timeline = Counter(
+        (
             s.phone_id, s.job_id, s.kind.value, s.start_ms, s.end_ms,
             s.interrupted,
         )
         for s in result.trace.spans
     )
-    lanes: dict[str, list] = {}
-    for span in tracer_spans:
-        if span.category == "fleet" and span.name in ("copy", "execute"):
-            lanes.setdefault(span.process, []).append(span)
+    fleet = [s for s in tracer_spans if is_op(s)]
+    lanes = Counter(
+        (
+            s.process.split("/", 1)[1],
+            s.attrs["job_id"],
+            s.name,
+            s.start_sim_ms,
+            s.end_sim_ms,
+            s.status == "interrupted",
+        )
+        for s in fleet
+    )
+    assert lanes == timeline
 
-    unmatched = Counter(trace_ops)
-    for process, spans in lanes.items():
-        last_start = max(s.start_sim_ms for s in spans)
-        for span in spans:
-            key = op_key(
-                process.split("/", 1)[1],
-                span.attrs["job_id"],
-                span.name,
-                span.start_sim_ms,
-                span.end_sim_ms,
-                span.status == "interrupted",
-            )
-            if unmatched[key] > 0:
-                unmatched[key] -= 1
-                continue
-            # A run-end flush: the phone's last op, closed as interrupted.
-            assert span.status == "interrupted", span
-            assert span.start_sim_ms == last_start, span
-    assert +unmatched == Counter(), "trace spans without a fleet span"
+    by_id = {s.span_id: s for s in tracer_spans}
+    (run,) = [s for s in tracer_spans if s.name == "run"]
+    rounds = sorted(
+        (s for s in tracer_spans if s.name == "round"),
+        key=lambda s: s.start_sim_ms,
+    )
+    for span in fleet:
+        containing = [
+            r for r in rounds
+            if r.start_sim_ms <= span.start_sim_ms
+            and r.end_sim_ms >= span.end_sim_ms
+        ]
+        expected = containing[-1] if containing else run
+        assert by_id[span.parent_id] is expected, span
+
+
+def test_killed_run_keeps_the_lanes_recorded_before_the_kill():
+    class Killed(Exception):
+        pass
+
+    def kill_at_second_round(_server, round_index):
+        if round_index == 1:
+            raise Killed
+
+    scenario = generate_scenario(9)
+    telemetry = Telemetry.create(run_id="op-record-kill", tracing=True)
+    server = build_scenario_server(
+        scenario, telemetry=telemetry, on_round=kill_at_second_round
+    )
+    initial, arrivals = scenario_workload(scenario)
+    with pytest.raises(Killed):
+        server.run(initial, arrivals=arrivals)
+    spans = telemetry.tracer.spans
+    assert telemetry.tracer.open_count == 0
+    assert any(is_op(s) for s in spans)
+    oracle = Oracle(include=("span-tree", "span-nesting"))
+    assert not oracle.check_run(None, (), spans=spans, collect=True)

@@ -14,6 +14,7 @@ from repro.verify.invariants import (
 )
 from repro.sim.server import RunResult
 from repro.sim.trace import (
+    ChaosRecord,
     CompletionRecord,
     FailureRecord,
     ResilienceEvent,
@@ -32,7 +33,7 @@ EXPECTED_RUN = {
     "makespan-consistency",
     "span-tree",
     "span-nesting",
-    "span-dispatch-match",
+    "interruption-owns-span",
 }
 EXPECTED_SCHEDULE = {
     "coverage",
@@ -42,14 +43,15 @@ EXPECTED_SCHEDULE = {
 }
 
 
-def result_with(spans=(), completions=(), failures=(), rejoins=(),
-                unfinished=()):
+def result_with(spans=(), completions=(), failures=(), resilience=(),
+                chaos=(), unfinished=()):
     trace = TimelineTrace()
     records = (
         [("span", s, s.start_ms) for s in spans]
         + [("completion", c, c.time_ms) for c in completions]
         + [("failure", f, f.detected_at_ms) for f in failures]
-        + [("rejoin", r, r.time_ms) for r in rejoins]
+        + [("resilience", r, r.time_ms) for r in resilience]
+        + [("chaos", c, c.time_ms) for c in chaos]
     )
     records.sort(key=lambda rec: rec[2])
     for kind, record, at_ms in records:
@@ -59,6 +61,8 @@ def result_with(spans=(), completions=(), failures=(), rejoins=(),
             trace.add_completion(record, at_ms=at_ms)
         elif kind == "failure":
             trace.add_failure(record, at_ms=at_ms)
+        elif kind == "chaos":
+            trace.add_chaos(record, at_ms=at_ms)
         else:
             trace.add_resilience_event(record, at_ms=at_ms)
     return RunResult(trace=trace, rounds=[], unfinished_jobs=tuple(unfinished))
@@ -207,7 +211,7 @@ class TestNoZombieWork:
         result = result_with(
             spans=[Span("p", "j", SpanKind.COPY, 70.0, 80.0, input_kb=1.0)],
             failures=[self.FAILURE],
-            rejoins=[ResilienceEvent("rejoin", "p", 65.0)],
+            resilience=[ResilienceEvent("rejoin", "p", 65.0)],
         )
         check("no-zombie-work", result)
 
@@ -226,6 +230,75 @@ class TestCopyBeforeExecute:
         ])
         with pytest.raises(InvariantViolation, match="without ever copying"):
             check("copy-before-execute", result)
+
+
+class TestInterruptionOwnsSpan:
+    # An op on phone p, job j, cut short at t=30.
+    CUT = Span("p", "j", SpanKind.EXECUTE, 10.0, 30.0, input_kb=1.0,
+               interrupted=True)
+    FAILURE = FailureRecord("p", 30.0, 45.0, online=False, job_id="j")
+    CRASH = ChaosRecord("task_crash", "p", 30.0, detail="hit")
+    TIMEOUT = ResilienceEvent("timeout", "p", 30.0, job_id="j")
+
+    @pytest.mark.parametrize("record", ["failure", "crash", "timeout"])
+    def test_record_with_its_span_passes(self, record):
+        check("interruption-owns-span", self._result(record, [self.CUT]))
+
+    @pytest.mark.parametrize("record", ["failure", "crash", "timeout"])
+    def test_record_without_its_span_detected(self, record):
+        with pytest.raises(InvariantViolation, match="owns no interrupted"):
+            check("interruption-owns-span", self._result(record, []))
+
+    @pytest.mark.parametrize("record", ["failure", "crash", "timeout"])
+    def test_completed_span_does_not_count(self, record):
+        done = Span("p", "j", SpanKind.EXECUTE, 10.0, 30.0, input_kb=1.0)
+        with pytest.raises(InvariantViolation, match="owns no interrupted"):
+            check("interruption-owns-span", self._result(record, [done]))
+
+    def test_span_of_another_job_does_not_count(self):
+        other = Span("p", "k", SpanKind.EXECUTE, 10.0, 30.0, input_kb=1.0,
+                     interrupted=True)
+        with pytest.raises(InvariantViolation, match="job 'j'"):
+            check("interruption-owns-span", self._result("timeout", [other]))
+
+    def test_span_starting_after_the_record_ends_at_its_start(self):
+        # The server never ends an op before it started, so an op that
+        # started after the record's instant is closed at zero length.
+        late = Span("p", "j", SpanKind.COPY, 40.0, 40.0, input_kb=1.0,
+                    interrupted=True)
+        check("interruption-owns-span", self._result("failure", [late]))
+
+    def test_jobless_failure_and_missed_crash_need_no_span(self):
+        result = result_with(
+            failures=[FailureRecord("p", 30.0, 30.0, online=True)],
+            chaos=[ChaosRecord("task_crash", "p", 30.0, detail="no-op")],
+        )
+        check("interruption-owns-span", result)
+
+    @pytest.mark.parametrize("seed", [9, 16])
+    def test_clean_chaos_run_passes(self, seed):
+        from repro.verify.fuzz import (
+            build_scenario_server,
+            generate_scenario,
+            scenario_workload,
+        )
+
+        scenario = generate_scenario(seed)
+        initial, arrivals = scenario_workload(scenario)
+        result = build_scenario_server(scenario).run(
+            initial, arrivals=arrivals
+        )
+        trace = result.trace
+        assert any(f.job_id for f in trace.failures)
+        assert any(c.detail == "hit" for c in trace.chaos)
+        check("interruption-owns-span", result, jobs=scenario.jobs)
+
+    def _result(self, record, spans):
+        if record == "failure":
+            return result_with(spans=spans, failures=[self.FAILURE])
+        if record == "crash":
+            return result_with(spans=spans, chaos=[self.CRASH])
+        return result_with(spans=spans, resilience=[self.TIMEOUT])
 
 
 class TestMakespanConsistency:
@@ -276,8 +349,8 @@ def _span_dict(span_id, parent_id=None, name="work", *, start=0.0, end=1.0,
     return data
 
 
-def check_spans(name, spans, events=None):
-    ctx = RunContext(result=None, jobs=(), events=events, spans=spans)
+def check_spans(name, spans):
+    ctx = RunContext(result=None, jobs=(), spans=spans)
     run_registry()[name].check(ctx)
 
 
@@ -351,33 +424,6 @@ class TestSpanNesting:
         ])
 
 
-class TestSpanDispatchMatch:
-    EVENT = {
-        "component": "server",
-        "kind": "dispatch",
-        "sim_time_ms": 5.0,
-        "payload": {"phone_id": "p1", "job_id": "j1"},
-    }
-    COPY = _span_dict(
-        1, None, "copy", category="fleet", process="fleet/p1",
-        start=0.0, end=1.0, sim=(5.0, 20.0), attrs={"job_id": "j1"},
-    )
-
-    def test_matched_pair_passes(self):
-        check_spans("span-dispatch-match", [self.COPY], events=[self.EVENT])
-
-    def test_skips_without_events(self):
-        check_spans("span-dispatch-match", [self.COPY], events=None)
-
-    def test_unmatched_dispatch_detected(self):
-        with pytest.raises(InvariantViolation, match="dispatch event"):
-            check_spans("span-dispatch-match", [], events=[self.EVENT])
-
-    def test_unmatched_copy_span_detected(self):
-        with pytest.raises(InvariantViolation, match="copy span"):
-            check_spans("span-dispatch-match", [self.COPY], events=[])
-
-
 class TestSpanInvariantsEndToEnd:
     def test_traced_fuzz_scenario_passes_all_span_invariants(self):
         from repro.verify.fuzz import generate_scenario, run_scenario
@@ -389,7 +435,7 @@ class TestSpanInvariantsEndToEnd:
         from repro.verify.fuzz import generate_scenario, run_scenario
 
         # Seed 2 injects chaos faults: interrupted fleet spans must
-        # still form a legal tree matched to their dispatch events.
+        # still form a legal tree.
         scenario = generate_scenario(2)
         outcome = run_scenario(scenario)
         assert outcome.ok, outcome.violations
