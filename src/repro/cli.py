@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--telemetry", metavar="DIR",
         help="arm the unified telemetry subsystem and write the "
-        "RunReport bundle (report.json, events.jsonl, series CSVs, "
-        "prometheus.txt) to DIR",
+        "RunReport bundle (report.json with per-round rows, "
+        "timeline.json, series CSVs, prometheus.txt) to DIR",
     )
     simulate.add_argument(
         "--trace", action="store_true",
@@ -314,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument(
         "--top", type=int, default=5,
         help="slowest phones to list (default: 5)",
-    )
-    report_cmd.add_argument(
-        "--no-validate", action="store_true",
-        help="skip envelope-schema validation of events.jsonl on load",
     )
 
     trace_cmd = sub.add_parser(
@@ -812,9 +808,7 @@ def _cmd_report(args) -> int:
     from .obs import load_run_report, render_report_lines
 
     try:
-        loaded = load_run_report(
-            args.run_dir, validate=not args.no_validate
-        )
+        loaded = load_run_report(args.run_dir)
     except Exception as exc:  # noqa: BLE001 - operator-facing diagnostics
         print(f"failed to load run report: {exc}", file=sys.stderr)
         return 2

@@ -395,8 +395,7 @@ class CapacitySearch:
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
         search records only registry metrics (probe outcomes, bisection
-        steps, certificate skips, kernel choice) — it has no
-        simulation clock, so it never emits bus events.
+        steps, certificate skips, kernel choice).
         Every recording site is guarded by the enabled flag, keeping
         the disabled hot path identical to the un-instrumented one.
     """

@@ -153,8 +153,8 @@ def execute_scenario(
 ):
     """Run one scenario deterministically, returning its ``RunResult``.
 
-    Telemetry stays disarmed by default (event envelopes and spans
-    carry wall-clock times, which have no place in byte-identity
+    Telemetry stays disarmed by default (spans and the wall-time
+    histograms carry wall-clock times, which have no place in byte-identity
     checks) — but :func:`run_digests` covers only deterministic fields,
     so passing an armed ``telemetry`` (e.g. with the span tracer on)
     never changes a drill's digests.  Per-round instances are retained

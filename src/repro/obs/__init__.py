@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, event log, samplers, run reports.
+"""Unified telemetry: metrics registry, samplers, run reports, tracing.
 
 The observability layer the evaluation needs as first-class
 infrastructure (per-phone utilisation, charging linearity,
@@ -6,14 +6,13 @@ prediction-error convergence) instead of hand reconstruction:
 
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket
   histograms keyed by name + labels, Prometheus-renderable;
-* :mod:`repro.obs.events` — the envelope-schema event bus and its
-  JSONL reader;
 * :mod:`repro.obs.samplers` — sim-clock time-series samplers with
   columnar storage;
 * :mod:`repro.obs.telemetry` — the facade handed to instrumented
   components (``NULL_TELEMETRY`` is the zero-overhead disabled default);
 * :mod:`repro.obs.report` — the per-run artifact bundle
-  (``report.json`` + ``events.jsonl`` + series CSVs + Prometheus text);
+  (``report.json`` with one row per scheduling round, the timeline,
+  series CSVs, Prometheus text);
 * :mod:`repro.obs.tracing` — the span tracer (flight recorder) with
   cross-process context propagation;
 * :mod:`repro.obs.trace_export` — Chrome trace-event JSON
@@ -22,14 +21,6 @@ prediction-error convergence) instead of hand reconstruction:
   extraction over recorded spans.
 """
 
-from .events import (
-    Event,
-    EventBus,
-    EventOrderError,
-    EventSchemaError,
-    read_events_jsonl,
-    validate_event_dict,
-)
 from .profile import (
     critical_path,
     render_critical_path_lines,
@@ -64,10 +55,6 @@ from .tracing import (
 
 __all__ = [
     "DEFAULT_BUCKETS_MS",
-    "Event",
-    "EventBus",
-    "EventOrderError",
-    "EventSchemaError",
     "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",
@@ -88,7 +75,6 @@ __all__ = [
     "load_run_report",
     "maybe_span",
     "new_run_id",
-    "read_events_jsonl",
     "render_critical_path_lines",
     "render_profile_lines",
     "render_report_lines",

@@ -4,11 +4,10 @@ A :class:`RunReport` is the durable product of a telemetry-enabled run:
 
 * ``report.json`` — run id, metadata, the full metrics registry
   snapshot, the distilled summary (fleet utilisation, fault counts,
-  round-latency percentiles, top-N slowest phones), and an index of
-  the series files;
-* ``events.jsonl`` — the event log (run and round boundaries), one
-  envelope per line, schema-validated by
-  :func:`repro.obs.events.validate_event_dict`;
+  round-latency percentiles, top-N slowest phones), one row per
+  scheduling round (start and drain instants, jobs, prediction, search
+  diagnostics; built from ``RunResult.rounds``), and an index of the
+  series files;
 * ``timeline.json`` — the run's :class:`~repro.sim.trace.TimelineTrace`
   in its canonical :meth:`~repro.sim.trace.TimelineTrace.to_dict` form
   (every copy/execute span, completion, failure, chaos and resilience
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .events import read_events_jsonl
 from .profile import (
     critical_path,
     render_critical_path_lines,
@@ -69,7 +67,7 @@ __all__ = [
     "write_trace_artifacts",
 ]
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 _SERIES_DIR = "series"
 _UNSAFE = re.compile(r"[^A-Za-z0-9_.=-]+")
@@ -110,7 +108,8 @@ class RunReport:
     meta: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-    events: list[dict] = field(default_factory=list)
+    #: One row per scheduling round, in round order (:func:`_round_row`).
+    rounds: list[dict] = field(default_factory=list)
     series: list[Series] = field(default_factory=list)
     #: Closed span dicts from the run's tracer; empty when the run was
     #: not traced (tracing is opt-in on :meth:`Telemetry.create`).
@@ -138,12 +137,6 @@ class RunReport:
                 "samples": len(series),
             }
 
-        with (directory / "events.jsonl").open(
-            "w", encoding="utf-8"
-        ) as handle:
-            for event in self.events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-
         registry = MetricsRegistry.from_dict(self.metrics)
         (directory / "prometheus.txt").write_text(
             registry.render_prometheus(), encoding="utf-8"
@@ -163,8 +156,8 @@ class RunReport:
             "meta": self.meta,
             "metrics": self.metrics,
             "summary": self.summary,
+            "rounds": self.rounds,
             "series_index": dict(sorted(series_index.items())),
-            "event_count": len(self.events),
             "span_count": len(self.spans),
         }
         (directory / "report.json").write_text(
@@ -177,15 +170,26 @@ class RunReport:
         """Prometheus text exposition of the bundled registry snapshot."""
         return MetricsRegistry.from_dict(self.metrics).render_prometheus()
 
-    def get_series(self, name: str, **labels: str) -> Series | None:
-        wanted = Series(name=name, labels=dict(labels)).key()
-        for series in self.series:
-            if series.key() == wanted:
-                return series
-        return None
 
-    def series_named(self, name: str) -> list[Series]:
-        return [s for s in self.series if s.name == name]
+def _round_row(record) -> dict:
+    """One :class:`~repro.sim.server.RoundRecord` as a ``report.json`` row."""
+    search = record.search
+    return {
+        "round_index": record.round_index,
+        "scheduled_at_ms": record.scheduled_at_ms,
+        "drained_at_ms": record.drained_at_ms,
+        "jobs": len(record.job_ids),
+        "phones_used": len(record.schedule.phone_ids),
+        "rescheduled": record.rescheduled,
+        "predicted_makespan_ms": record.predicted_makespan_ms,
+        "scheduling_wall_ms": record.scheduling_wall_ms,
+        "packer_passes": getattr(search, "packer_passes", 0),
+        "bisection_steps": getattr(search, "bisection_steps", 0),
+        "warm_started": record.warm_started,
+        "kernel": record.kernel,
+        "pods": record.pods,
+        "policy": record.policy,
+    }
 
 
 def build_run_report(
@@ -202,8 +206,9 @@ def build_run_report(
     that produced ``result``.  The summary's utilisation block is
     :func:`~repro.sim.metrics.compute_run_metrics` on the result's
     timeline trace, which the report also carries whole; its fault,
-    failure, completion and retry counts are read off the same trace.
-    Only the round count and round latencies come from telemetry.
+    failure, completion and retry counts are read off the same trace,
+    and its round rows and round count off ``result.rounds``.  Only the
+    round-latency percentiles come from telemetry.
     """
     from ..sim.metrics import compute_run_metrics
 
@@ -220,6 +225,7 @@ def build_run_report(
         metrics.phones, key=lambda p: (-p.finish_ms, p.phone_id)
     )[:top_n]
     latency = telemetry.registry.histogram("round_latency_ms")
+    rounds = [_round_row(record) for record in result.rounds]
     summary = {
         "makespan_ms": round(metrics.makespan_ms, 6),
         "active_phones": metrics.active_phone_count,
@@ -232,7 +238,7 @@ def build_run_report(
         "retries": sum(
             1 for event in trace.resilience_events if event.kind == "retry"
         ),
-        "rounds": len(telemetry.bus.of_kind("round_end")),
+        "rounds": sum(row["drained_at_ms"] is not None for row in rounds),
         "round_latency_ms": {
             "count": latency.count if latency else 0,
             "p50": latency.percentile(50.0) if latency else 0.0,
@@ -258,22 +264,15 @@ def build_run_report(
         meta=dict(meta or {}),
         metrics=telemetry.registry.to_dict(),
         summary=summary,
-        events=[event.to_dict() for event in telemetry.bus.events],
+        rounds=rounds,
         series=list(telemetry.samplers.series),
         spans=tracer.to_dicts() if tracer is not None else [],
         timeline=trace.to_dict(),
     )
 
 
-def load_run_report(
-    directory: str | Path, *, validate: bool = True
-) -> RunReport:
-    """Load a bundle written by :meth:`RunReport.write`.
-
-    With ``validate`` (default), every JSONL event line is checked
-    against the envelope schema and a malformed line raises
-    :class:`~repro.obs.events.EventSchemaError` naming the line.
-    """
+def load_run_report(directory: str | Path) -> RunReport:
+    """Load a bundle written by :meth:`RunReport.write`."""
     directory = Path(directory)
     report_path = directory / "report.json"
     if not report_path.is_file():
@@ -286,12 +285,6 @@ def load_run_report(
             f"unsupported report schema {payload.get('schema')!r} "
             f"(expected {REPORT_SCHEMA})"
         )
-    events: list[dict] = []
-    events_path = directory / "events.jsonl"
-    if events_path.is_file():
-        events = read_events_jsonl(events_path, validate=validate)
-    elif validate:
-        raise FileNotFoundError(f"{directory}: missing events.jsonl")
     series: list[Series] = []
     for key, entry in payload.get("series_index", {}).items():
         series.append(
@@ -314,7 +307,7 @@ def load_run_report(
         meta=payload.get("meta", {}),
         metrics=payload.get("metrics", {}),
         summary=payload.get("summary", {}),
-        events=events,
+        rounds=payload.get("rounds", []),
         series=series,
         spans=spans,
         timeline=timeline,
@@ -380,10 +373,31 @@ def render_report_lines(
             f"{resilience.get('quarantined', 0)} quarantined, "
             f"wasted {resilience.get('wasted_fraction', 0.0):.1%}"
         )
-    lines.append(
-        f"  events / series     : {len(report.events)} events, "
-        f"{len(report.series)} series"
-    )
+    if report.rounds:
+        lines.append("  rounds:")
+        for row in report.rounds:
+            lines.append(_render_round_row(row))
+    lines.append(f"  series              : {len(report.series)}")
     if report.spans:
         lines.append(f"  trace spans         : {len(report.spans)}")
     return lines
+
+
+def _render_round_row(row: dict) -> str:
+    start = row["scheduled_at_ms"]
+    drained = row["drained_at_ms"]
+    if drained is None:
+        end = "never drained"
+    else:
+        end = (
+            f"drain {drained / 1000:8.1f} s "
+            f"(latency {(drained - start) / 1000:.1f} s)"
+        )
+    return (
+        f"    #{row['round_index']:<3d} start {start / 1000:8.1f} s, {end}, "
+        f"{row['jobs']} job(s), predicted "
+        f"{row['predicted_makespan_ms'] / 1000:.1f} s, "
+        f"kernel {row['kernel'] or '-'} "
+        f"{'warm' if row['warm_started'] else 'cold'}, "
+        f"scheduled in {row['scheduling_wall_ms']:.1f} ms"
+    )

@@ -1,4 +1,4 @@
-"""The telemetry facade: one handle bundling registry + events + samplers.
+"""The telemetry facade: one handle bundling registry + samplers + tracer.
 
 Every instrumented layer (scheduler, capacity search, central server,
 event engine, throttle, campaign) takes an optional ``telemetry``
@@ -19,6 +19,10 @@ Components must guard loops with ``if telemetry.enabled:`` when a
 recording call would otherwise sit inside a per-item inner loop;
 per-event and per-probe call sites may call unconditionally (the
 disabled facade's early return is a few nanoseconds).
+
+The facade keeps no event log: a run's round boundaries are the start
+and drain instants on its :class:`~repro.sim.server.RoundRecord` list,
+and every other run record lives in its timeline trace.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import itertools
 import time
 
-from .events import Event, EventBus
 from .registry import MetricsRegistry
 from .samplers import SamplerSet
 from .tracing import Tracer
@@ -45,11 +48,11 @@ class Telemetry:
     """Recording facade for one run.
 
     ``enabled`` is the single hot-path gate: when False, every
-    recording method returns immediately and the registry/bus/samplers
+    recording method returns immediately and the registry and samplers
     are never allocated.
     """
 
-    __slots__ = ("enabled", "run_id", "registry", "bus", "samplers", "tracer")
+    __slots__ = ("enabled", "run_id", "registry", "samplers", "tracer")
 
     def __init__(
         self,
@@ -57,14 +60,12 @@ class Telemetry:
         enabled: bool,
         run_id: str = "",
         registry: MetricsRegistry | None = None,
-        bus: EventBus | None = None,
         samplers: SamplerSet | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.enabled = enabled
         self.run_id = run_id
         self.registry = registry
-        self.bus = bus
         self.samplers = samplers
         self.tracer = tracer
 
@@ -74,13 +75,12 @@ class Telemetry:
         run_id: str | None = None,
         *,
         sample_period_ms: float = 5_000.0,
-        wall_clock=time.time,
         tracing: bool = False,
     ) -> "Telemetry":
-        """A fully armed facade with fresh registry, bus, and samplers.
+        """A fully armed facade with a fresh registry and samplers.
 
         ``tracing=True`` arms a :class:`~repro.obs.tracing.Tracer`.
-        The tracer is opt-in separately from metrics/events because
+        The tracer is opt-in separately from metrics because
         span recording sits on per-probe hot paths: components gate on
         ``telemetry.tracer is not None`` so a tracerless facade costs
         one attribute load.
@@ -90,14 +90,9 @@ class Telemetry:
             enabled=True,
             run_id=run_id,
             registry=MetricsRegistry(),
-            bus=EventBus(run_id, wall_clock=wall_clock),
             samplers=SamplerSet(period_ms=sample_period_ms),
             tracer=Tracer(run_id) if tracing else None,
         )
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        return NULL_TELEMETRY
 
     # -- recording (no-ops when disabled) ----------------------------------
 
@@ -115,25 +110,6 @@ class Telemetry:
         if not self.enabled:
             return
         self.registry.observe(name, value, **labels)
-
-    def event(
-        self,
-        component: str,
-        kind: str,
-        *,
-        sim_time_ms: float,
-        severity: str = "info",
-        **payload,
-    ) -> Event | None:
-        if not self.enabled:
-            return None
-        return self.bus.emit(
-            component,
-            kind,
-            sim_time_ms=sim_time_ms,
-            severity=severity,
-            **payload,
-        )
 
     def record_sample(
         self, name: str, time_ms: float, value: float, **labels: str

@@ -1,9 +1,8 @@
 """Span tracer: the flight recorder behind ``repro trace``.
 
 A :class:`Tracer` records :class:`TraceSpan` intervals — named phases
-of work with explicit parent links — under the same discipline the
-event bus applies to envelopes: a fixed schema and monotone-envelope
-validation at close time.  The store keeps every span; a multi-night
+of work with explicit parent links — under a fixed schema and
+monotone-envelope validation at close time.  The store keeps every span; a multi-night
 campaign drains each night's child tracer (:meth:`Tracer.drain_dicts`)
 into its own.
 

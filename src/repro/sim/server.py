@@ -56,7 +56,7 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from ..core.instance import SchedulingInstance
@@ -96,6 +96,9 @@ class RoundRecord:
     predicted_makespan_ms: float
     rescheduled: bool
     job_ids: tuple[str, ...]
+    #: Sim instant the round's last outstanding partition resolved;
+    #: ``None`` only for a round that never drained (a killed run).
+    drained_at_ms: float | None = None
     #: Wall-clock time the scheduler spent producing this round's
     #: schedule (real time, not simulated time).
     scheduling_wall_ms: float = 0.0
@@ -294,10 +297,10 @@ class CentralServer:
         :meth:`run`.
     telemetry:
         An optional :class:`~repro.obs.telemetry.Telemetry` facade.  When
-        armed, the run and round boundaries go onto the event bus,
-        dispatches, completions, failures, chaos faults and resilience
-        actions are counted (the records themselves live in the run's
-        trace), round latencies feed the
+        armed, dispatches, completions, failures, chaos faults and
+        resilience actions are counted (the records themselves live in
+        the run's trace, and each round's start and drain instants on
+        its :class:`RoundRecord`), round latencies feed the
         ``round_latency_ms`` histogram, and fleet-level samplers (phone
         utilisation, queue depth, outstanding dispatches, capacity probe
         counts) are driven from the server's event hooks.  One facade
@@ -368,7 +371,6 @@ class CentralServer:
         self._round_active = False
         self._round_index = 0
         self._corruption_seq = 0
-        self._round_started_ms = 0.0
         self._samplers_installed = False
         self._probes_parked = False
         # Flight-recorder state (None whenever tracing is disarmed).
@@ -431,13 +433,6 @@ class CentralServer:
         self._round_span = None
         if tel.enabled:
             self._install_samplers()
-            tel.event(
-                "run",
-                "run_start",
-                sim_time_ms=loop.now_ms,
-                phones=len(self._phones),
-                jobs=len(jobs),
-            )
         if tracer is not None:
             self._run_span = tracer.start(
                 "run",
@@ -490,16 +485,7 @@ class CentralServer:
                 unfinished_jobs=len(unfinished),
             )
             self._run_span = None
-        if tel.enabled:
-            tel.sample_now(loop.now_ms)
-            tel.event(
-                "run",
-                "run_end",
-                sim_time_ms=loop.now_ms,
-                makespan_ms=self._trace.makespan_ms(),
-                rounds=self._round_index,
-                unfinished_jobs=len(unfinished),
-            )
+        tel.sample_now(loop.now_ms)
         return RunResult(
             trace=self._trace,
             rounds=self._rounds,
@@ -753,27 +739,20 @@ class CentralServer:
         tel.inc("failures_total", online="true" if record.online else "false")
         tel.maybe_sample(record.detected_at_ms)
 
-    def _end_round_telemetry(self) -> None:
-        """Observe the latency of the round that just drained."""
+    def _drain_round(self) -> None:
+        """Close the active round: stamp its drain instant on its record."""
+        assert self._loop is not None
+        now = self._loop.now_ms
+        self._round_active = False
+        record = replace(self._rounds[-1], drained_at_ms=now)
+        self._rounds[-1] = record
         if self._tracer is not None and self._round_span is not None:
-            self._tracer.end(
-                self._round_span, sim_time_ms=self._loop.now_ms
-            )
+            self._tracer.end(self._round_span, sim_time_ms=now)
             self._round_span = None
         tel = self._tel
         if not tel.enabled:
             return
-        assert self._loop is not None
-        now = self._loop.now_ms
-        latency = now - self._round_started_ms
-        tel.observe("round_latency_ms", latency)
-        tel.event(
-            "server",
-            "round_end",
-            sim_time_ms=now,
-            round_index=self._round_index - 1,
-            latency_ms=latency,
-        )
+        tel.observe("round_latency_ms", now - record.scheduled_at_ms)
         tel.maybe_sample(now)
 
     # ------------------------------------------------------------------
@@ -950,30 +929,11 @@ class CentralServer:
         )
         self._round_index += 1
         self._round_active = True
-        self._round_started_ms = self._loop.now_ms
         tel = self._tel
         if tel.enabled:
-            record = self._rounds[-1]
             tel.inc("scheduler_rounds_total")
             tel.inc("scheduler_jobs_total", float(len(jobs)))
             tel.observe("scheduling_wall_ms", scheduling_wall_ms)
-            tel.event(
-                "server",
-                "round_start",
-                sim_time_ms=self._loop.now_ms,
-                round_index=record.round_index,
-                jobs=len(jobs),
-                phones=len(phones),
-                rescheduled=rescheduled,
-                predicted_makespan_ms=record.predicted_makespan_ms,
-                scheduling_wall_ms=scheduling_wall_ms,
-                packer_passes=getattr(search, "packer_passes", 0),
-                bisection_steps=getattr(search, "bisection_steps", 0),
-                warm_started=record.warm_started,
-                kernel=record.kernel,
-                pods=record.pods,
-                policy=record.policy,
-            )
 
         for phone_id, pipeline in self._pipelines.items():
             for assignment in schedule.for_phone(phone_id):
@@ -989,15 +949,13 @@ class CentralServer:
                 self._start_next(pipeline)
 
         if self._outstanding == 0:
-            self._round_active = False
-            self._end_round_telemetry()
+            self._drain_round()
 
     def _maybe_end_round(self) -> None:
         """Called whenever outstanding work may have hit zero."""
         if self._outstanding > 0 or not self._round_active:
             return
-        self._round_active = False
-        self._end_round_telemetry()
+        self._drain_round()
         assert self._loop is not None
         self._loop.schedule_after(0.0, self._next_scheduling_instant)
 

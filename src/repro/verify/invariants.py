@@ -4,8 +4,9 @@ Each invariant is a small checker registered under a stable name, in
 one of two scopes:
 
 * **run invariants** inspect a finished simulation — the
-  :class:`~repro.sim.trace.TimelineTrace`, the completions/failures
-  bookkeeping, and (optionally) the tracer's closed spans;
+  :class:`~repro.sim.trace.TimelineTrace`, the round records, the
+  completions/failures bookkeeping, and (optionally) the tracer's
+  closed spans;
 * **schedule invariants** inspect one scheduling decision — a
   :class:`~repro.core.schedule.Schedule` against its
   :class:`~repro.core.instance.SchedulingInstance` and, when known, the
@@ -344,6 +345,42 @@ def _check_interruption_owns_span(ctx: RunContext) -> None:
                 + (f" (job {job_id!r})" if job_id is not None else "")
                 + f" at {at_ms} ms owns no interrupted span ending there"
             )
+
+
+@run_invariant(
+    "rounds-ordered",
+    "rounds are indexed 0..n-1 and each drains between its own start and "
+    "the next round's; only the last round may be undrained",
+)
+def _check_rounds_ordered(ctx: RunContext) -> None:
+    rounds = ctx.result.rounds
+    for position, record in enumerate(rounds):
+        if record.round_index != position:
+            raise InvariantViolation(
+                f"round at position {position} carries index "
+                f"{record.round_index}"
+            )
+        drained = record.drained_at_ms
+        is_last = position == len(rounds) - 1
+        if drained is None:
+            if not is_last:
+                raise InvariantViolation(
+                    f"round {position} never drained but round "
+                    f"{position + 1} started"
+                )
+            continue
+        if drained < record.scheduled_at_ms - TOL_MS:
+            raise InvariantViolation(
+                f"round {position} drained at {drained} ms, before it "
+                f"started at {record.scheduled_at_ms} ms"
+            )
+        if not is_last:
+            next_start = rounds[position + 1].scheduled_at_ms
+            if drained > next_start + TOL_MS:
+                raise InvariantViolation(
+                    f"round {position} drained at {drained} ms, after "
+                    f"round {position + 1} started at {next_start} ms"
+                )
 
 
 def _normalized_spans(ctx: RunContext):

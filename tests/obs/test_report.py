@@ -2,8 +2,9 @@
 
 The load-bearing guarantees:
 
-* an instrumented chaos run emits a schema-valid event stream with a
-  non-empty round-latency histogram and per-phone utilisation series;
+* an instrumented chaos run records a non-empty round-latency
+  histogram and per-phone utilisation series, and its report carries
+  one row per ``RunResult.rounds`` entry;
 * a report bundle carries the run's timeline trace whole
   (``timeline.json``) and its utilisation summary is
   :func:`repro.sim.metrics.compute_run_metrics` on that trace;
@@ -19,7 +20,7 @@ from repro.core.model import Job, JobKind, PhoneSpec
 from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.core.serialize import schedule_to_dict
 from repro.obs import Telemetry, build_run_report, load_run_report
-from repro.obs.events import validate_event_dict
+from repro.obs.registry import Histogram
 from repro.obs.report import render_report_lines
 from repro.sim.chaos import ChaosPlan, CpuSlowdown, ResiliencePolicy, TaskCrash
 from repro.sim.entities import FleetGroundTruth
@@ -84,43 +85,31 @@ def chaos_run():
 
 
 class TestInstrumentedRun:
-    def test_all_events_validate(self, chaos_run):
+    def test_round_rows_are_the_round_records(self, chaos_run):
         telemetry, result = chaos_run
-        events = telemetry.bus.events
-        # run start/end and round start/end per round, nothing else.
-        assert len(events) == 2 + 2 * len(result.rounds)
-        for event in events:
-            validate_event_dict(event.to_dict())
+        assert result.rounds
+        rows = build_run_report(result, telemetry).rounds
+        assert rows == [expected_row(record) for record in result.rounds]
 
-    def test_event_stream_is_monotone(self, chaos_run):
-        telemetry, _ = chaos_run
-        times = [e.sim_time_ms for e in telemetry.bus.events]
-        assert times == sorted(times)
-        seqs = [e.seq for e in telemetry.bus.events]
-        assert seqs == list(range(len(seqs)))
-
-    def test_lifecycle_events_present(self, chaos_run):
+    def test_round_count_is_the_drained_rows(self, chaos_run):
         telemetry, result = chaos_run
-        bus = telemetry.bus
-        assert len(bus.of_kind("run_start")) == 1
-        assert len(bus.of_kind("run_end")) == 1
-        assert bus.of_kind("round_start")
-        assert bus.of_kind("round_end")
-        # Timeline records are kept once, in the trace, never on the bus.
-        trace = result.trace
-        assert trace.completions and trace.chaos and trace.resilience_events
-        assert {e.kind for e in bus} == {
-            "run_start",
-            "run_end",
-            "round_start",
-            "round_end",
-        }
-        assert not bus.of_component("chaos")
-        assert not bus.of_kind("complete")
-        assert not bus.of_kind("failure")
-        assert not bus.of_kind("dispatch")
-        for event in trace.resilience_events:
-            assert not bus.of_kind(event.kind)
+        report = build_run_report(result, telemetry)
+        drained = [r for r in report.rounds if r["drained_at_ms"] is not None]
+        assert drained == report.rounds  # every round of the run drained
+        assert report.summary["rounds"] == len(drained)
+        latency = telemetry.registry.histogram("round_latency_ms")
+        assert latency.count == len(drained)
+        assert report.summary["round_latency_ms"]["count"] == len(drained)
+
+    def test_round_latency_is_drain_minus_start(self, chaos_run):
+        telemetry, result = chaos_run
+        observed = telemetry.registry.histogram("round_latency_ms")
+        expected = Histogram(buckets=observed.buckets)
+        for record in result.rounds:
+            assert record.drained_at_ms >= record.scheduled_at_ms
+            expected.observe(record.drained_at_ms - record.scheduled_at_ms)
+        assert observed.counts == expected.counts
+        assert observed.sum == expected.sum
 
     def test_round_latency_histogram_non_empty(self, chaos_run):
         telemetry, _ = chaos_run
@@ -152,10 +141,25 @@ class TestInstrumentedRun:
         )
         assert chaos_total == len(result.trace.chaos)
 
-    def test_no_span_events_on_the_bus(self, chaos_run):
-        telemetry, result = chaos_run
-        assert result.trace.spans
-        assert not telemetry.bus.of_kind("span")
+
+def expected_row(record):
+    """A round record's report row, spelled out field by field."""
+    return {
+        "round_index": record.round_index,
+        "scheduled_at_ms": record.scheduled_at_ms,
+        "drained_at_ms": record.drained_at_ms,
+        "jobs": len(record.job_ids),
+        "phones_used": len(record.schedule.phone_ids),
+        "rescheduled": record.rescheduled,
+        "predicted_makespan_ms": record.predicted_makespan_ms,
+        "scheduling_wall_ms": record.scheduling_wall_ms,
+        "packer_passes": record.search.packer_passes,
+        "bisection_steps": record.search.bisection_steps,
+        "warm_started": record.warm_started,
+        "kernel": record.kernel,
+        "pods": record.pods,
+        "policy": record.policy,
+    }
 
 
 def trace_counts(trace):
@@ -169,7 +173,9 @@ def trace_counts(trace):
 
 
 def assert_summary_counts_match(telemetry, result):
-    summary = build_run_report(result, telemetry).summary
+    report = build_run_report(result, telemetry)
+    summary = report.summary
+    assert report.rounds == [expected_row(r) for r in result.rounds]
     expected = trace_counts(result.trace)
     assert {key: summary[key] for key in expected} == expected
     # The registry counts the same records independently of the trace.
@@ -221,14 +227,14 @@ class TestRunReportBundle:
         )
         bundle_dir = report.write(tmp_path / "bundle")
         assert (bundle_dir / "report.json").is_file()
-        assert (bundle_dir / "events.jsonl").is_file()
+        assert not (bundle_dir / "events.jsonl").exists()
         assert (bundle_dir / "prometheus.txt").is_file()
         assert list((bundle_dir / "series").glob("*.csv"))
 
         loaded = load_run_report(bundle_dir)
         assert loaded.run_id == telemetry.run_id
         assert loaded.meta == {"seed": 7}
-        assert len(loaded.events) == len(telemetry.bus.events)
+        assert loaded.rounds == report.rounds
         assert len(loaded.series) == len(telemetry.samplers.series)
         assert loaded.summary["completions"] == len(result.trace.completions)
         assert loaded.summary["round_latency_ms"]["count"] >= 1
@@ -239,6 +245,8 @@ class TestRunReportBundle:
         assert "run report: test-chaos" in text
         assert "round latency" in text
         assert "faults injected" in text
+        for row in report.rounds:
+            assert f"#{row['round_index']:<3d} start" in text
 
     def test_bundle_timeline_is_the_trace(self, chaos_run, tmp_path):
         telemetry, result = chaos_run
@@ -258,21 +266,6 @@ class TestRunReportBundle:
         text = report.render_prometheus()
         assert "completions_total" in text
         assert "round_latency_ms_bucket" in text
-
-    def test_load_rejects_corrupt_events(self, chaos_run, tmp_path):
-        telemetry, result = chaos_run
-        bundle_dir = build_run_report(result, telemetry).write(tmp_path / "b")
-        events_path = bundle_dir / "events.jsonl"
-        events_path.write_text(
-            events_path.read_text() + '{"run_id": "x"}\n'
-        )
-        from repro.obs.events import EventSchemaError
-
-        with pytest.raises(EventSchemaError):
-            load_run_report(bundle_dir)
-        # Validation can be waived for forensics.
-        loaded = load_run_report(bundle_dir, validate=False)
-        assert loaded.events
 
     def test_missing_bundle_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

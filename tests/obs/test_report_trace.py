@@ -3,8 +3,8 @@
 PR 9 adds ``trace.json`` + ``profile.txt`` to the RunReport bundle
 (present only when the run traced spans) and ``RunReport.spans``.
 These tests pin the trace-gated artifact behaviour plus the loader's
-error paths: missing ``report.json`` / ``events.jsonl``, unsupported
-schemas, and malformed series CSVs.
+error paths: missing ``report.json``, unsupported and retired schemas,
+and malformed series CSVs.
 """
 
 import json
@@ -82,31 +82,18 @@ class TestLoadErrorPaths:
         with pytest.raises(ValueError, match="unsupported report schema"):
             load_run_report(tmp_path)
 
-    def test_schema_1_bundle_rejected(self, tmp_path):
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_old_schema_bundle_rejected(self, tmp_path, schema):
         # Schema 1 bundles mirrored every span onto events.jsonl and
-        # carried no timeline.json.
+        # carried no timeline.json; schema 2 bundles kept the round
+        # boundaries in events.jsonl instead of report.json's rows.
         (tmp_path / "report.json").write_text(
-            json.dumps({"schema": 1, "run_id": "x"})
+            json.dumps({"schema": schema, "run_id": "x"})
         )
-        with pytest.raises(ValueError, match="unsupported report schema 1"):
+        with pytest.raises(
+            ValueError, match=f"unsupported report schema {schema}"
+        ):
             load_run_report(tmp_path)
-
-    def test_missing_events_jsonl_raises_under_validation(self, tmp_path):
-        (tmp_path / "report.json").write_text(
-            json.dumps({"schema": REPORT_SCHEMA, "run_id": "x"})
-        )
-        with pytest.raises(FileNotFoundError, match="missing events.jsonl"):
-            load_run_report(tmp_path)
-
-    def test_missing_events_jsonl_tolerated_without_validation(
-        self, tmp_path
-    ):
-        (tmp_path / "report.json").write_text(
-            json.dumps({"schema": REPORT_SCHEMA, "run_id": "x"})
-        )
-        loaded = load_run_report(tmp_path, validate=False)
-        assert loaded.run_id == "x"
-        assert loaded.events == []
 
     def test_corrupt_trace_json_rejected(self, traced_run, tmp_path):
         telemetry, result = traced_run

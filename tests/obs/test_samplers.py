@@ -114,3 +114,12 @@ class TestSamplerSet:
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
             SamplerSet(period_ms=0.0)
+
+    def test_series_stay_unbounded(self):
+        # Neither the sampler set nor the telemetry facade caps a series.
+        from repro.obs import Telemetry
+
+        tel = Telemetry.create("run")
+        for i in range(1_000):
+            tel.record_sample("s", float(i), 1.0)
+        assert len(tel.samplers.get_series("s")) == 1_000

@@ -8,13 +8,15 @@ from repro.obs.telemetry import new_run_id
 
 class TestDisabledFacade:
     def test_singleton(self):
-        assert Telemetry.disabled() is NULL_TELEMETRY
+        from repro.obs import telemetry as module
+
+        assert module.NULL_TELEMETRY is NULL_TELEMETRY
         assert NULL_TELEMETRY.enabled is False
 
     def test_allocates_nothing(self):
         assert NULL_TELEMETRY.registry is None
-        assert NULL_TELEMETRY.bus is None
         assert NULL_TELEMETRY.samplers is None
+        assert NULL_TELEMETRY.tracer is None
 
     def test_recording_is_noop(self):
         # None of these may touch the (absent) backing stores.
@@ -24,7 +26,6 @@ class TestDisabledFacade:
         NULL_TELEMETRY.record_sample("s", 0.0, 1.0)
         NULL_TELEMETRY.maybe_sample(0.0)
         NULL_TELEMETRY.sample_now(0.0)
-        assert NULL_TELEMETRY.event("server", "x", sim_time_ms=0.0) is None
 
 
 class TestEnabledFacade:
@@ -35,12 +36,10 @@ class TestEnabledFacade:
         tel.inc("c", 2.0)
         tel.set_gauge("g", 3.0)
         tel.observe("h", 4.0)
-        event = tel.event("server", "x", sim_time_ms=1.0, a=1)
         tel.record_sample("s", 0.0, 1.0)
         assert tel.registry.counter_value("c") == 2.0
         assert tel.registry.gauge_value("g") == 3.0
         assert tel.registry.histogram("h").count == 1
-        assert event.payload == {"a": 1}
         assert tel.samplers.get_series("s").values == [1.0]
 
     def test_generated_run_ids_are_unique(self):

@@ -375,14 +375,13 @@ class TestTelemetryCli:
         assert code == 0
         assert "telemetry bundle written to" in capsys.readouterr().out
         assert (bundle_dir / "report.json").is_file()
-        assert (bundle_dir / "events.jsonl").is_file()
+        assert not (bundle_dir / "events.jsonl").exists()
         assert (bundle_dir / "prometheus.txt").is_file()
         assert list((bundle_dir / "series").glob("*.csv"))
 
-        from repro.obs.events import read_events_jsonl
-
-        events = read_events_jsonl(bundle_dir / "events.jsonl")
-        assert events  # every line passed schema validation
+        payload = json.loads((bundle_dir / "report.json").read_text())
+        assert payload["schema"] == 3
+        assert payload["rounds"]
 
     def test_report_renders_bundle(self, tmp_path, capsys):
         code, bundle_dir = self.run_instrumented(tmp_path)
@@ -393,23 +392,31 @@ class TestTelemetryCli:
         assert "run report:" in out
         assert "round latency" in out
         assert "faults injected" in out
+        rows = json.loads((bundle_dir / "report.json").read_text())["rounds"]
+        round_lines = [
+            line for line in out.splitlines() if line.startswith("    #")
+        ]
+        assert len(round_lines) == len(rows)
+        for line, row in zip(round_lines, rows):
+            assert line.startswith(f"    #{row['round_index']:<3d} start")
+            assert f"{row['jobs']} job(s)" in line
+            warm = "warm" if row["warm_started"] else "cold"
+            assert f"kernel {row['kernel']} {warm}," in line
 
     def test_report_on_missing_bundle_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert "failed to load" in capsys.readouterr().err
 
-    def test_report_no_validate_tolerates_bad_lines(
-        self, tmp_path, capsys
-    ):
+    def test_report_rejects_schema_2_bundle(self, tmp_path, capsys):
         code, bundle_dir = self.run_instrumented(tmp_path)
         assert code == 0
-        events_path = bundle_dir / "events.jsonl"
-        events_path.write_text(
-            events_path.read_text() + '{"run_id": "x"}\n'
-        )
+        report_path = bundle_dir / "report.json"
+        payload = json.loads(report_path.read_text())
+        payload["schema"] = 2
+        report_path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["report", str(bundle_dir)]) == 2
-        assert main(["report", str(bundle_dir), "--no-validate"]) == 0
+        assert "unsupported report schema 2" in capsys.readouterr().err
 
     def test_simulate_without_telemetry_unchanged(self, tmp_path):
         with_path = tmp_path / "with.json"

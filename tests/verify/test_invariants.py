@@ -34,6 +34,7 @@ EXPECTED_RUN = {
     "span-tree",
     "span-nesting",
     "interruption-owns-span",
+    "rounds-ordered",
 }
 EXPECTED_SCHEDULE = {
     "coverage",
@@ -44,7 +45,7 @@ EXPECTED_SCHEDULE = {
 
 
 def result_with(spans=(), completions=(), failures=(), resilience=(),
-                chaos=(), unfinished=()):
+                chaos=(), unfinished=(), rounds=()):
     trace = TimelineTrace()
     records = (
         [("span", s, s.start_ms) for s in spans]
@@ -65,7 +66,16 @@ def result_with(spans=(), completions=(), failures=(), resilience=(),
             trace.add_chaos(record, at_ms=at_ms)
         else:
             trace.add_resilience_event(record, at_ms=at_ms)
-    return RunResult(trace=trace, rounds=[], unfinished_jobs=tuple(unfinished))
+    return RunResult(
+        trace=trace, rounds=list(rounds), unfinished_jobs=tuple(unfinished)
+    )
+
+
+def round_at(index, start, drained):
+    """The fields of a round record that ``rounds-ordered`` reads."""
+    return SimpleNamespace(
+        round_index=index, scheduled_at_ms=start, drained_at_ms=drained
+    )
 
 
 def check(name, result, jobs=()):
@@ -299,6 +309,60 @@ class TestInterruptionOwnsSpan:
         if record == "crash":
             return result_with(spans=spans, chaos=[self.CRASH])
         return result_with(spans=spans, resilience=[self.TIMEOUT])
+
+
+class TestRoundsOrdered:
+    def test_contiguous_drained_rounds_pass(self):
+        check("rounds-ordered", result_with(rounds=[
+            round_at(0, 0.0, 50.0),
+            round_at(1, 50.0, 80.0),
+            round_at(2, 90.0, 90.0),
+        ]))
+
+    def test_undrained_last_round_passes(self):
+        check("rounds-ordered", result_with(rounds=[
+            round_at(0, 0.0, 50.0), round_at(1, 50.0, None),
+        ]))
+
+    def test_no_rounds_pass(self):
+        check("rounds-ordered", result_with())
+
+    @pytest.mark.parametrize("indices", [(1, 2), (0, 2), (0, 0)])
+    def test_index_gap_detected(self, indices):
+        rounds = [round_at(indices[0], 0.0, 50.0), round_at(indices[1], 50.0, 80.0)]
+        with pytest.raises(InvariantViolation, match="carries index"):
+            check("rounds-ordered", result_with(rounds=rounds))
+
+    def test_drain_before_start_detected(self):
+        rounds = [round_at(0, 0.0, 50.0), round_at(1, 60.0, 55.0)]
+        with pytest.raises(InvariantViolation, match="before it started"):
+            check("rounds-ordered", result_with(rounds=rounds))
+
+    def test_drain_after_next_start_detected(self):
+        rounds = [round_at(0, 0.0, 70.0), round_at(1, 60.0, 90.0)]
+        with pytest.raises(InvariantViolation, match="after round 1 started"):
+            check("rounds-ordered", result_with(rounds=rounds))
+
+    def test_undrained_round_before_last_detected(self):
+        rounds = [round_at(0, 0.0, None), round_at(1, 60.0, 90.0)]
+        with pytest.raises(InvariantViolation, match="never drained"):
+            check("rounds-ordered", result_with(rounds=rounds))
+
+    @pytest.mark.parametrize("seed", [2, 9, 16])
+    def test_fuzz_runs_pass(self, seed):
+        from repro.verify.fuzz import (
+            build_scenario_server,
+            generate_scenario,
+            scenario_workload,
+        )
+
+        scenario = generate_scenario(seed)
+        initial, arrivals = scenario_workload(scenario)
+        result = build_scenario_server(scenario).run(
+            initial, arrivals=arrivals
+        )
+        assert all(r.drained_at_ms is not None for r in result.rounds)
+        check("rounds-ordered", result)
 
 
 class TestMakespanConsistency:
