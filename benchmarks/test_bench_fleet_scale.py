@@ -109,6 +109,7 @@ def test_bench_fleet_scale_full_pass(record_scheduler_bench):
         bisection_steps=result.bisection_steps,
         shortcircuit_skips=result.shortcircuit_skips,
         phone_classes=len(instance.phone_classes()[1]),
+        c_rows=len(instance.c_class_rows()[0]),
         per_kb_row_lists=row_lists,
         kernel=result.kernel,
     )

@@ -16,34 +16,39 @@ The paper argues "a rudimentary low cost PC will suffice" for the
 central server; at fleet scale (thousands of phones, thousands of jobs)
 that only holds if the per-(phone, job) cost reads the schedulers issue
 millions of times per search are O(1) array reads rather than dict
-chains.  The authoritative storage is a dense float64 ``c`` matrix
-(phones × jobs): ``__post_init__`` validates the input tables and pins
-the matrix once, and every derived view — the ``b_i + c_ij`` per-KB rate
-matrix (Equation 1), its transpose, the row lists the scalar packer
-reads — is computed lazily from it with exactly the same floating-point
-operation order as the original dict-chain code.  Schedulers built on
-these caches therefore produce byte-identical schedules (see
-``tests/core/test_golden_schedule.py``); pod workers inherit the matrix
-copy-on-write through ``fork`` instead of pickling the cost table
-element by element.
+chains, and if the cost table's size follows the fleet's phone *types*
+rather than its phone count.  The authoritative ``c`` storage is one
+float64 row per ``c``-row class (classes × jobs) plus a per-phone class
+index: ``__post_init__`` validates the input tables and pins the rows
+once, a scalar read is one index lookup into them, and every derived
+view — the ``b_i + c_ij`` per-KB rate matrix (Equation 1), its
+transpose, the row lists the scalar packer reads, the dense
+:meth:`SchedulingInstance.c_matrix` — is computed on demand from them
+with exactly the same floating-point operations as the original
+dict-chain code.  Schedulers built on these views therefore produce
+byte-identical schedules (see ``tests/core/test_golden_schedule.py``);
+pod workers inherit the rows copy-on-write through ``fork`` instead of
+pickling the cost table element by element.
 
 Phone classes
 -------------
 A fleet is a few phone types, replicated: ``c_ij`` depends only on the
 (phone, task) pair, and ``b_i`` is measured per type.  :meth:`build`
-therefore tags each phone with the class of its per-task prediction
-row, and the instance refines that tag by ``b_i`` into
+therefore stores one ``c`` row per distinct per-task prediction row (18
+rows for the 1000-phone replicated testbed, not 1000), and the instance
+refines the row class by ``b_i`` into
 :meth:`SchedulingInstance.phone_classes` — phones in one class have
 bit-identical ``b_i + c_ij`` rows, so :meth:`per_kb_rows` hands every
-member the same list (18 lists for the 1000-phone replicated testbed,
-not 1000).  Pod sub-instances inherit their parent's classes; an
-instance built from a plain ``c`` mapping has one class per phone.
+member the same list and :meth:`per_kb_matrix` adds ``b_i + c_ij`` once
+per class.  Pod sub-instances copy only the class rows their phones
+use; an instance built from a plain ``c`` mapping has one row, and one
+class, per phone.
 
 The capacity bracket (:meth:`SchedulingInstance.capacity_bounds`)
-streams ``b_i + c_ij`` through small row blocks of the ``c`` matrix and
-never builds the full per-KB matrix, so a caller that needs only the
-bracket (the sharded scheduler's parent, which packs nothing itself)
-holds no fleet-wide per-KB copy.
+streams ``b_i + c_ij`` through small phone blocks gathered from the
+class rows and never builds a full phones × jobs array, so a caller
+that needs only the bracket and the pod tables (the sharded scheduler's
+parent, which packs nothing itself) holds no fleet-wide cost matrix.
 """
 
 from __future__ import annotations
@@ -61,22 +66,24 @@ __all__ = ["SchedulingInstance"]
 
 
 class _DenseCostMap(Mapping):
-    """A ``(phone_id, job_id) -> c_ij`` mapping backed by a dense matrix.
+    """A ``(phone_id, job_id) -> c_ij`` mapping stored per ``c``-row class.
 
     Built by :meth:`SchedulingInstance.build` instead of a plain dict so
     fleet-scale instances do not pay for millions of tuple-keyed dict
     entries; behaves exactly like the dict it replaces (``Mapping``
     supplies ``items``/``get``/``__eq__``, and ``__getitem__`` returns
-    plain Python floats), and hands its matrix to the instance's dense
-    caches without any per-element work.
+    plain Python floats), and hands its rows to the instance without
+    any per-element work.
 
-    ``row_class`` optionally tags each phone (by position) with a class
-    index such that phones with equal tags have bit-identical ``c``
-    rows; ``None`` claims nothing (every phone its own class).
+    ``rows`` holds one float64 row per class (classes × jobs), and
+    ``row_class[i]`` is phone position ``i``'s row.  Classes are
+    numbered in order of first appearance and every row is some
+    phone's, so there are as many rows as phones exactly when every
+    phone is its own class.
     """
 
     __slots__ = (
-        "_phone_ids", "_job_ids", "_mat", "_phone_pos", "_job_pos",
+        "_phone_ids", "_job_ids", "_rows", "_phone_pos", "_job_pos",
         "row_class",
     )
 
@@ -85,22 +92,25 @@ class _DenseCostMap(Mapping):
         phone_ids: tuple[str, ...],
         job_ids: tuple[str, ...],
         rows,
-        row_class: tuple[int, ...] | None = None,
+        row_class: tuple[int, ...],
     ) -> None:
-        self._phone_ids = phone_ids
-        self._job_ids = job_ids
-        self.row_class = row_class
-        mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape != (len(phone_ids), len(job_ids)):
-            mat = mat.reshape((len(phone_ids), len(job_ids)))
-        mat.setflags(write=False)
-        self._mat = mat
-        self._phone_pos = {pid: i for i, pid in enumerate(phone_ids)}
-        self._job_pos = {jid: i for i, jid in enumerate(job_ids)}
+        self.__setstate__(
+            {
+                "phone_ids": phone_ids,
+                "job_ids": job_ids,
+                "rows": np.asarray(rows, dtype=np.float64),
+                "row_class": row_class,
+            }
+        )
 
     def __getitem__(self, key: tuple[str, str]) -> float:
         phone_id, job_id = key
-        return float(self._mat[self._phone_pos[phone_id], self._job_pos[job_id]])
+        return float(
+            self._rows[
+                self.row_class[self._phone_pos[phone_id]],
+                self._job_pos[job_id],
+            ]
+        )
 
     def __iter__(self):
         for phone_id in self._phone_ids:
@@ -110,29 +120,29 @@ class _DenseCostMap(Mapping):
     def __len__(self) -> int:
         return len(self._phone_ids) * len(self._job_ids)
 
-    def aligned_matrix(
+    def aligned_rows(
         self, phone_ids: tuple[str, ...], job_ids: tuple[str, ...]
     ):
-        """The dense float64 matrix, if it matches the id ordering."""
+        """``(rows, row_class)``, if the map matches the id ordering."""
         if phone_ids == self._phone_ids and job_ids == self._job_ids:
-            return self._mat
+            return self._rows, self.row_class
         return None
 
     def __getstate__(self):
         return {
             "phone_ids": self._phone_ids,
             "job_ids": self._job_ids,
-            "mat": self._mat,
+            "rows": self._rows,
             "row_class": self.row_class,
         }
 
     def __setstate__(self, state):
         self._phone_ids = state["phone_ids"]
         self._job_ids = state["job_ids"]
-        self.row_class = state.get("row_class")
-        mat = state["mat"]
-        mat.setflags(write=False)
-        self._mat = mat
+        self.row_class = state["row_class"]
+        rows = state["rows"]
+        rows.setflags(write=False)
+        self._rows = rows
         self._phone_pos = {pid: i for i, pid in enumerate(self._phone_ids)}
         self._job_pos = {jid: i for i, jid in enumerate(self._job_ids)}
 
@@ -206,12 +216,14 @@ class SchedulingInstance:
         if len(set(phone_ids)) != len(phone_ids):
             raise ValueError("duplicate phone ids in instance")
 
-        b_vec, c_mat, row_class = self._validate_and_densify(
+        b_vec, c_rows, c_class = self._validate_and_densify(
             phone_ids, job_ids
         )
-        c_mat.setflags(write=False)
+        c_rows.setflags(write=False)
+        c_class_arr = np.fromiter(c_class, dtype=np.intp, count=len(c_class))
+        c_class_arr.setflags(write=False)
 
-        # Dense hot-path caches (the dataclass is frozen, hence setattr).
+        # Hot-path caches (the dataclass is frozen, hence setattr).
         set_ = object.__setattr__
         set_(self, "_job_ids", job_ids)
         set_(self, "_phone_ids", phone_ids)
@@ -220,36 +232,39 @@ class SchedulingInstance:
         set_(self, "_job_pos", {jid: i for i, jid in enumerate(job_ids)})
         set_(self, "_phone_pos", {pid: i for i, pid in enumerate(phone_ids)})
         set_(self, "_b_vec", b_vec)
-        set_(self, "_c_mat", c_mat)
-        set_(self, "_row_class", row_class)
+        set_(self, "_c_rows", c_rows)
+        set_(self, "_c_class", c_class)
+        set_(self, "_c_class_arr", c_class_arr)
         set_(self, "_bounds_cache", None)
         set_(self, "_slowest_cache", None)
 
     def _validate_and_densify(
         self, phone_ids: tuple[str, ...], job_ids: tuple[str, ...]
     ):
-        """Check every b/c entry; return ``(b, c, c-row classes)``.
+        """Check every b/c entry; return ``(b, c rows, c-row class)``.
 
-        The classes are the dense map's ``row_class`` when its matrix is
-        used as is, else ``None``.  Validation order matches the
-        original implementation exactly (phone-major, ``b_i`` before
-        that phone's ``c`` row) so the same malformed input raises the
-        same error; the clean common case is one vectorized
-        finite/non-negative sweep over the matrix.
+        A class-row map aligned with the instance is used as is; any
+        other ``c`` mapping becomes one row per phone.  Validation order
+        matches the original implementation exactly (phone-major,
+        ``b_i`` before that phone's ``c`` row) so the same malformed
+        input raises the same error; the clean common case is one
+        vectorized finite/non-negative sweep over the class rows.
         """
-        dense = (
-            self.c_ms_per_kb.aligned_matrix(phone_ids, job_ids)
+        aligned = (
+            self.c_ms_per_kb.aligned_rows(phone_ids, job_ids)
             if isinstance(self.c_ms_per_kb, _DenseCostMap)
             else None
         )
         b_vec: list[float] = []
-        if dense is not None:
-            valid = np.isfinite(dense) & (dense >= 0.0)
-            bad_row = (
-                None
-                if bool(valid.all())
-                else int(np.flatnonzero(~valid.all(axis=1))[0])
-            )
+        if aligned is not None:
+            rows, row_class = aligned
+            valid = np.isfinite(rows) & (rows >= 0.0)
+            bad_pos = None
+            if not bool(valid.all()):
+                bad_class = ~valid.all(axis=1)
+                bad_pos = next(
+                    pos for pos, k in enumerate(row_class) if bad_class[k]
+                )
             for pos, phone in enumerate(self.phones):
                 b = self.b_ms_per_kb.get(phone.phone_id)
                 if b is None:
@@ -261,9 +276,11 @@ class SchedulingInstance:
                         f"b_i for {phone.phone_id!r} must be >= 0, got {b!r}"
                     )
                 b_vec.append(b)
-                if bad_row is not None and pos == bad_row:
-                    self._raise_bad_c(phone.phone_id, dense[pos].tolist())
-            return b_vec, dense, self.c_ms_per_kb.row_class
+                if pos == bad_pos:
+                    self._raise_bad_c(
+                        phone.phone_id, rows[row_class[pos]].tolist()
+                    )
+            return b_vec, rows, row_class
         c_rows: list[list[float]] = []
         for phone in self.phones:
             b = self.b_ms_per_kb.get(phone.phone_id)
@@ -289,7 +306,7 @@ class SchedulingInstance:
         c_mat = np.asarray(c_rows, dtype=np.float64).reshape(
             (len(phone_ids), len(job_ids))
         )
-        return b_vec, c_mat, None
+        return b_vec, c_mat, tuple(range(len(phone_ids)))
 
     def _raise_bad_c(self, phone_id: str, row: list[float]) -> None:
         for job, c in zip(self.jobs, row):
@@ -313,12 +330,12 @@ class SchedulingInstance:
         Predictions depend on (phone, task), not (phone, job), so the
         predictor is consulted once per (phone, task) pair and the value
         broadcast across that task's jobs with one vectorized gather per
-        phone — at fleet scale this collapses millions of predictor
-        calls (and millions of Python-loop iterations) into a few
-        thousand.  The (phone, task) consultation order is the same
-        first-occurrence order the original job-scan used, so stateful
-        predictors see an identical call sequence.  Phones with equal
-        per-task prediction rows share a ``c``-row class (see
+        distinct prediction row — at fleet scale this collapses millions
+        of predictor calls (and millions of Python-loop iterations) into
+        a few thousand.  The (phone, task) consultation order is the
+        same first-occurrence order the original job-scan used, so
+        stateful predictors see an identical call sequence.  Phones with
+        equal per-task prediction rows share one stored ``c`` row (see
         :meth:`phone_classes`).
         """
         jobs = tuple(jobs)
@@ -333,22 +350,25 @@ class SchedulingInstance:
             dtype=np.intp,
             count=len(jobs),
         )
-        mat = np.empty((len(phones), len(jobs)), dtype=np.float64)
         row_ids: dict[bytes, int] = {}
+        by_task_rows: list[np.ndarray] = []
         row_class = []
-        for pos, phone in enumerate(phones):
+        for phone in phones:
             by_task = np.array(
                 [predictor.predict_ms_per_kb(phone, task) for task in tasks],
                 dtype=np.float64,
             )
-            np.take(by_task, col_task, out=mat[pos])
-            row_class.append(
-                row_ids.setdefault(by_task.tobytes(), len(row_ids))
-            )
+            k = row_ids.setdefault(by_task.tobytes(), len(row_ids))
+            if k == len(by_task_rows):
+                by_task_rows.append(by_task)
+            row_class.append(k)
+        rows = np.empty((len(by_task_rows), len(jobs)), dtype=np.float64)
+        for k, by_task in enumerate(by_task_rows):
+            np.take(by_task, col_task, out=rows[k])
         c = _DenseCostMap(
             tuple(phone.phone_id for phone in phones),
             tuple(job.job_id for job in jobs),
-            mat,
+            rows,
             tuple(row_class),
         )
         return cls(
@@ -377,7 +397,10 @@ class SchedulingInstance:
 
     def c(self, phone_id: str, job_id: str) -> float:
         return float(
-            self._c_mat[self._phone_pos[phone_id], self._job_pos[job_id]]
+            self._c_rows[
+                self._c_class[self._phone_pos[phone_id]],
+                self._job_pos[job_id],
+            ]
         )
 
     def cost(self, phone_id: str, job_id: str, input_kb: float | None = None) -> float:
@@ -401,11 +424,11 @@ class SchedulingInstance:
 
     # -- hot-path accessors ----------------------------------------------
     #
-    # Dense, position-indexed views for schedulers that convert ids to
+    # Position-indexed views for schedulers that convert ids to
     # positions once and then work on arrays.  Callers must treat the
-    # returned lists and arrays as read-only.  Every list view is the
-    # ``.tolist()`` of the authoritative float64 matrix, so list readers
-    # and matrix readers see bit-identical values.
+    # returned lists and arrays as read-only.  Every view is read or
+    # computed from the authoritative float64 class rows, so list
+    # readers and matrix readers see bit-identical values.
 
     def job_position(self, job_id: str) -> int:
         return self._job_pos[job_id]
@@ -426,13 +449,35 @@ class SchedulingInstance:
             object.__setattr__(self, "_b_arr", cached)
         return cached
 
+    def c_class_rows(self):
+        """``(rows, row_of)``: the authoritative ``c`` storage.
+
+        ``rows`` holds one float64 ``c`` row per class (classes × jobs)
+        and the ``intp`` array ``row_of`` maps each phone position to
+        its row, so ``rows[row_of[i]]`` is phone ``i``'s ``c`` row.
+        Readers that stream phone blocks gather them from here instead
+        of asking for :meth:`c_matrix`.
+        """
+        return self._c_rows, self._c_class_arr
+
     def c_matrix(self):
-        """``c_ij`` as a dense float64 ndarray (phones × jobs)."""
-        return self._c_mat
+        """``c_ij`` as a dense float64 ndarray (phones × jobs).
+
+        Gathered from the class rows on every call and not kept, so
+        only a caller that asks pays for a fleet-sized copy; no
+        scheduler does.  With one row per phone the rows are returned
+        as they are.
+        """
+        rows = self._c_rows
+        if len(rows) == len(self._c_class):
+            return rows
+        mat = rows[self._c_class_arr]
+        mat.setflags(write=False)
+        return mat
 
     def c_row(self, phone_pos: int) -> list[float]:
         """One phone's ``c_ij`` row as Python floats."""
-        return self._c_mat[phone_pos].tolist()
+        return self._c_rows[self._c_class[phone_pos]].tolist()
 
     def phone_classes(
         self,
@@ -442,19 +487,18 @@ class SchedulingInstance:
         ``class_of[i]`` is phone position ``i``'s class; classes are
         numbered in order of first appearance, and ``members[k]`` lists
         class ``k``'s phone positions in order.  Two phones share a
-        class only if their ``b_i`` and their whole ``c`` rows are
-        bit-identical — the ``c``-row tags that :meth:`build` (or a pod
-        parent) put on the cost map, refined by the bits of ``b_i`` — so
-        every per-KB rate of a class is its first member's.  Without
-        tags every phone is its own class.
+        class only if they share a stored ``c`` row (see
+        :meth:`c_class_rows`) and the bits of their ``b_i`` — so every
+        per-KB rate of a class is its first member's.  With one stored
+        row per phone every phone is its own class.
         """
         cached = getattr(self, "_classes_cache", None)
         if cached is None:
-            if self._row_class is None:
+            if len(self._c_rows) == len(self._c_class):
                 keys = range(len(self._b_vec))
             else:
                 b_bits = self.b_array().view(np.uint64).tolist()
-                keys = zip(self._row_class, b_bits)
+                keys = zip(self._c_class, b_bits)
             index: dict = {}
             class_of = tuple(index.setdefault(key, len(index)) for key in keys)
             members: list[list[int]] = [[] for _ in index]
@@ -486,15 +530,34 @@ class SchedulingInstance:
     def per_kb_matrix(self):
         """``b_i + c_ij`` as a dense float64 ndarray (phones × jobs).
 
-        One elementwise float64 broadcast add over the c matrix — the
-        same adds, in the same IEEE-754 arithmetic, as the original
-        per-element ``b_i + c`` list comprehension, so matrix readers
-        and row-list readers see bit-identical rates.  Callers must
-        treat the array as read-only.
+        ``b_i + c_ij`` is added once per phone class
+        (:meth:`phone_classes`) and gathered to the members, which
+        share ``b_i``'s bits and the ``c`` row — so every element is the
+        same float64 add, in the same IEEE-754 arithmetic, as the
+        original per-element ``b_i + c`` list comprehension, and matrix
+        readers and row-list readers see bit-identical rates.  Callers
+        must treat the array as read-only.
         """
         cached = getattr(self, "_per_kb_matrix", None)
         if cached is None:
-            cached = self.b_array()[:, None] + self._c_mat
+            b = self.b_array()
+            class_of, members = self.phone_classes()
+            if len(self._c_rows) == len(class_of):
+                cached = b[:, None] + self._c_rows
+            else:
+                firsts = np.fromiter(
+                    (m[0] for m in members), dtype=np.intp, count=len(members)
+                )
+                cached = (
+                    b[firsts][:, None]
+                    + self._c_rows[self._c_class_arr[firsts]]
+                )
+                if len(members) < len(class_of):
+                    cached = cached[
+                        np.fromiter(
+                            class_of, dtype=np.intp, count=len(class_of)
+                        )
+                    ]
             cached.setflags(write=False)
             object.__setattr__(self, "_per_kb_matrix", cached)
         return cached
@@ -573,25 +636,27 @@ class SchedulingInstance:
         # ``+ 0.0``, which is exact on the positive partial sums
         # involved.
         #
-        # The rates are streamed: each row block computes its own
-        # ``b_i + c_ij`` (the same float64 adds as ``per_kb_matrix``)
-        # and is dropped before the next, so neither the full per-KB
+        # The rates are streamed: each phone block gathers its ``c``
+        # rows from the class rows, computes its own ``b_i + c_ij`` (the
+        # same float64 adds as ``per_kb_matrix``) and is dropped before
+        # the next, so neither a dense ``c`` matrix, the full per-KB
         # matrix nor any full phones × jobs temporary is materialised.
         # Per-row cumsums are independent, so blocking the upper bound
         # is trivially exact; the per-job aggregate seeds each block's
         # axis-0 cumsum with the running total as row zero, which
         # reproduces the global sequential add order element for
         # element.
-        c = self._c_mat
+        c = self._c_rows
+        row_of = self._c_class_arr
         b = self.b_array()
         exe, load = self.job_load_arrays()
-        n_phones, n_jobs = c.shape
+        n_phones, n_jobs = len(row_of), c.shape[1]
         block = 32
         upper = -math.inf
         aggregate = np.zeros(n_jobs, dtype=np.float64)
         for s in range(0, n_phones, block):
             e = min(n_phones, s + block)
-            pb = b[s:e, None] + c[s:e]
+            pb = b[s:e, None] + c[row_of[s:e]]
             per_phone = exe[None, :] * b[s:e, None] + load[None, :] * pb
             blk_max = float(np.cumsum(per_phone, axis=1)[:, -1].max())
             if blk_max > upper:

@@ -8,9 +8,9 @@ capacity-search machinery.  This module owns the mechanical pieces:
   fleet partitioning (round-robin by phone position, so replicated
   testbed fleets spread their phone models evenly across pods);
 * :func:`pod_instance` — slice a full :class:`~repro.core.instance.
-  SchedulingInstance` down to one pod's (phones, jobs) rectangle, with
-  the cost matrix sliced as a dense block instead of rebuilt entry by
-  entry;
+  SchedulingInstance` down to one pod's (phones, jobs) rectangle,
+  copying only the ``c`` class rows the pod's phones use instead of
+  rebuilding the cost table entry by entry;
 * :func:`pod_rate_tables` — the blocked one-pass sweep producing the
   per-(pod, job) aggregate tables the job splitter and the
   pod-aggregated LP consume;
@@ -22,8 +22,8 @@ capacity-search machinery.  This module owns the mechanical pieces:
   certificate, inline or on the same pool as the pod solves.
 
 Workers inherit the *full* instance from the parent through ``fork``
-(copy-on-write, so the cost matrix is neither pickled nor copied) and
-slice their pod's rows per task, and each worker builds one
+(copy-on-write, so the ``c`` class rows are neither pickled nor copied)
+and slice their pod's rows per task, and each worker builds one
 :class:`~repro.core.capacity.CapacitySearch` at start-up and reuses it
 for every pod it solves.
 """
@@ -150,28 +150,34 @@ def pod_instance(
 ) -> SchedulingInstance:
     """The sub-instance spanning one pod's (phones, jobs) rectangle.
 
-    The cost matrix is sliced as one dense block (``np.ix_``) into a
-    fresh :class:`~repro.core.instance._DenseCostMap`, so the
-    sub-instance costs one rectangle copy instead of a per-entry
-    rebuild; validation in the sub-instance constructor is the cheap
-    dense path.  The pod inherits the parent's phone classes
-    (:meth:`~repro.core.instance.SchedulingInstance.phone_classes`), so
-    its class rows are as few as the parent's.
+    Only the parent's ``c`` class rows that the pod's phones use are
+    copied (``np.ix_`` over those rows and the pod's jobs) into a fresh
+    :class:`~repro.core.instance._DenseCostMap`, so the sub-instance
+    costs one small block copy instead of a per-entry rebuild, and
+    validation in the sub-instance constructor is the cheap class-row
+    path.  The pod's phones keep their parent's row classes, so its
+    phone classes (:meth:`~repro.core.instance.SchedulingInstance.
+    phone_classes`) are the parent's restricted to the pod.
     """
     phones = tuple(instance.phones[i] for i in phone_positions)
     jobs = tuple(instance.jobs[j] for j in job_positions)
-    block = instance.c_matrix()[
+    rows, row_of = instance.c_class_rows()
+    local: dict[int, int] = {}
+    row_class = tuple(
+        local.setdefault(k, len(local))
+        for k in row_of[np.asarray(phone_positions, dtype=np.intp)].tolist()
+    )
+    block = rows[
         np.ix_(
-            np.asarray(phone_positions, dtype=np.intp),
+            np.fromiter(local, dtype=np.intp, count=len(local)),
             np.asarray(job_positions, dtype=np.intp),
         )
     ]
-    class_of, _ = instance.phone_classes()
     dense = _DenseCostMap(
         tuple(phone.phone_id for phone in phones),
         tuple(job.job_id for job in jobs),
         block,
-        tuple(class_of[i] for i in phone_positions),
+        row_class,
     )
     b_table = {phone.phone_id: instance.b(phone.phone_id) for phone in phones}
     return SchedulingInstance(
@@ -199,13 +205,14 @@ def pod_rate_tables(
       capacity_bounds`), which prices a job's processing time inside
       the pod for the greedy splitter.
 
-    The sweep walks the cost matrix in row blocks so no full
-    ``phones x jobs`` temporary beyond one block is materialised —
+    The sweep gathers phone blocks from the ``c`` class rows
+    (:meth:`~repro.core.instance.SchedulingInstance.c_class_rows`) so
+    no full ``phones x jobs`` array beyond one block is materialised —
     at 4000 x 20000 the full ``b_i + c_ij`` matrix alone is 640 MB.
     """
-    c_mat = instance.c_matrix()
+    c_rows, row_of = instance.c_class_rows()
     b = instance.b_array()
-    n_phones, n_jobs = c_mat.shape
+    n_phones, n_jobs = len(row_of), c_rows.shape[1]
     n_pods = len(pods)
     pod_of = np.empty(n_phones, dtype=np.intp)
     pod_of.fill(-1)
@@ -221,7 +228,7 @@ def pod_rate_tables(
     agg = np.zeros((n_pods, n_jobs))
     for start in range(0, n_phones, block_rows):
         stop = min(n_phones, start + block_rows)
-        rate = b[start:stop, None] + c_mat[start:stop]
+        rate = b[start:stop, None] + c_rows[row_of[start:stop]]
         inv = np.zeros_like(rate)
         with np.errstate(over="ignore"):
             np.divide(1.0, rate, out=inv, where=rate > 0)

@@ -30,6 +30,7 @@ pickled trace, no rerun) answers "which phone dragged the makespan".
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -192,6 +193,16 @@ def _round_row(record) -> dict:
     }
 
 
+def _nearest_rank(values: list[float], pct: float) -> float:
+    """The nearest-rank ``pct`` percentile of sorted ``values``.
+
+    The value at rank ``ceil(pct / 100 · n)`` (1-based, at least 1):
+    the smallest observed value with at least ``pct`` % of the values at
+    or below it, so every percentile is one of the values.
+    """
+    return values[max(1, math.ceil(pct * len(values) / 100.0)) - 1]
+
+
 def build_run_report(
     result: RunResult,
     telemetry: Telemetry,
@@ -207,8 +218,9 @@ def build_run_report(
     :func:`~repro.sim.metrics.compute_run_metrics` on the result's
     timeline trace, which the report also carries whole; its fault,
     failure, completion and retry counts are read off the same trace,
-    and its round rows and round count off ``result.rounds``.  Only the
-    round-latency percentiles come from telemetry.
+    and its round rows, round count and round-latency percentiles
+    (nearest rank over the drained rounds' ``drained_at_ms −
+    scheduled_at_ms``) off ``result.rounds``.
     """
     from ..sim.metrics import compute_run_metrics
 
@@ -224,8 +236,12 @@ def build_run_report(
     slowest = sorted(
         metrics.phones, key=lambda p: (-p.finish_ms, p.phone_id)
     )[:top_n]
-    latency = telemetry.registry.histogram("round_latency_ms")
     rounds = [_round_row(record) for record in result.rounds]
+    latencies = sorted(
+        row["drained_at_ms"] - row["scheduled_at_ms"]
+        for row in rounds
+        if row["drained_at_ms"] is not None
+    )
     summary = {
         "makespan_ms": round(metrics.makespan_ms, 6),
         "active_phones": metrics.active_phone_count,
@@ -238,12 +254,12 @@ def build_run_report(
         "retries": sum(
             1 for event in trace.resilience_events if event.kind == "retry"
         ),
-        "rounds": sum(row["drained_at_ms"] is not None for row in rounds),
+        "rounds": len(latencies),
         "round_latency_ms": {
-            "count": latency.count if latency else 0,
-            "p50": latency.percentile(50.0) if latency else 0.0,
-            "p90": latency.percentile(90.0) if latency else 0.0,
-            "p99": latency.percentile(99.0) if latency else 0.0,
+            "count": len(latencies),
+            "p50": _nearest_rank(latencies, 50.0) if latencies else 0.0,
+            "p90": _nearest_rank(latencies, 90.0) if latencies else 0.0,
+            "p99": _nearest_rank(latencies, 99.0) if latencies else 0.0,
         },
         "slowest_phones": [
             {

@@ -298,3 +298,240 @@ class TestCapacityBracket:
         cached = fresh()
         cached.per_kb_matrix()
         assert cached.capacity_bounds() == want
+
+
+class _TablePredictor:
+    """Predicts ``c`` from a (phone type, task) table, like Eq. 1's model."""
+
+    def __init__(self, table, type_of):
+        self._table = table
+        self._type_of = type_of
+
+    def predict_ms_per_kb(self, phone, task):
+        return self._table[(self._type_of[phone.phone_id], task)]
+
+
+def plain_copy(instance, c_of):
+    """The same instance rebuilt from a plain ``c`` dict (``c_of(p, j)``)."""
+    return SchedulingInstance(
+        jobs=instance.jobs,
+        phones=instance.phones,
+        b_ms_per_kb=dict(instance.b_ms_per_kb),
+        c_ms_per_kb={
+            (phone.phone_id, job.job_id): c_of(phone, job)
+            for phone in instance.phones
+            for job in instance.jobs
+        },
+    )
+
+
+@st.composite
+def typed_fleets(draw):
+    """A fleet of a few phone types, replicated, with a per-type c table.
+
+    ``b_i`` is the type's, or (now and then) the phone's own, so the
+    ``b_i`` refinement of a ``c``-row class is exercised.
+    """
+    n_types = draw(st.integers(min_value=1, max_value=4))
+    tasks = ("primes", "blur", "face")[: draw(st.integers(1, 3))]
+    table = {
+        (t, task): draw(_rates) for t in range(n_types) for task in tasks
+    }
+    type_b = [draw(_rates) for _ in range(n_types)]
+    n_phones = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=10),
+            st.integers(min_value=33, max_value=70),
+        )
+    )
+    types = [draw(st.integers(0, n_types - 1)) for _ in range(n_phones)]
+    phones = tuple(
+        PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0) for i in range(n_phones)
+    )
+    b = {
+        phone.phone_id: (
+            draw(_rates) if draw(st.integers(0, 7)) == 0 else type_b[t]
+        )
+        for phone, t in zip(phones, types)
+    }
+    jobs = tuple(
+        Job(
+            f"j{j}",
+            draw(st.sampled_from(tasks)),
+            JobKind.ATOMIC if draw(st.booleans()) else JobKind.BREAKABLE,
+            draw(st.floats(min_value=0.0, max_value=60.0)),
+            draw(st.floats(min_value=1.0, max_value=2000.0)),
+        )
+        for j in range(draw(st.integers(min_value=1, max_value=6)))
+    )
+    type_of = {phone.phone_id: t for phone, t in zip(phones, types)}
+    return jobs, phones, b, _TablePredictor(table, type_of)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_bits(stored, plain):
+    """Every ``c`` view of ``stored`` equals ``plain``'s, bit for bit."""
+    for pos, phone in enumerate(stored.phones):
+        assert bits(stored.c_row(pos)) == bits(plain.c_row(pos))
+        for job in stored.jobs:
+            assert bits(stored.c(phone.phone_id, job.job_id)) == bits(
+                plain.c(phone.phone_id, job.job_id)
+            )
+            key = (phone.phone_id, job.job_id)
+            assert bits(stored.c_ms_per_kb[key]) == bits(
+                plain.c_ms_per_kb[key]
+            )
+    assert bits(stored.c_matrix()) == bits(plain.c_matrix())
+    assert bits(stored.per_kb_matrix()) == bits(plain.per_kb_matrix())
+    assert bits(stored.per_kb_matrix_t()) == bits(plain.per_kb_matrix_t())
+    for pos in range(len(stored.phones)):
+        assert bits(stored.per_kb_rows()[pos]) == bits(
+            plain.per_kb_rows()[pos]
+        )
+    assert stored.capacity_bounds() == plain.capacity_bounds()
+
+
+class TestClassRowStorage:
+    @settings(max_examples=60, deadline=None)
+    @given(fleet=typed_fleets())
+    def test_fuzzed_fleet_matches_plain_dict(self, fleet):
+        jobs, phones, b, predictor = fleet
+        stored = SchedulingInstance.build(jobs, phones, b, predictor)
+        plain = plain_copy(
+            stored,
+            lambda phone, job: predictor.predict_ms_per_kb(phone, job.task),
+        )
+        rows, row_of = stored.c_class_rows()
+        distinct_types = {predictor._type_of[p.phone_id] for p in phones}
+        assert len(rows) <= len(distinct_types)
+        assert row_of.shape == (len(phones),)
+        assert_same_bits(stored, plain)
+
+    def test_replicated_fleet_matches_plain_dict(self):
+        stored = replicated_testbed(n_phones=90, n_jobs=40)
+        plain = plain_copy(
+            stored, lambda phone, job: stored.c(phone.phone_id, job.job_id)
+        )
+        rows, _ = stored.c_class_rows()
+        # One row per distinct prediction row: at most one per testbed
+        # phone (18), which ``b_i`` then refines into the 18 classes.
+        assert len(rows) <= len(stored.phone_classes()[1]) == 18
+        assert len(plain.c_class_rows()[0]) == 90
+        assert_same_bits(stored, plain)
+
+    def test_plain_dict_is_one_row_per_phone(self):
+        instance = make_instance(n_phones=5)
+        rows, row_of = instance.c_class_rows()
+        assert rows.shape == (5, len(instance.jobs))
+        assert row_of.tolist() == [0, 1, 2, 3, 4]
+        assert instance.c_matrix() is rows
+
+    def test_stored_rows_are_read_only(self):
+        instance = replicated_testbed(n_phones=36, n_jobs=10)
+        rows, row_of = instance.c_class_rows()
+        for array in (rows, row_of, instance.c_matrix()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_pickled_instance_round_trips(self):
+        instance = replicated_testbed(n_phones=40, n_jobs=12)
+        restored = pickle.loads(pickle.dumps(instance))
+        assert restored == instance
+        assert bits(restored.c_class_rows()[0]) == bits(
+            instance.c_class_rows()[0]
+        )
+        assert restored.phone_classes() == instance.phone_classes()
+        assert_same_bits(restored, instance)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize(
+        "b_gap",
+        [None, "p1", "p5"],
+        ids=["all-b", "b-missing-before", "b-missing-after"],
+    )
+    def test_bad_c_raises_on_the_same_phone(self, bad, b_gap):
+        # Types A B A C B C: C's row is bad; its first phone is p3.
+        types = ["A", "B", "A", "C", "B", "C"]
+        phones = tuple(
+            PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0)
+            for i in range(len(types))
+        )
+        jobs = (
+            Job("j0", "primes", JobKind.BREAKABLE, 40.0, 100.0),
+            Job("j1", "blur", JobKind.ATOMIC, 80.0, 100.0),
+        )
+        table = {
+            ("A", "primes"): 1.0, ("A", "blur"): 2.0,
+            ("B", "primes"): 3.0, ("B", "blur"): 4.0,
+            ("C", "primes"): 5.0, ("C", "blur"): bad,
+        }
+        predictor = _TablePredictor(
+            table, {p.phone_id: t for p, t in zip(phones, types)}
+        )
+        b = {p.phone_id: 1.0 for p in phones if p.phone_id != b_gap}
+
+        with pytest.raises(ValueError) as stored:
+            SchedulingInstance.build(jobs, phones, b, predictor)
+        with pytest.raises(ValueError) as plain:
+            SchedulingInstance(
+                jobs=jobs,
+                phones=phones,
+                b_ms_per_kb=b,
+                c_ms_per_kb={
+                    (p.phone_id, j.job_id): predictor.predict_ms_per_kb(
+                        p, j.task
+                    )
+                    for p in phones
+                    for j in jobs
+                },
+            )
+        assert str(stored.value) == str(plain.value)
+        if b_gap == "p1":
+            assert "missing b_i for phone 'p1'" in str(stored.value)
+        else:
+            assert str(stored.value).startswith("c_ij for ('p3', 'j1')")
+
+
+def restricted(classes, positions):
+    """``phone_classes()`` restricted to ``positions``, renumbered."""
+    class_of, _ = classes
+    index: dict = {}
+    sub_class_of = tuple(
+        index.setdefault(class_of[i], len(index)) for i in positions
+    )
+    members: list[list[int]] = [[] for _ in index]
+    for a, k in enumerate(sub_class_of):
+        members[k].append(a)
+    return sub_class_of, tuple(map(tuple, members))
+
+
+class TestPodClassRows:
+    @pytest.mark.parametrize(
+        "job_positions", [(7,), (0, 5, 11, 29)], ids=["1-job", "4-job"]
+    )
+    def test_pod_copies_only_its_class_rows(self, job_positions):
+        instance = replicated_testbed(n_phones=72, n_jobs=30)
+        # Testbed types 0-5, replicated: a pod holding 3 of 18 classes.
+        positions = tuple(
+            pos for pos in range(72) if pos % 18 in (0, 4, 5)
+        )
+        sub = pod_instance(instance, positions, job_positions)
+        assert sub.phone_classes() == restricted(
+            instance.phone_classes(), positions
+        )
+        rows, row_of = sub.c_class_rows()
+        parent_rows, parent_row_of = instance.c_class_rows()
+        assert len(rows) == len({int(parent_row_of[i]) for i in positions})
+        for a, i in enumerate(positions):
+            assert bits(rows[row_of[a]]) == bits(
+                parent_rows[parent_row_of[i]][list(job_positions)]
+            )
+        assert bits(sub.c_matrix()) == bits(
+            instance.c_matrix()[np.ix_(positions, job_positions)]
+        )
+        assert bits(sub.per_kb_matrix()) == bits(
+            instance.per_kb_matrix()[np.ix_(positions, job_positions)]
+        )

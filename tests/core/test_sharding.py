@@ -456,6 +456,22 @@ class TestShardedScheduler:
         for cache in ("_per_kb_matrix", "_per_kb_matrix_t"):
             assert getattr(fleet_instance, cache, None) is None, cache
 
+    def test_parent_gathers_no_fleet_wide_c_matrix(self, monkeypatch):
+        fleet = replicated_testbed(n_phones=48, n_jobs=40)
+        dense = type(fleet).c_matrix
+
+        def guarded(instance):
+            if instance is fleet:
+                raise AssertionError("c_matrix() on the full instance")
+            return dense(instance)
+
+        monkeypatch.setattr(type(fleet), "c_matrix", guarded)
+        scheduler = ShardedScheduler(pods=4, pod_workers=None)
+        schedule = scheduler.schedule(fleet)
+        schedule.validate(fleet)
+        assert scheduler.last_result.lp_floor_ms is not None
+        assert len(fleet.c_class_rows()[0]) < len(fleet.phones)
+
     def test_certify_off_skips_lp_floor(self, fleet_instance):
         scheduler = ShardedScheduler(
             pods=2, certify=False, pod_workers=None

@@ -21,7 +21,7 @@ from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.core.serialize import schedule_to_dict
 from repro.obs import Telemetry, build_run_report, load_run_report
 from repro.obs.registry import Histogram
-from repro.obs.report import render_report_lines
+from repro.obs.report import _nearest_rank, render_report_lines
 from repro.sim.chaos import ChaosPlan, CpuSlowdown, ResiliencePolicy, TaskCrash
 from repro.sim.entities import FleetGroundTruth
 from repro.sim.failures import FailurePlan, PlannedFailure
@@ -110,6 +110,16 @@ class TestInstrumentedRun:
             expected.observe(record.drained_at_ms - record.scheduled_at_ms)
         assert observed.counts == expected.counts
         assert observed.sum == expected.sum
+
+    def test_round_latency_percentiles_come_from_the_rows(self, chaos_run):
+        telemetry, result = chaos_run
+        latency = build_run_report(result, telemetry).summary[
+            "round_latency_ms"
+        ]
+        (record,) = result.rounds
+        only = record.drained_at_ms - record.scheduled_at_ms
+        assert only == 33584.39758444258
+        assert latency == {"count": 1, "p50": only, "p90": only, "p99": only}
 
     def test_round_latency_histogram_non_empty(self, chaos_run):
         telemetry, _ = chaos_run
@@ -308,3 +318,20 @@ class TestZeroOverheadEquivalence:
         assert len(with_tel.trace.completions) == len(
             without.trace.completions
         )
+
+
+class TestNearestRank:
+    @pytest.mark.parametrize(
+        ("values", "pct", "want"),
+        [
+            ([10.0 * k for k in range(1, 11)], 50.0, 50.0),
+            ([10.0 * k for k in range(1, 11)], 90.0, 90.0),
+            ([10.0 * k for k in range(1, 11)], 99.0, 100.0),
+            ([1.0, 2.0, 3.0], 50.0, 2.0),
+            ([87.8, 1121.6], 50.0, 87.8),
+            ([87.8, 1121.6], 90.0, 1121.6),
+            ([5.0], 1.0, 5.0),
+        ],
+    )
+    def test_rank_is_ceil_of_pct_times_n(self, values, pct, want):
+        assert _nearest_rank(values, pct) == want

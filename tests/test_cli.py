@@ -403,6 +403,30 @@ class TestTelemetryCli:
             warm = "warm" if row["warm_started"] else "cold"
             assert f"kernel {row['kernel']} {warm}," in line
 
+    def test_round_latency_percentiles_are_nearest_rank(
+        self, tmp_path, capsys
+    ):
+        code, bundle_dir = self.run_instrumented(tmp_path)
+        assert code == 0
+        payload = json.loads((bundle_dir / "report.json").read_text())
+        short, long = sorted(
+            row["drained_at_ms"] - row["scheduled_at_ms"]
+            for row in payload["rounds"]
+        )
+        assert short < long
+        assert payload["summary"]["round_latency_ms"] == {
+            "count": 2,
+            "p50": short,
+            "p90": long,
+            "p99": long,
+        }
+        capsys.readouterr()
+        assert main(["report", str(bundle_dir)]) == 0
+        assert (
+            f"p50 {short / 1000:.1f} s, p90 {long / 1000:.1f} s, "
+            f"p99 {long / 1000:.1f} s (2 round(s))"
+        ) in capsys.readouterr().out
+
     def test_report_on_missing_bundle_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert "failed to load" in capsys.readouterr().err
