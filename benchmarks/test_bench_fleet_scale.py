@@ -19,10 +19,14 @@ Two scales are used deliberately:
   trajectory number.
 
 Headline numbers land in ``BENCH_scheduler.json`` via the
-``record_scheduler_bench`` fixture.  The fleet-scale pass runs *first*
-in the session: it is the tracked trajectory number, and running it
+``record_scheduler_bench`` fixture.  The fleet-scale pass runs first
+in this file: it is the tracked trajectory number, and running it
 before the reference search's seconds of hot scalar Python keeps
-single-core thermal drift out of the recorded figure.
+single-core thermal drift out of the recorded figure.  It does not run
+first in a pytest run that collects other benches before this file: CI's
+``bench-smoke`` job runs ``test_bench_core.py`` and
+``test_bench_campaign.py`` ahead of it, which added about 0.4 s to the
+pass on a shared 2-vCPU host.
 """
 
 import dataclasses

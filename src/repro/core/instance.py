@@ -430,9 +430,6 @@ class SchedulingInstance:
     # computed from the authoritative float64 class rows, so list
     # readers and matrix readers see bit-identical values.
 
-    def job_position(self, job_id: str) -> int:
-        return self._job_pos[job_id]
-
     def phone_position(self, phone_id: str) -> int:
         return self._phone_pos[phone_id]
 

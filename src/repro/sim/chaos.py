@@ -182,11 +182,6 @@ class ChaosPlan:
         """A plan that injects nothing."""
         return cls()
 
-    @classmethod
-    def from_failure_plan(cls, plan: FailurePlan) -> "ChaosPlan":
-        """Wrap a legacy unplug-only failure plan."""
-        return cls(failures=plan)
-
     # -- structure ---------------------------------------------------------
 
     @property

@@ -568,13 +568,6 @@ class CentralServer:
             ).hexdigest(),
         }
 
-    def state_digest(self) -> str:
-        """sha256 over the canonical JSON of :meth:`capture_state`."""
-        payload = json.dumps(
-            self.capture_state(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
     # ------------------------------------------------------------------
     # telemetry plumbing
     # ------------------------------------------------------------------

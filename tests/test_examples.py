@@ -8,12 +8,14 @@ results).
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+BENCHMARKS_DIR = EXAMPLES_DIR.parent / "benchmarks"
 
 EXAMPLES = (
     "quickstart",
@@ -48,3 +50,11 @@ def test_examples_directory_is_fully_covered():
         path.stem for path in EXAMPLES_DIR.glob("*.py")
     }
     assert on_disk == set(EXAMPLES)
+
+
+def test_benchmarks_readme_lists_every_bench():
+    """The benchmarks README has one table row per bench file on disk."""
+    on_disk = {path.name for path in BENCHMARKS_DIR.glob("test_bench_*.py")}
+    readme = (BENCHMARKS_DIR / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(r"^\| `(test_bench_\w+\.py)` \|", readme, re.M))
+    assert listed == on_disk
