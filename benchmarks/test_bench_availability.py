@@ -87,8 +87,7 @@ def test_bench_availability_aware_vs_plain(once):
     )
     assert not plain.unfinished_jobs
     assert not aware.unfinished_jobs
-    # Proactive placement must not lose more work than reactive recovery.
-    assert (
-        aware.reschedule_overhead_ms
-        <= plain.reschedule_overhead_ms + plain.measured_makespan_ms
-    )
+    # Steering work off flaky phones must cut the rework their failures
+    # cause: the one thing the wrapper exists to do (seed 7 is
+    # deterministic).
+    assert aware.reschedule_overhead_ms < plain.reschedule_overhead_ms

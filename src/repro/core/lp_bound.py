@@ -34,12 +34,14 @@ optimum remains a valid lower bound on the true makespan::
 
     T_pod  <=  T_optimal  <=  T_sharded
 
-while the variable count drops to ``2 * n_pods * J``.  The fractional
-allocation ``l_pj`` doubles as the sharded scheduler's job-to-pod
-splitter guide, and ``T_pod`` certifies the sharded schedule
-(``shard_bound_ratio = T_sharded / T_pod``) — the coordination-
-through-an-LP-relaxation pattern of the distributed-clusters
-approximation literature (Murray-Khuller-Chao, PAPERS.md).
+while the variable count drops to ``2 * n_pods * J``.  ``T_pod``
+certifies the sharded schedule (``shard_bound_ratio = T_sharded /
+T_pod``) — the certificate half of the coordination-through-an-LP-
+relaxation pattern of the distributed-clusters approximation
+literature (Murray-Khuller-Chao, PAPERS.md).  It only certifies: the
+sharded scheduler splits jobs across pods with its own greedy
+splitter, and no scheduling decision reads the fractional allocation
+``l_pj`` (DESIGN.md §14.2).
 """
 
 from __future__ import annotations

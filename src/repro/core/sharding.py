@@ -16,9 +16,9 @@ single-solve cost.  :class:`ShardedScheduler` decouples them:
    fork process pool when CPUs allow (workers inherit the full
    instance copy-on-write and slice their pod's rows), serially
    otherwise, with identical results either way.  Pods are the only
-   parallel axis: each pod's capacity search runs serially.  The
-   round's pool lives until the certificate is collected (see
-   Certification);
+   parallel axis: each pod's capacity search runs serially.  A
+   certifying round's pool outlives ``schedule()`` until its pod LP
+   has delivered (see Certification);
 4. **Coordinate** with a cheap global capacity search over the
    per-pod converged capacities: the global capacity is their max, and
    bounded job-migration repair rounds move one job at a time from the
@@ -36,17 +36,25 @@ result (and recorded in ``BENCH_scheduler.json``); the differential
 harness asserts it stays within a bounded factor of the monolithic
 schedule's own ratio.
 
-The LP reads only the split (phone partition plus the ``bmin``/``cmin``
-tables), never a pod result.  On a pooled round it is the first task
+The LP reads only the split (phone partition plus the
+``bmin``/``cmin`` tables), never a pod result, and no scheduling
+decision reads the LP.  On a pooled round it is the first task
 submitted to the round's fork pool, which gets one slot beyond the pod
-workers, so it solves while the pods solve and the parent rebalances;
-it is collected just before the result is assembled, and leaving the
-pool joins every worker.  Serial rounds solve it inline after the
-rebalance; ``certify=False`` skips it.  Fallback order: a dead pool or
-LP worker solves the LP inline (the identical floor); a HiGHS failure
-(``RuntimeError``, in either process) leaves ``lp_floor_ms=None``,
-falls back to the uncertified magical-bin ratio and increments the
-``shard_lp_failures_total`` counter; any other exception propagates.
+workers, so it solves while the pods solve and the parent rebalances.
+``schedule()`` does not wait for it: once the pods are solved,
+rebalanced and assembled the pool is shut down without waiting (its
+workers exit once the LP has delivered) and the round returns.  The
+result's ``lp_floor_ms``, ``shard_bound_ratio`` and ``lp_certify_ms``
+are filled in from the pending certificate on their first read, or by
+:meth:`ShardedSearchResult.collect_certificate`, which
+:class:`~repro.sim.server.CentralServer` calls for every round before
+its run returns; collection joins the pool.  Serial rounds solve the
+LP inline after the rebalance; ``certify=False`` skips it.  Fallback
+order: a dead pool or LP worker solves the LP inline (the identical
+floor); a HiGHS failure (``RuntimeError``, in either process) leaves
+``lp_floor_ms=None``, falls back to the uncertified magical-bin ratio
+and increments the ``shard_lp_failures_total`` counter; any other
+exception propagates.
 A certifying scheduler loads the LP stack in its constructor
 (:func:`~repro.core.lp_bound.load_solver`), so each round's fork pool
 and the inline path start with HiGHS already imported.
@@ -63,6 +71,7 @@ with identical knobs, so schedules are byte-identical by construction
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
@@ -127,6 +136,96 @@ class ShardedSearchResult(CapacitySearchResult):
     rebalance_moves: int = 0
     #: Per-pod diagnostics, pod-index order.
     pod_reports: tuple[PodSolveReport, ...] = ()
+
+    def collect_certificate(self, *, trace_parent=None) -> None:
+        """Fill in the certificate fields from a pooled round's pod LP.
+
+        Waits for the LP, joins the round's pool and releases what the
+        pending certificate held; a no-op once the fields are set.
+        ``trace_parent`` is the open span the worker's ``lp_certify``
+        span is adopted under (a root span when ``None``).  A HiGHS
+        failure leaves ``lp_floor_ms=None``; any other exception from
+        the LP propagates here, and again on the next read.
+        """
+        pending = self.__dict__.get("_pending_lp")
+        if pending is not None:
+            floor, wall_ms = pending.result(trace_parent)
+            _certify(self, floor, wall_ms, pending.tel)
+            del self.__dict__["_pending_lp"]
+
+    def __getattr__(self, name: str):
+        # Reached only for names missing from the instance: a pooled
+        # round's certificate fields until its pod LP is collected.
+        if name in _CERTIFICATE_FIELDS and "_pending_lp" in self.__dict__:
+            self.collect_certificate()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+
+#: Result fields a round fills in from its certificate.
+_CERTIFICATE_FIELDS = ("shard_bound_ratio", "lp_floor_ms", "lp_certify_ms")
+# Class-level defaults would shadow ``__getattr__`` for a pending round
+# (the generated ``__init__`` keeps its own copy of each default).
+for _name in _CERTIFICATE_FIELDS:
+    delattr(ShardedSearchResult, _name)
+del _name
+
+
+def _certify(
+    result: ShardedSearchResult,
+    lp_floor_ms: float | None,
+    lp_certify_ms: float,
+    tel,
+) -> None:
+    """Set ``result``'s certificate fields and the bound-ratio gauge."""
+    floor = lp_floor_ms
+    if floor is None:
+        # Diagnostic fallback only: the magical-bin bracket is not a
+        # certified floor (see the differential harness).
+        floor = result.lower_bound_ms
+    ratio = result.max_height_ms / floor if floor > 0 else 0.0
+    values = (ratio, lp_floor_ms, lp_certify_ms)
+    result.__dict__.update(zip(_CERTIFICATE_FIELDS, values))
+    if tel.enabled:
+        tel.set_gauge("shard_bound_ratio", ratio)
+
+
+class _PendingLp:
+    """A pooled round's pod LP, still solving when ``schedule()`` returned.
+
+    Takes over the round's pool and shuts it down without waiting: the
+    idle pod workers and the LP worker exit once the LP has delivered.
+    """
+
+    def __init__(self, pool, future, solve_inline, tel) -> None:
+        self._future = future
+        #: Zero-argument inline solve, the dead-pool fallback.
+        self._solve_inline = solve_inline
+        self.tel = tel
+        # shutdown(wait=False) drops the executor's handle on the thread
+        # that joins the workers; keep it so collection can join them.
+        self._manager = pool._executor_manager_thread
+        pool.shutdown(wait=False)
+
+    def result(self, trace_parent) -> tuple[float | None, float]:
+        """The floor (``None`` if HiGHS failed) and its solve time, in ms."""
+        try:
+            makespan_ms, wall_ms, spans = self._future.result()
+        except BrokenExecutor:
+            # The pool died: certify inline, the identical floor.
+            return self._solve_inline()
+        finally:
+            self._manager.join()
+        tel = self.tel
+        tracer = tel.tracer if tel.enabled else None
+        if spans and tracer is not None:
+            # The worker's lp_certify span keeps its own pods/lp lane.
+            tracer.adopt(spans, parent=trace_parent)
+        if makespan_ms is None:
+            tel.inc("shard_lp_failures_total")
+        return makespan_ms, wall_ms
 
 
 def _holding(
@@ -330,8 +429,8 @@ class ShardedScheduler:
             hints = (
                 dict(self._last_pod_capacities) if self._warm_start else {}
             )
-            lp_floor_ms: float | None = None
-            lp_certify_ms = 0.0
+            lp_floor_ms, lp_certify_ms = None, 0.0
+            pending_lp = None
             with self._round_pool(
                 instance, len(specs), self._certify
             ) as pool:
@@ -355,14 +454,17 @@ class ShardedScheduler:
                     )
                     if rebalance_span is not None:
                         rebalance_span.set_attr("moves", moves)
-                if self._certify:
-                    lp_floor_ms, lp_certify_ms = self._collect_pod_lp(
-                        lp_future,
-                        instance,
-                        pods_phones,
-                        bmin,
-                        cmin,
-                        trace_parent=round_span,
+                if lp_future is not None:
+                    # The round does not wait for its certificate.
+                    solve_inline = functools.partial(
+                        self._solve_pod_lp, instance, pods_phones, bmin, cmin
+                    )
+                    pending_lp = _PendingLp(
+                        pool, lp_future, solve_inline, tel
+                    )
+                elif self._certify:
+                    lp_floor_ms, lp_certify_ms = self._solve_pod_lp(
+                        instance, pods_phones, bmin, cmin
                     )
 
             with maybe_span(tracer, "assemble", category="pod"):
@@ -388,11 +490,16 @@ class ShardedScheduler:
                     reports,
                     rows,
                     schedule,
-                    lp_floor_ms,
-                    lp_certify_ms,
                     moves,
                     wall_ms,
                 )
+                if pending_lp is None:
+                    _certify(result, lp_floor_ms, lp_certify_ms, tel)
+                else:
+                    # Unset, so the first read reaches ``__getattr__``.
+                    for name in _CERTIFICATE_FIELDS:
+                        del result.__dict__[name]
+                    result.__dict__["_pending_lp"] = pending_lp
         self._last_result = result
         self._stats.record(result, wall_ms)
         self._last_pod_capacities = {
@@ -407,7 +514,8 @@ class ShardedScheduler:
         pods; the certificate gets one slot beyond the pod workers.
         Workers inherit the full instance through ``fork``
         (copy-on-write: nothing is pickled or copied up front), and
-        leaving the context joins every worker.
+        leaving the context joins every worker unless a pending
+        certificate (``_PendingLp``) has taken the pool over.
         """
         workers = self._pod_workers
         if workers == "auto":
@@ -433,45 +541,18 @@ class ShardedScheduler:
         )
 
     def _solve_pod_lp(self, instance, pods_phones, bmin, cmin):
-        """Inline pod LP: ``(solution or None, wall_ms)``."""
+        """Inline pod LP: ``(floor_ms, wall_ms)``; ``None`` if HiGHS failed."""
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
         started = time.perf_counter()
         solution = solve_pod_lp(
             instance, pods_phones, bmin, cmin, tracer=tracer
         )
+        wall_ms = (time.perf_counter() - started) * 1000.0
         if solution is None:
             tel.inc("shard_lp_failures_total")
-        return solution, (time.perf_counter() - started) * 1000.0
-
-    def _collect_pod_lp(
-        self, future, instance, pods_phones, bmin, cmin, *, trace_parent
-    ) -> tuple[float | None, float]:
-        """The certification floor and its solve time, in ms.
-
-        Takes the pooled certificate when ``future`` delivers it; a
-        missing future or a dead pool falls back to the inline solve,
-        which gives the identical floor.  ``None`` means HiGHS failed.
-        """
-        if future is not None:
-            try:
-                makespan_ms, wall_ms, spans = future.result()
-            except BrokenExecutor:
-                pass  # the pool died: certify inline below
-            else:
-                tel = self._tel
-                tracer = tel.tracer if tel.enabled else None
-                if spans and tracer is not None:
-                    # The worker's lp_certify span keeps its own lane.
-                    tracer.adopt(spans, parent=trace_parent)
-                if makespan_ms is None:
-                    tel.inc("shard_lp_failures_total")
-                return makespan_ms, wall_ms
-        solution, wall_ms = self._solve_pod_lp(
-            instance, pods_phones, bmin, cmin
-        )
-        floor = solution.makespan_ms if solution is not None else None
-        return floor, wall_ms
+            return None, wall_ms
+        return solution.makespan_ms, wall_ms
 
     def _solve_pods(
         self,
@@ -626,19 +707,12 @@ class ShardedScheduler:
         reports,
         rows,
         schedule,
-        lp_floor_ms,
-        lp_certify_ms,
         moves,
         wall_ms,
     ) -> ShardedSearchResult:
+        """The round's result, certificate fields still to be set."""
         capacity = max(report.capacity_ms for report in reports)
         makespan = max(report.max_height_ms for report in reports)
-        floor = lp_floor_ms
-        if floor is None:
-            # Diagnostic fallback only: the magical-bin bracket is not
-            # a certified floor (see the differential harness).
-            floor = instance.capacity_bounds()[0]
-        ratio = makespan / floor if floor > 0 else 0.0
         kernels = {report.kernel for report in reports}
         tel = self._tel
         if tel.enabled:
@@ -653,7 +727,6 @@ class ShardedScheduler:
                     float(len(spec.job_positions)),
                     pod=pod,
                 )
-            tel.set_gauge("shard_bound_ratio", ratio)
             tel.set_gauge("shard_pods", float(n_pods))
             tel.inc("shard_rebalance_moves_total", float(moves))
             tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
@@ -673,9 +746,6 @@ class ShardedScheduler:
             pods=n_pods,
             pod_solve_ms_max=max(r.wall_ms for r in reports),
             pod_solve_ms_sum=sum(r.wall_ms for r in reports),
-            shard_bound_ratio=ratio,
-            lp_floor_ms=lp_floor_ms,
-            lp_certify_ms=lp_certify_ms,
             rebalance_moves=moves,
             pod_reports=tuple(
                 sorted(reports, key=lambda r: r.index)

@@ -443,13 +443,16 @@ class CentralServer:
             )
 
         try:
-            self._inject_chaos(loop)
+            try:
+                self._inject_chaos(loop)
 
-            for time_ms, job in arrivals:
-                loop.schedule_at(time_ms, self._make_arrival_action(job))
+                for time_ms, job in arrivals:
+                    loop.schedule_at(time_ms, self._make_arrival_action(job))
 
-            self._begin_round(tuple(jobs), rescheduled=False)
-            loop.run()
+                self._begin_round(tuple(jobs), rescheduled=False)
+                loop.run()
+            finally:
+                self._collect_certificates()
         except BaseException:
             # A crash hook (durability drill) or a sim bug killed the
             # run mid-flight: close every in-flight span so the store
@@ -491,6 +494,28 @@ class CentralServer:
             rounds=self._rounds,
             unfinished_jobs=unfinished,
         )
+
+    def _collect_certificates(self) -> None:
+        """Wait for every round's deferred certificate (a pooled pod LP).
+
+        A sharded round returns its schedule before its LP floor is in;
+        collecting here keeps the LP work inside the run, completes the
+        run's round records and leaves no pool process behind.  The
+        worker's ``lp_certify`` span is adopted under the run span: it
+        outlives its round's span.  Every round is collected even when
+        one raises; the first exception then propagates.
+        """
+        error = None
+        for record in self._rounds:
+            collect = getattr(record.search, "collect_certificate", None)
+            if collect is None:
+                continue
+            try:
+                collect(trace_parent=self._run_span)
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # durable state capture

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +31,11 @@ from repro.core.pod import (
 from repro.core.schedule import Schedule
 from repro.core.serialize import schedule_to_dict
 from repro.core.sharding import ShardedScheduler, _assign_greedy
+from repro.sim.failures import FailurePlan, PlannedFailure
+from repro.sim.server import CentralServer
 
 from ..conftest import make_instance, replicated_testbed
+from ..sim.test_server import make_jobs, make_setup
 
 
 def canonical(schedule) -> str:
@@ -53,6 +58,32 @@ def _die_in_worker(task):
 def _raise_in_worker(task):
     """Stand-in pod solve with a programming error (worker side only)."""
     raise ValueError(f"pod {task[0]} spec is malformed")
+
+
+def _stall_in_worker(task):
+    """Stand-in pod LP that never delivers on its own."""
+    time.sleep(300)
+
+
+def sharded_run(pod_workers, *, telemetry=None):
+    """A 12-phone server run on 4 pods with a reschedule round.
+
+    One phone unplugs 1 s in, so the run schedules twice.
+    """
+    phones, truth, predictor, b = make_setup(n_phones=12)
+    scheduler = ShardedScheduler(
+        pods=4, pod_workers=pod_workers, telemetry=telemetry
+    )
+    server = CentralServer(
+        phones,
+        truth,
+        predictor,
+        scheduler,
+        b,
+        failure_plan=FailurePlan([PlannedFailure("p3", 1_000.0)]),
+        telemetry=telemetry,
+    )
+    return server.run(make_jobs(n_breakable=14, n_atomic=4))
 
 
 @pytest.fixture
@@ -265,6 +296,10 @@ class TestShardedScheduler:
             assert solve_outcomes(pooled_scheduler.last_result) == (
                 solve_outcomes(serial_scheduler.last_result)
             )
+            # The read collects the pending certificate and joins the pool.
+            assert pooled_scheduler.last_result.lp_floor_ms == (
+                serial_scheduler.last_result.lp_floor_ms
+            )
 
     def test_pool_death_falls_back_to_serial(
         self, fleet_instance, monkeypatch
@@ -288,6 +323,11 @@ class TestShardedScheduler:
         assert canonical(schedule) == canonical(serial)
         assert solve_outcomes(scheduler.last_result) == (
             solve_outcomes(serial_scheduler.last_result)
+        )
+        # The LP died with the pool: the read certifies inline and joins
+        # what is left of it.
+        assert scheduler.last_result.lp_floor_ms == (
+            serial_scheduler.last_result.lp_floor_ms
         )
         assert multiprocessing.active_children() == []
 
@@ -340,11 +380,33 @@ class TestShardedScheduler:
         monkeypatch.setattr(ShardedScheduler, "_solve_pod_lp", spy)
         scheduler = ShardedScheduler(pods=3, pod_workers=2)
         schedule = scheduler.schedule(fleet_instance)
-        assert len(inline_solves) == 1  # the dead pool certified inline
+        assert inline_solves == []  # the round left its certificate pending
         assert canonical(schedule) == canonical(serial)
         assert (
             scheduler.last_result.lp_floor_ms
             == serial_scheduler.last_result.lp_floor_ms
+        )
+        assert len(inline_solves) == 1  # the dead pool certified inline
+        assert multiprocessing.active_children() == []
+
+    def test_lp_worker_killed_after_schedule_certifies_inline(
+        self, fleet_instance, monkeypatch
+    ):
+        serial_scheduler = ShardedScheduler(pods=3, pod_workers=None)
+        serial_scheduler.schedule(fleet_instance)
+        # Patched before the pool forks: the LP worker stalls, so the
+        # round can only return if it does not wait for its certificate.
+        monkeypatch.setattr(pod, "_pod_worker_lp", _stall_in_worker)
+        scheduler = ShardedScheduler(pods=3, pod_workers=2)
+        scheduler.schedule(fleet_instance)
+        workers = multiprocessing.active_children()
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        assert workers  # the LP worker was still solving
+        result = scheduler.last_result
+        assert result.lp_floor_ms == serial_scheduler.last_result.lp_floor_ms
+        assert result.shard_bound_ratio == (
+            serial_scheduler.last_result.shard_bound_ratio
         )
         assert multiprocessing.active_children() == []
 
@@ -374,6 +436,33 @@ class TestShardedScheduler:
         assert registry.counter_value("shard_lp_failures_total") == 1.0
         assert multiprocessing.active_children() == []
 
+    def test_lp_solver_failure_counted_once_at_collection(
+        self, fleet_instance, monkeypatch
+    ):
+        from repro.obs import Telemetry
+
+        def highs_fails(*args, **kwargs):
+            raise RuntimeError("HiGHS status 4")
+
+        # Patched before the pool forks, so the LP worker inherits it.
+        monkeypatch.setattr(
+            lp_bound, "solve_pod_relaxed_makespan", highs_fails
+        )
+        telemetry = Telemetry.create(run_id="lp-failure-once")
+        registry = telemetry.registry
+        scheduler = ShardedScheduler(
+            pods=3, pod_workers=2, telemetry=telemetry
+        )
+        scheduler.schedule(fleet_instance)
+        assert registry.counter_value("shard_lp_failures_total") == 0.0
+        result = scheduler.last_result
+        assert result.lp_floor_ms is None
+        assert registry.counter_value("shard_lp_failures_total") == 1.0
+        assert result.shard_bound_ratio > 0.0
+        result.collect_certificate()
+        assert registry.counter_value("shard_lp_failures_total") == 1.0
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("pod_workers", [None, 2])
     def test_lp_programming_error_propagates(
         self, fleet_instance, monkeypatch, pod_workers
@@ -385,29 +474,63 @@ class TestShardedScheduler:
 
         monkeypatch.setattr(lp_bound, "solve_pod_relaxed_makespan", bad_cover)
         scheduler = ShardedScheduler(pods=3, pod_workers=pod_workers)
-        with pytest.raises(ValueError, match="pod 0 is empty"):
+        if pod_workers is None:
+            # A serial round certifies inline, before it returns.
+            with pytest.raises(ValueError, match="pod 0 is empty"):
+                scheduler.schedule(fleet_instance)
+        else:
+            # A pooled round returns first; the error surfaces at the
+            # first read, and again at every later one.
             scheduler.schedule(fleet_instance)
+            result = scheduler.last_result
+            with pytest.raises(ValueError, match="pod 0 is empty"):
+                result.lp_floor_ms
+            with pytest.raises(ValueError, match="pod 0 is empty"):
+                result.collect_certificate()
         assert multiprocessing.active_children() == []
 
-    def test_pooled_certificate_span_on_its_own_lane(
-        self, fleet_instance, monkeypatch
-    ):
+    def test_pooled_certificate_span_on_its_own_lane(self):
         from repro.obs import Telemetry
         from repro.verify.oracle import Oracle
 
-        monkeypatch.setenv("REPRO_CPUS", "4")
         telemetry = Telemetry.create(run_id="lp-lane", tracing=True)
-        ShardedScheduler(
-            pods=3, pod_workers=2, telemetry=telemetry
-        ).schedule(fleet_instance)
+        result = sharded_run(2, telemetry=telemetry)
         spans = telemetry.tracer.to_dicts()
         by_id = {span["span_id"]: span for span in spans}
-        (certify,) = [s for s in spans if s["name"] == "lp_certify"]
-        assert certify["process"] == "pods/lp"
-        assert by_id[certify["parent_id"]]["name"] == "sharded_schedule"
+        certify = [s for s in spans if s["name"] == "lp_certify"]
+        assert len(certify) == len(result.rounds) == 2
+        for span in certify:
+            assert span["process"] == "pods/lp"
+            # Adopted at collection under the run: it outlives its round.
+            assert by_id[span["parent_id"]]["name"] == "run"
         assert Oracle(include=("span-tree", "span-nesting")).check_run(
             None, (), spans=spans, collect=True
         ) == []
+
+    def test_server_run_collects_every_certificate(self):
+        serial = sharded_run(None)
+        pooled = sharded_run(2)
+        assert multiprocessing.active_children() == []
+        assert len(pooled.rounds) == len(serial.rounds) == 2
+        for got, want in zip(pooled.rounds, serial.rounds):
+            assert got.pods == 4
+            assert "_pending_lp" not in vars(got.search)
+            assert want.search.lp_floor_ms is not None
+            # Bit for bit: the floor crosses the process boundary as a float.
+            assert got.search.lp_floor_ms == want.search.lp_floor_ms
+            assert got.shard_bound_ratio == want.shard_bound_ratio
+
+    def test_lp_programming_error_surfaces_from_server_run(
+        self, monkeypatch
+    ):
+        def bad_cover(*args, **kwargs):
+            raise ValueError("pod 0 is empty")
+
+        # Patched before any pool forks, so every LP worker inherits it.
+        monkeypatch.setattr(lp_bound, "solve_pod_relaxed_makespan", bad_cover)
+        with pytest.raises(ValueError, match="pod 0 is empty"):
+            sharded_run(2)
+        assert multiprocessing.active_children() == []
 
     def test_warm_state_round_trip(self, fleet_instance):
         warm = ShardedScheduler(
