@@ -67,6 +67,7 @@ from .core.serialize import (
     phone_from_dict,
     schedule_to_dict,
 )
+from .core.sharding import ShardedScheduler
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .netmodel.measurement import measure_fleet
 from .profiling.analysis import extract_intervals, night_day_split
@@ -521,19 +522,7 @@ def _cmd_schedule(args) -> int:
         profiles = paper_task_profiles()
     predictor = RuntimePredictor(profiles)
 
-    if args.b:
-        b = {pid: float(v) for pid, v in _load_json(args.b).items()}
-    else:
-        from .netmodel.links import WirelessLink
-
-        links = {
-            phone.phone_id: WirelessLink.for_technology(
-                phone.network, seed=hash(phone.phone_id) % 2**31
-            )
-            for phone in phones
-        }
-        b = measure_fleet(links)
-
+    b = _resolve_b(args, phones)
     instance = SchedulingInstance.build(jobs, phones, b, predictor)
     scheduler = _build_scheduler(args, config)
     schedule = scheduler.schedule(instance)
@@ -545,6 +534,18 @@ def _cmd_schedule(args) -> int:
         f"{len(schedule.phone_ids)} phones, predicted makespan "
         f"{makespan_s:.1f} s, unsplit {schedule.unsplit_fraction() * 100:.0f}%"
     )
+    sharded = isinstance(scheduler, ShardedScheduler)
+    if sharded and scheduler.last_result.pods > 1:
+        result = scheduler.last_result
+        # The first read collects a pooled round's pending pod LP.
+        floor_ms = result.lp_floor_ms
+        floor = "n/a (LP failed)" if floor_ms is None else (
+            f"{floor_ms / 1000:.1f} s"
+        )
+        print(
+            f"certificate: {result.pods} pods, LP floor {floor}, "
+            f"shard bound ratio {result.shard_bound_ratio:.3f}"
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(schedule_to_dict(schedule), handle, indent=1)
@@ -912,11 +913,12 @@ def _resolve_b(args, phones):
     """Measured-b file if given, else simulate per-technology links."""
     if getattr(args, "b", None):
         return {pid: float(v) for pid, v in _load_json(args.b).items()}
+    from .durability.snapshot import stable_seed
     from .netmodel.links import WirelessLink
 
     links = {
         phone.phone_id: WirelessLink.for_technology(
-            phone.network, seed=hash(phone.phone_id) % 2**31
+            phone.network, seed=stable_seed(phone.phone_id)
         )
         for phone in phones
     }

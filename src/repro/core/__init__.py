@@ -11,8 +11,9 @@ Public surface:
   :class:`ShardedScheduler` (pod-parallel CWC for large fleets),
   :class:`EqualSplitScheduler` and :class:`RoundRobinScheduler`
   (the evaluation baselines);
-* bounds — :func:`solve_relaxed_makespan` (the Fig. 13 LP lower bound)
-  and :func:`solve_pod_relaxed_makespan` (its pod-aggregated coarsening);
+* bounds — :func:`solve_pod_relaxed_makespan` (the LP lower bound over
+  phone pods) and :func:`solve_relaxed_makespan` (its one-phone-pod
+  case, the exact Fig. 13 bound);
 * failure handling — :class:`FailedTaskList`, :class:`Checkpoint`.
 """
 
@@ -28,7 +29,6 @@ from .capacity import (
 from .greedy import CwcScheduler, Scheduler
 from .instance import SchedulingInstance
 from .lp_bound import (
-    PodRelaxedSolution,
     RelaxedSolution,
     solve_pod_relaxed_makespan,
     solve_relaxed_makespan,
@@ -93,7 +93,6 @@ __all__ = [
     "NetworkTechnology",
     "PackingResult",
     "PhoneSpec",
-    "PodRelaxedSolution",
     "PodSolveReport",
     "PodSpec",
     "RelaxedSolution",

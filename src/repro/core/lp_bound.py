@@ -15,33 +15,35 @@ Figure 13 compares ``T_cwc`` (the greedy scheduler) against
 ``T_relaxed`` over 1000 random configurations; the paper reports a
 median gap of about 18 %.
 
+One builder
+-----------
+:func:`solve_pod_relaxed_makespan` is the only LP assembly and the
+only HiGHS call.  It relaxes the machine set in *pods* (disjoint groups
+of phones): pod ``p`` becomes ``n_p`` identical copies of its
+componentwise-best phone — executable shipping at ``min_i b_i`` and
+input processing at ``min_i (b_i + c_ij)`` per KB, minimised over the
+pod's members per job.  Speeding machines up only shrinks the optimum,
+so the pod optimum remains a valid lower bound on the true makespan::
+
+    T_pod  <=  T_relaxed  <=  T_optimal
+
+With one phone per pod nothing is aggregated and the program is the
+exact relaxation above: :func:`solve_relaxed_makespan` is that case.
+With a few large pods the variable count drops from ``2 * P * J`` to
+at most ``2 * n_pods * J``, which keeps the bound affordable at the
+fleet scales the sharded scheduler targets (4000 x 20000 would be 160M
+exact variables).  ``T_pod`` certifies the sharded schedule
+(``shard_bound_ratio = T_sharded / T_pod``) — the certificate half of
+the coordination-through-an-LP-relaxation pattern of the
+distributed-clusters approximation literature (Murray-Khuller-Chao,
+PAPERS.md).  It only certifies: the sharded scheduler splits jobs
+across pods with its own greedy splitter, and no scheduling decision
+reads the fractional allocation ``l_pj`` (DESIGN.md §14.2).
+
 The LP is assembled sparsely and solved with scipy's HiGHS backend.
 scipy is loaded on the first solve (:func:`load_solver`), not on import:
 the CWC server itself only runs the greedy packer, so a run that never
 certifies never pays for the LP stack.
-
-Pod-aggregated relaxation
--------------------------
-The full LP has ``2 * P * J`` variables, which is intractable at the
-fleet scales the sharded scheduler targets (4000 x 20000 is 160M
-variables).  :func:`solve_pod_relaxed_makespan` coarsens the machine
-set instead of the job set: each *pod* (a disjoint group of phones) is
-relaxed to ``n_p`` identical copies of its componentwise-best phone —
-executable shipping at ``min_i b_i`` and input processing at
-``min_i (b_i + c_ij)`` per KB, minimised over the pod's members per
-job.  Speeding machines up only shrinks the optimum, so the coarse
-optimum remains a valid lower bound on the true makespan::
-
-    T_pod  <=  T_optimal  <=  T_sharded
-
-while the variable count drops to ``2 * n_pods * J``.  ``T_pod``
-certifies the sharded schedule (``shard_bound_ratio = T_sharded /
-T_pod``) — the certificate half of the coordination-through-an-LP-
-relaxation pattern of the distributed-clusters approximation
-literature (Murray-Khuller-Chao, PAPERS.md).  It only certifies: the
-sharded scheduler splits jobs across pods with its own greedy
-splitter, and no scheduling decision reads the fractional allocation
-``l_pj`` (DESIGN.md §14.2).
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import numpy as np
 from .instance import SchedulingInstance
 
 __all__ = [
-    "PodRelaxedSolution",
     "RelaxedSolution",
     "load_solver",
     "solve_pod_relaxed_makespan",
@@ -70,7 +71,7 @@ linprog = None
 def load_solver() -> None:
     """Import the LP stack (scipy's sparse matrices and HiGHS) once.
 
-    Both solvers call this before their first solve.  A caller that
+    The builder calls this before its first solve.  A caller that
     forks workers which will solve LPs calls it first, so every child
     inherits the loaded modules instead of importing them itself.
     """
@@ -83,159 +84,32 @@ def load_solver() -> None:
 
 @dataclass(frozen=True)
 class RelaxedSolution:
-    """Solution of the LP relaxation.
+    """Solution of the LP relaxation over a set of phone groups.
 
-    ``makespan_ms`` is ``T_relaxed``; ``l_kb[i, j]`` and ``u[i, j]`` are
-    the (fractional) input allocation and executable indicators, indexed
-    by position in ``instance.phones`` and ``instance.jobs``.
+    ``makespan_ms`` is the LP optimum, a valid lower bound on the
+    optimal makespan of the full instance; ``l_kb[g, j]`` and
+    ``u[g, j]`` are the fractional input allocation and
+    executable-shipping indicators, indexed by group position and job
+    position.  For :func:`solve_relaxed_makespan` every group is one
+    phone, so the rows follow ``instance.phones``.
     """
 
     makespan_ms: float
     l_kb: np.ndarray
     u: np.ndarray
-    status: int
-    message: str
 
 
 def solve_relaxed_makespan(instance: SchedulingInstance) -> RelaxedSolution:
-    """Solve the LP relaxation of SCH and return the lower bound.
+    """Solve the exact LP relaxation of SCH (Fig. 13's ``T_relaxed``).
 
-    Variable layout: ``x = [T, u_00 .. u_{P-1,J-1}, l_00 .. l_{P-1,J-1}]``
-    with phones varying slowest.  Raises ``RuntimeError`` if HiGHS fails,
-    which for this always-feasible LP indicates malformed input.
+    The pod relaxation with one phone per pod: each pod's best member
+    is the phone itself, so nothing is aggregated.  Raises
+    ``RuntimeError`` if HiGHS fails, which for this always-feasible LP
+    indicates malformed input.
     """
-    load_solver()
-    phones = instance.phones
-    jobs = instance.jobs
-    n_phones = len(phones)
-    n_jobs = len(jobs)
-    n_pairs = n_phones * n_jobs
-
-    def u_index(i: int, j: int) -> int:
-        return 1 + i * n_jobs + j
-
-    def l_index(i: int, j: int) -> int:
-        return 1 + n_pairs + i * n_jobs + j
-
-    n_vars = 1 + 2 * n_pairs
-    cost = np.zeros(n_vars)
-    cost[0] = 1.0  # minimise T
-
-    b_vec = np.array([instance.b(p.phone_id) for p in phones])
-    exe = np.array([job.executable_kb for job in jobs])
-    size = np.array([job.input_kb for job in jobs])
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    ub_rhs: list[float] = []
-    row = 0
-
-    # (1) Per-phone load: sum_j u_ij E_j b_i + l_ij (b_i + c_ij) - T <= 0.
-    for i, phone in enumerate(phones):
-        rows.append(row)
-        cols.append(0)
-        vals.append(-1.0)
-        for j, job in enumerate(jobs):
-            c_ij = instance.c(phone.phone_id, job.job_id)
-            rows.append(row)
-            cols.append(u_index(i, j))
-            vals.append(exe[j] * b_vec[i])
-            rows.append(row)
-            cols.append(l_index(i, j))
-            vals.append(b_vec[i] + c_ij)
-        ub_rhs.append(0.0)
-        row += 1
-
-    # (3) Linking: l_ij - L_j u_ij <= 0.
-    for i in range(n_phones):
-        for j in range(n_jobs):
-            rows.append(row)
-            cols.append(l_index(i, j))
-            vals.append(1.0)
-            rows.append(row)
-            cols.append(u_index(i, j))
-            vals.append(-size[j])
-            ub_rhs.append(0.0)
-            row += 1
-
-    a_ub = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(row, n_vars)
+    return solve_pod_relaxed_makespan(
+        instance, tuple((i,) for i in range(len(instance.phones)))
     )
-    b_ub = np.array(ub_rhs)
-
-    # (2) Coverage: sum_i l_ij = L_j; (4) atomic: sum_i u_ij = 1.
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_vals: list[float] = []
-    eq_rhs: list[float] = []
-    row = 0
-    for j, job in enumerate(jobs):
-        for i in range(n_phones):
-            eq_rows.append(row)
-            eq_cols.append(l_index(i, j))
-            eq_vals.append(1.0)
-        eq_rhs.append(size[j])
-        row += 1
-    for j, job in enumerate(jobs):
-        if not job.is_atomic:
-            continue
-        for i in range(n_phones):
-            eq_rows.append(row)
-            eq_cols.append(u_index(i, j))
-            eq_vals.append(1.0)
-        eq_rhs.append(1.0)
-        row += 1
-
-    a_eq = sparse.csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(row, n_vars)
-    )
-    b_eq = np.array(eq_rhs)
-
-    bounds = [(0.0, None)]
-    bounds += [(0.0, 1.0)] * n_pairs
-    bounds += [(0.0, float(size[j])) for _ in range(n_phones) for j in range(n_jobs)]
-
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(
-            f"LP relaxation failed (status {result.status}): {result.message}"
-        )
-
-    u = np.asarray(result.x[1 : 1 + n_pairs]).reshape(n_phones, n_jobs)
-    l_kb = np.asarray(result.x[1 + n_pairs :]).reshape(n_phones, n_jobs)
-    return RelaxedSolution(
-        makespan_ms=float(result.x[0]),
-        l_kb=l_kb,
-        u=u,
-        status=int(result.status),
-        message=str(result.message),
-    )
-
-
-@dataclass(frozen=True)
-class PodRelaxedSolution:
-    """Solution of the pod-aggregated LP relaxation.
-
-    ``makespan_ms`` is ``T_pod``, a valid lower bound on the optimal
-    makespan of the *full* instance; ``l_kb[p, j]`` and ``u[p, j]`` are
-    the fractional input allocation and executable-shipping indicators
-    per (pod, job), indexed by pod position and job position.
-    """
-
-    makespan_ms: float
-    l_kb: np.ndarray
-    u: np.ndarray
-    status: int
-    message: str
 
 
 def solve_pod_relaxed_makespan(
@@ -243,7 +117,7 @@ def solve_pod_relaxed_makespan(
     pods: tuple[tuple[int, ...], ...],
     *,
     tables: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PodRelaxedSolution:
+) -> RelaxedSolution:
     """Solve the pod-aggregated LP relaxation (see the module docstring).
 
     ``pods`` is a disjoint cover of phone positions (as produced by
@@ -273,7 +147,8 @@ def solve_pod_relaxed_makespan(
     and drops half the variables plus every breakable linking row,
     which is what keeps the certification affordable at the
     4000 x 20000 bench scale.  Atomic jobs keep explicit ``u``
-    (their unit-coverage equality cannot be folded).
+    (their unit-coverage equality cannot be folded).  The fold needs
+    ``u`` continuous: an integral breakable ``u`` is not ``l / L``.
     """
     n_phones = len(instance.phones)
     n_jobs = len(instance.jobs)
@@ -412,10 +287,4 @@ def solve_pod_relaxed_makespan(
         u[:, atomic_jobs] = np.asarray(result.x[u0:]).reshape(
             n_pods, n_atomic
         )
-    return PodRelaxedSolution(
-        makespan_ms=float(result.x[0]),
-        l_kb=l_kb,
-        u=u,
-        status=int(result.status),
-        message=str(result.message),
-    )
+    return RelaxedSolution(float(result.x[0]), l_kb, u)

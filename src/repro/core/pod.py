@@ -297,7 +297,7 @@ def solve_pod_lp(
 ):
     """The pod-aggregated LP in an ``lp_certify`` span.
 
-    Returns the :class:`~repro.core.lp_bound.PodRelaxedSolution`, or
+    Returns the :class:`~repro.core.lp_bound.RelaxedSolution`, or
     ``None`` when HiGHS fails (``RuntimeError``, the solver's one
     documented failure).  Anything else — a bad pod cover, a
     programming error — propagates.

@@ -73,6 +73,24 @@ class TestBoundProperties:
         for j, job in enumerate(small_instance.jobs):
             assert totals[j] == pytest.approx(job.input_kb, rel=1e-6)
 
+    def test_solution_shape(self, small_instance):
+        """One row per phone; ``u`` follows ``l`` where the LP folds it."""
+        solution = solve_relaxed_makespan(small_instance)
+        shape = (len(small_instance.phones), len(small_instance.jobs))
+        assert solution.l_kb.shape == solution.u.shape == shape
+        kinds = {job.is_atomic for job in small_instance.jobs}
+        assert kinds == {True, False}
+        for j, job in enumerate(small_instance.jobs):
+            column_l = solution.l_kb[:, j]
+            column_u = solution.u[:, j]
+            assert column_l.sum() == pytest.approx(job.input_kb, rel=1e-9)
+            if job.is_atomic:
+                assert column_u.sum() == pytest.approx(1.0, abs=1e-9)
+            else:
+                np.testing.assert_allclose(
+                    column_u, column_l / job.input_kb, rtol=0, atol=1e-12
+                )
+
     def test_linking_constraint_satisfied(self, small_instance):
         solution = solve_relaxed_makespan(small_instance)
         for i in range(len(small_instance.phones)):

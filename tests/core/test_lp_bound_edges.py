@@ -53,15 +53,31 @@ class TestPodBoundSemantics:
         assert solution.l_kb.shape == (1, 1)
         assert solution.l_kb[0, 0] == pytest.approx(100.0, rel=1e-6)
 
-    def test_singleton_pods_match_full_lp(self, small_instance):
-        """Every pod a single phone: no aggregation, same optimum."""
-        n = len(small_instance.phones)
-        pods = tuple((i,) for i in range(n))
-        pod_solution = solve_pod_relaxed_makespan(small_instance, pods)
-        full_solution = solve_relaxed_makespan(small_instance)
-        assert pod_solution.makespan_ms == pytest.approx(
-            full_solution.makespan_ms, rel=1e-6
-        )
+    def test_singleton_pods_match_full_lp(self):
+        """Every pod a single phone: the exact LP's closed-form optimum.
+
+        ``b`` is in ms/KB; ``c = 1`` ms/KB on every phone here.  Two
+        identical phones share ``E b + L (b + c)`` of work evenly,
+        whether the job is breakable or atomic.  With different ``b``
+        a breakable job's load on phone ``i`` is ``l_i k_i`` where
+        ``k_i = E b_i / L + b_i + c``, so the optimum balances the two
+        rates: ``L k_0 k_1 / (k_0 + k_1)``.
+        """
+        E, L, c, b = 40.0, 100.0, 1.0, 3.0
+        even = (E * b + L * (b + c)) / 2
+        k0, k1 = (E * b_i / L + b_i + c for b_i in (1.0, 3.0))
+        cases = [
+            ({"p0": b, "p1": b}, JobKind.BREAKABLE, even),
+            ({"p0": b, "p1": b}, JobKind.ATOMIC, even),
+            ({"p0": 1.0, "p1": 3.0}, JobKind.BREAKABLE, L * k0 * k1 / (k0 + k1)),
+        ]
+        for rates, kind, optimum in cases:
+            jobs = [Job("j0", "t", kind, E, L)]
+            instance = uniform_instance(n_phones=2, jobs=jobs, b=rates)
+            solution = solve_relaxed_makespan(instance)
+            assert solution.makespan_ms == pytest.approx(optimum, rel=1e-9)
+            pods = solve_pod_relaxed_makespan(instance, ((0,), (1,)))
+            assert pods.makespan_ms == pytest.approx(optimum, rel=1e-9)
 
     def test_pod_bound_never_exceeds_full_lp(self, small_instance):
         """Aggregation only relaxes: T_pod <= T_full_lp <= makespan."""

@@ -1,9 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.serialize import job_to_dict, phone_to_dict
 from repro.workloads.mixes import evaluation_workload, paper_testbed
@@ -95,6 +101,64 @@ class TestScheduleCommand:
         )
         assert code == 0
         assert "round-robin" in capsys.readouterr().out
+
+    def test_measured_links_do_not_depend_on_the_hash_seed(
+        self, fleet_files, tmp_path
+    ):
+        """Without ``--b`` two processes must build the same instance."""
+        phones_path, jobs_path = fleet_files
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out_path = tmp_path / f"schedule-{hash_seed}.json"
+            subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro",
+                    "schedule",
+                    "--phones",
+                    str(phones_path),
+                    "--jobs",
+                    str(jobs_path),
+                    "--output",
+                    str(out_path),
+                ],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": src,
+                    "PYTHONHASHSEED": hash_seed,
+                },
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_sharded_round_reports_its_certificate(
+        self, fleet_files, capsys
+    ):
+        phones_path, jobs_path = fleet_files
+        code = main(
+            [
+                "schedule",
+                "--phones",
+                str(phones_path),
+                "--jobs",
+                str(jobs_path),
+                "--pods",
+                "2",
+                "--pod-workers",
+                "2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "certificate: 2 pods, LP floor " in out
+        assert "shard bound ratio " in out
+        # Printing the floor collected the pooled round's pending LP.
+        assert multiprocessing.active_children() == []
 
 
 class TestPodWorkersFlag:

@@ -27,6 +27,20 @@ def small_instance():
     return SchedulingInstance.build(jobs, phones, b, RuntimePredictor(PROFILES))
 
 
+def cell_limit_instance(n_phones):
+    """``n_phones`` phones x 64 jobs: 64 phones sit on the LP cell limit."""
+    phones = tuple(
+        PhoneSpec(phone_id=f"p{i}", cpu_mhz=800.0 + 10.0 * i)
+        for i in range(n_phones)
+    )
+    jobs = tuple(
+        Job(f"j{i}", "primes", JobKind.BREAKABLE, 30.0, 300.0 + 4.0 * i)
+        for i in range(64)
+    )
+    b = {p.phone_id: 2.0 for p in phones}
+    return SchedulingInstance.build(jobs, phones, b, RuntimePredictor(PROFILES))
+
+
 class TestDifferentialCheck:
     def test_all_legs_agree_on_small_instance(self):
         report = differential_check(small_instance())
@@ -41,14 +55,17 @@ class TestDifferentialCheck:
         assert len(report.schedule_digest) == 64
 
     def test_lp_sandwich_checked_when_enabled(self):
-        report = differential_check(small_instance(), lp=True)
-        assert report.lp_checked
-        assert report.lp_bound_ms is not None
-        assert report.lp_bound_ms <= report.makespan_ms + 1e-6
-        assert report.makespan_ms <= report.greedy_bound_ms + 1e-6
+        # The LP runs on instances of at most 4 096 phone x job cells.
+        for instance in (small_instance(), cell_limit_instance(64)):
+            report = differential_check(instance)
+            assert report.lp_checked
+            assert report.lp_bound_ms is not None
+            assert report.lp_bound_ms <= report.makespan_ms + 1e-6
+            assert report.makespan_ms <= report.greedy_bound_ms + 1e-6
 
     def test_lp_can_be_disabled(self):
-        report = differential_check(small_instance(), lp=False)
+        # 65 x 64 cells is above the limit, so the LP is skipped.
+        report = differential_check(cell_limit_instance(65))
         assert not report.lp_checked
         assert report.lp_bound_ms is None
 
