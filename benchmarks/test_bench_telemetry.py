@@ -1,12 +1,13 @@
 """Telemetry-overhead benches: disabled must cost (almost) nothing.
 
 An optional telemetry facade is threaded through the scheduler's hot
-path — the capacity search's probes and the scheduler ``schedule()`` —
-all guarded by a single ``enabled`` check (the packing kernels carry
-no instrumentation at all: the search times its own probes, and only
-when telemetry is enabled).  These benches pin the guarantee that the
-*disabled* path (the default for every existing caller) costs the
-scheduler nothing measurable:
+path — the capacity search and the scheduler ``schedule()`` — where it
+supplies only the span tracer, resolved once per call behind a single
+``enabled`` check (the packing kernels carry no instrumentation at
+all, and the scheduler writes nothing to the metrics registry: a
+server derives those metrics from its run record).  These benches pin
+the guarantee that the *disabled* path (the default for every existing
+caller) costs the scheduler nothing measurable:
 
 * a full telemetry-disabled mid-scale scheduling pass is recorded as
   ``telemetry_disabled_mid_pass`` in ``BENCH_scheduler.json``, so CI's
@@ -47,7 +48,10 @@ def test_bench_telemetry_disabled_mid_pass(record_scheduler_bench):
     assert schedule_to_dict(disabled) == schedule_to_dict(enabled), (
         "telemetry changed the schedule — it must observe, never steer"
     )
-    assert telemetry.registry.counter_value("capacity_searches_total", kernel="python") == 1
+    assert len(telemetry.registry) == 0, (
+        "a bare scheduler wrote to the registry — its metrics are "
+        "derived from a server's run record"
+    )
 
     record_scheduler_bench(
         "telemetry_disabled_mid_pass",

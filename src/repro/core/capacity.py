@@ -93,7 +93,6 @@ original implementation.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -393,11 +392,12 @@ class CapacitySearch:
         reference), ``'numpy'`` (vectorized, byte-identical), or
         ``'auto'`` (pick by phone count).
     telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
-        search records only registry metrics (probe outcomes, bisection
-        steps, certificate skips, kernel choice).
-        Every recording site is guarded by the enabled flag, keeping
-        the disabled hot path identical to the un-instrumented one.
+        Optional :class:`~repro.obs.telemetry.Telemetry` facade; only
+        its tracer is used (``capacity_search``, ``pack`` and phase
+        spans).  The search writes nothing to the registry: its
+        counters live on the :class:`CapacitySearchResult`, from which
+        :class:`~repro.sim.server.CentralServer` derives the
+        ``capacity_*`` metrics at run end.
     """
 
     def __init__(
@@ -525,13 +525,10 @@ class CapacitySearch:
         #: verdict at one capacity proves nothing about any other.
         feas_at: float | None = None
 
-        tel = self._tel
-
         def probe(cap: float, *, collect: bool = False) -> PackingResult:
             """One real pack at ``cap`` (verdict-only when deferring)."""
             nonlocal packs
             packs += 1
-            started = time.perf_counter() if tel.enabled else 0.0
             if tracer is not None:
                 with tracer.span(
                     "pack", category="capacity", capacity_ms=cap
@@ -545,16 +542,6 @@ class CapacitySearch:
                 attempt = packer.pack(cap, collect=False)
             else:
                 attempt = packer.pack(cap)
-            if tel.enabled:
-                tel.inc(
-                    "capacity_probes_total",
-                    outcome="feasible" if attempt.feasible else "infeasible",
-                )
-                tel.observe(
-                    "pack_wall_ms",
-                    (time.perf_counter() - started) * 1000.0,
-                    kernel=kernel,
-                )
             return attempt
 
         # -- warm hint verification ------------------------------------
@@ -669,14 +656,6 @@ class CapacitySearch:
                     return self.run(instance, _trusted=False)
 
         assert best.rows is not None
-        if tel.enabled:
-            tel.inc("capacity_searches_total", kernel=kernel)
-            tel.inc("capacity_bisection_steps_total", float(steps))
-            tel.inc("capacity_shortcircuit_skips_total", float(skips))
-            tel.inc("capacity_assumed_feasible_total", float(assumed))
-            if warm_used:
-                tel.inc("capacity_warm_start_hits_total")
-            tel.observe("capacity_packs_per_search", float(packs))
         bounds = capacity_bounds(instance)
         return CapacitySearchResult(
             rows=best.rows,

@@ -103,9 +103,10 @@ class CwcScheduler:
         schedules), or ``'auto'`` (default: pick by phone count).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade, also
-        threaded into the capacity search.  Records per-round wall
-        time, item/bin counts, and the search's probe metrics; the
-        disabled default costs one boolean check per round.
+        threaded into the capacity search; only its tracer is used (a
+        ``schedule`` span around each search).  Round metrics are
+        derived from the run record by
+        :class:`~repro.sim.server.CentralServer`, not written here.
 
     Examples
     --------
@@ -158,13 +159,6 @@ class CwcScheduler:
         self._last_result = result
         self._last_capacity_ms = result.capacity_ms
         self._stats.record(result, wall_ms)
-        if tel.enabled:
-            tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
-            tel.inc("schedule_items_total", float(len(instance.jobs)))
-            tel.inc("schedule_bins_total", float(len(instance.phones)))
-            tel.set_gauge(
-                "schedule_last_capacity_ms", result.capacity_ms
-            )
         return result.schedule
 
     @property

@@ -341,21 +341,21 @@ _POD_TRACER: Tracer | None = None
 
 
 def _pod_worker_init(
-    instance: SchedulingInstance, search_kwargs: dict, trace_run_id=None
+    instance: SchedulingInstance, search_kwargs: dict, tracing: bool = False
 ) -> None:
     """Keep the inherited instance and build the long-lived search.
 
-    ``trace_run_id`` (non-None iff the parent armed tracing) gives the
-    worker its own telemetry facade with a tracer; each solve's spans
-    ride back on :attr:`PodSolveReport.spans` for parent adoption.
+    ``tracing`` (set iff the parent armed a tracer) gives the worker its
+    own telemetry facade with a tracer; each solve's spans ride back on
+    :attr:`PodSolveReport.spans` for the parent to adopt.
     """
     global _POD_INSTANCE, _POD_SEARCH, _POD_TRACER
     _POD_INSTANCE = instance
     telemetry = None
-    if trace_run_id is not None:
+    if tracing:
         from ..obs.telemetry import Telemetry
 
-        telemetry = Telemetry.create(run_id=trace_run_id, tracing=True)
+        telemetry = Telemetry.create(tracing=True)
         _POD_TRACER = telemetry.tracer
     else:
         _POD_TRACER = None

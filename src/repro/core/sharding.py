@@ -150,7 +150,7 @@ class ShardedSearchResult(CapacitySearchResult):
         pending = self.__dict__.get("_pending_lp")
         if pending is not None:
             floor, wall_ms = pending.result(trace_parent)
-            _certify(self, floor, wall_ms, pending.tel)
+            _certify(self, floor, wall_ms)
             del self.__dict__["_pending_lp"]
 
     def __getattr__(self, name: str):
@@ -177,9 +177,8 @@ def _certify(
     result: ShardedSearchResult,
     lp_floor_ms: float | None,
     lp_certify_ms: float,
-    tel,
 ) -> None:
-    """Set ``result``'s certificate fields and the bound-ratio gauge."""
+    """Set ``result``'s certificate fields."""
     floor = lp_floor_ms
     if floor is None:
         # Diagnostic fallback only: the magical-bin bracket is not a
@@ -188,8 +187,6 @@ def _certify(
     ratio = result.max_height_ms / floor if floor > 0 else 0.0
     values = (ratio, lp_floor_ms, lp_certify_ms)
     result.__dict__.update(zip(_CERTIFICATE_FIELDS, values))
-    if tel.enabled:
-        tel.set_gauge("shard_bound_ratio", ratio)
 
 
 class _PendingLp:
@@ -265,6 +262,10 @@ class ShardedScheduler:
     telemetry:
         As on :class:`~repro.core.greedy.CwcScheduler`; they configure
         both the inner monolithic scheduler and every per-pod search.
+        The telemetry supplies the tracer; the one registry write here
+        is ``shard_lp_failures_total``.  The pod metrics are derived
+        from each round's :attr:`ShardedSearchResult.pod_reports` by
+        :class:`~repro.sim.server.CentralServer`.
     """
 
     name = "cwc-sharded"
@@ -317,8 +318,7 @@ class ShardedScheduler:
         }
         #: Long-lived serial pod solver.  It shares this scheduler's
         #: telemetry (kept out of ``_search_kwargs``, which must pickle
-        #: for workers) so serial pod solves trace and meter like
-        #: monolithic ones.
+        #: for workers) so serial pod solves trace like monolithic ones.
         self._local_search = CapacitySearch(
             **self._search_kwargs, telemetry=telemetry
         )
@@ -484,17 +484,10 @@ class ShardedScheduler:
             wall_ms = (time.perf_counter() - started) * 1000.0
             with maybe_span(tracer, "finish_round", category="pod"):
                 result = self._finish_round(
-                    instance,
-                    n_pods,
-                    specs,
-                    reports,
-                    rows,
-                    schedule,
-                    moves,
-                    wall_ms,
+                    instance, n_pods, reports, rows, schedule, moves
                 )
                 if pending_lp is None:
-                    _certify(result, lp_floor_ms, lp_certify_ms, tel)
+                    _certify(result, lp_floor_ms, lp_certify_ms)
                 else:
                     # Unset, so the first read reaches ``__getattr__``.
                     for name in _CERTIFICATE_FIELDS:
@@ -533,11 +526,7 @@ class ShardedScheduler:
             max_workers=min(workers, n_specs) + int(certify),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_pod_worker_init,
-            initargs=(
-                instance,
-                self._search_kwargs,
-                tracer.run_id if tracer is not None else None,
-            ),
+            initargs=(instance, self._search_kwargs, tracer is not None),
         )
 
     def _solve_pod_lp(self, instance, pods_phones, bmin, cmin):
@@ -700,36 +689,12 @@ class ShardedScheduler:
         return specs, reports, moves
 
     def _finish_round(
-        self,
-        instance,
-        n_pods,
-        specs,
-        reports,
-        rows,
-        schedule,
-        moves,
-        wall_ms,
+        self, instance, n_pods, reports, rows, schedule, moves
     ) -> ShardedSearchResult:
         """The round's result, certificate fields still to be set."""
         capacity = max(report.capacity_ms for report in reports)
         makespan = max(report.max_height_ms for report in reports)
         kernels = {report.kernel for report in reports}
-        tel = self._tel
-        if tel.enabled:
-            for spec, report in zip(specs, reports):
-                pod = str(report.index)
-                tel.observe("pod_solve_ms", report.wall_ms, pod=pod)
-                tel.observe(
-                    "pod_capacity_ms", report.capacity_ms, pod=pod
-                )
-                tel.inc(
-                    "pod_jobs_total",
-                    float(len(spec.job_positions)),
-                    pod=pod,
-                )
-            tel.set_gauge("shard_pods", float(n_pods))
-            tel.inc("shard_rebalance_moves_total", float(moves))
-            tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
         bounds = instance.capacity_bounds()
         result = ShardedSearchResult(
             rows=rows,

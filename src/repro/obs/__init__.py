@@ -13,8 +13,8 @@ prediction-error convergence) instead of hand reconstruction:
 * :mod:`repro.obs.report` — the per-run artifact bundle
   (``report.json`` with one row per scheduling round, the timeline,
   series CSVs, Prometheus text);
-* :mod:`repro.obs.tracing` — the span tracer (flight recorder) with
-  cross-process context propagation;
+* :mod:`repro.obs.tracing` — the span tracer (flight recorder), which
+  adopts spans recorded in worker processes;
 * :mod:`repro.obs.trace_export` — Chrome trace-event JSON
   (Perfetto-loadable ``trace.json``);
 * :mod:`repro.obs.profile` — self-time aggregation and critical-path
@@ -43,7 +43,6 @@ from .trace_export import (
     write_chrome_trace,
 )
 from .tracing import (
-    SpanContext,
     SpanError,
     SpanOrderError,
     SpanSchemaError,
@@ -61,7 +60,6 @@ __all__ = [
     "RunReport",
     "SamplerSet",
     "Series",
-    "SpanContext",
     "SpanError",
     "SpanOrderError",
     "SpanSchemaError",

@@ -5,8 +5,8 @@ event engine, throttle, campaign) takes an optional ``telemetry``
 argument.  Passing nothing gives :data:`NULL_TELEMETRY` — a disabled
 facade whose recording methods return before touching any data
 structure, so the un-instrumented hot path costs a single truthiness
-check (PR 2/3's scheduler wins are preserved; the bench guard in
-``benchmarks/test_bench_telemetry.py`` enforces it).
+check (the bench guard in ``benchmarks/test_bench_telemetry.py``
+enforces it).
 
 A live facade is just::
 
@@ -15,14 +15,18 @@ A live facade is just::
     ...
     report = build_run_report(result, tel, ...)   # repro.obs.report
 
-Components must guard loops with ``if telemetry.enabled:`` when a
-recording call would otherwise sit inside a per-item inner loop;
-per-event and per-probe call sites may call unconditionally (the
-disabled facade's early return is a few nanoseconds).
-
-The facade keeps no event log: a run's round boundaries are the start
-and drain instants on its :class:`~repro.sim.server.RoundRecord` list,
-and every other run record lives in its timeline trace.
+The registry is a view of the run record, not a second account of
+it.  A run's rounds live on its :class:`~repro.sim.server.RoundRecord`
+list (start and drain instants, each scheduler search result) and
+every other run record in its timeline trace; the server derives the
+registry's run metrics from those once, at run end.  The schedulers
+and the capacity search therefore use only the facade's tracer.  The
+recording methods below serve the few facts with no record:
+dispatches, the event engine, the throttle, and the samplers, which
+read live server state at their event hooks.  Per-event call sites
+may call them unconditionally (the disabled facade's early return is
+a few nanoseconds); guard per-item inner loops with
+``if telemetry.enabled:``.
 """
 
 from __future__ import annotations

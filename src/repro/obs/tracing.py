@@ -15,15 +15,15 @@ Scheduler-side spans (capacity search, pod solves) carry wall only;
 server-side lifecycle spans (run, round, copy, execute, retry) carry
 both.
 
-Cross-process propagation.  Worker processes cannot share the parent's
-``Tracer``.  Instead the parent pickles a :class:`SpanContext` into the
-worker-init payload, the worker records spans into its own local
-tracer, ships them back as plain dicts (:meth:`Tracer.drain_dicts`),
-and the parent re-homes them with :meth:`Tracer.adopt` — span ids are
-remapped into the parent's id space, worker roots are re-parented onto
-the context span, and intervals are clamped into the adopting parent
-so the child⊆parent invariant survives clock granularity across
-processes.
+Cross-process spans.  Worker processes cannot share the parent's
+``Tracer``.  A pod worker records into its own local tracer and ships
+each task's spans back as plain dicts (:meth:`Tracer.drain_dicts`)
+with the task's result; the parent re-homes them with
+:meth:`Tracer.adopt` under whichever of its own spans is open for that
+work.  Span ids are remapped into the parent's id space, worker roots
+are re-parented onto the adopting span, and intervals are clamped into
+it so the child⊆parent invariant survives clock granularity across
+processes.  A campaign adopts each night's tracer the same way.
 
 Two usage styles:
 
@@ -54,7 +54,6 @@ __all__ = [
     "SpanError",
     "SpanOrderError",
     "SpanSchemaError",
-    "SpanContext",
     "TraceSpan",
     "Tracer",
     "maybe_span",
@@ -81,19 +80,6 @@ class SpanOrderError(SpanError):
 
 class SpanSchemaError(SpanError):
     """A span dict failed schema validation."""
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """Picklable capsule tying worker-side spans back to a parent span.
-
-    ``span_id`` names the parent-side span the worker's roots will hang
-    from; ``run_id`` and ``process`` seed the worker's local tracer.
-    """
-
-    run_id: str
-    span_id: int
-    process: str = "worker"
 
 
 @dataclass(frozen=True)
@@ -438,15 +424,6 @@ class Tracer:
         return len(handles)
 
     # -- cross-process ------------------------------------------------------
-
-    def context(self, handle: _OpenSpan, *, process: str = "worker") -> SpanContext:
-        """A picklable context naming ``handle`` as the remote parent."""
-        return SpanContext(run_id=self.run_id, span_id=handle.span_id, process=process)
-
-    @classmethod
-    def from_context(cls, ctx: SpanContext, *, wall_clock=time.monotonic) -> "Tracer":
-        """A worker-local tracer seeded from a pickled context."""
-        return cls(ctx.run_id, process=ctx.process, wall_clock=wall_clock)
 
     def adopt(
         self,

@@ -297,15 +297,14 @@ class CentralServer:
         :meth:`run`.
     telemetry:
         An optional :class:`~repro.obs.telemetry.Telemetry` facade.  When
-        armed, dispatches, completions, failures, chaos faults and
-        resilience actions are counted (the records themselves live in
-        the run's trace, and each round's start and drain instants on
-        its :class:`RoundRecord`), round latencies feed the
-        ``round_latency_ms`` histogram, and fleet-level samplers (phone
-        utilisation, queue depth, outstanding dispatches, capacity probe
-        counts) are driven from the server's event hooks.  One facade
-        instruments exactly one run.  Defaults to the zero-overhead
-        disabled facade.
+        armed, fleet-level samplers (phone utilisation, queue depth,
+        outstanding dispatches, capacity probe counts) are driven from
+        the server's event hooks and dispatches are counted live.  Every
+        other run metric (completions, failures, chaos faults,
+        resilience actions, round latencies, the scheduler's search
+        counters) is derived from the run record at run end
+        (:meth:`_record_metrics`).  One facade instruments exactly one
+        run.  Defaults to the zero-overhead disabled facade.
     """
 
     def __init__(
@@ -465,6 +464,7 @@ class CentralServer:
                 self._record_fleet_lanes(tracer)
                 self._run_span = None
                 self._round_span = None
+            self._record_metrics()
             raise
 
         for monitor in self._monitors.values():
@@ -488,6 +488,7 @@ class CentralServer:
                 unfinished_jobs=len(unfinished),
             )
             self._run_span = None
+        self._record_metrics()
         tel.sample_now(loop.now_ms)
         return RunResult(
             trace=self._trace,
@@ -683,12 +684,7 @@ class CentralServer:
         )
         now = self._loop.now_ms
         self._trace.add_span(span, at_ms=now)
-        tel = self._tel
-        if tel.enabled:
-            tel.observe(
-                "span_duration_ms", span.duration_ms, kind=span.kind.value
-            )
-            tel.maybe_sample(now)
+        self._tel.maybe_sample(now)
 
     def _record_fleet_lanes(self, tracer) -> None:
         """Derive the ``fleet/<phone>`` tracer lanes from the timeline.
@@ -741,37 +737,94 @@ class CentralServer:
                 parent=parent,
             )
 
-    def _record_chaos(self, record: ChaosRecord) -> None:
-        """Append a chaos ground-truth record and count it."""
-        assert self._loop is not None and self._trace is not None
-        self._trace.add_chaos(record, at_ms=self._loop.now_ms)
-        self._tel.inc("chaos_faults_total", kind=record.kind)
+    def _record_metrics(self) -> None:
+        """Derive the registry's run metrics from the rounds and timeline.
 
-    def _record_failure(self, record: FailureRecord) -> None:
-        """Append a failure as the server detected it and count it."""
-        assert self._trace is not None
-        self._trace.add_failure(record, at_ms=record.detected_at_ms)
+        Called once, at run end or at a kill, like
+        :meth:`_record_fleet_lanes`: every fact counted here is already
+        in the run record, so the registry is a view of it.  A sharded
+        round counts each of its assembled pod searches, so pooled and
+        serial pods give the same counts.
+        """
         tel = self._tel
         if not tel.enabled:
             return
-        tel.inc("failures_total", online="true" if record.online else "false")
-        tel.maybe_sample(record.detected_at_ms)
+        registry, trace = tel.registry, self._trace
+        for chaos in trace.chaos:
+            registry.inc("chaos_faults_total", kind=chaos.kind)
+        for failure in trace.failures:
+            online = "true" if failure.online else "false"
+            registry.inc("failures_total", online=online)
+        for span in trace.spans:
+            registry.observe(
+                "span_duration_ms", span.duration_ms, kind=span.kind.value
+            )
+        for completion in trace.completions:
+            registry.inc("completions_total")
+            registry.observe(
+                "local_execution_ms", completion.local_execution_ms, kind="execute"
+            )
+        for event in trace.resilience_events:
+            registry.inc("resilience_events_total", kind=event.kind)
+        for record in self._rounds:
+            registry.inc("scheduler_rounds_total")
+            registry.inc("scheduler_jobs_total", float(len(record.job_ids)))
+            registry.observe("scheduling_wall_ms", record.scheduling_wall_ms)
+            if record.drained_at_ms is not None:
+                latency = record.drained_at_ms - record.scheduled_at_ms
+                registry.observe("round_latency_ms", latency)
+            search = record.search
+            if search is None:
+                continue
+            registry.set_gauge("schedule_last_capacity_ms", search.capacity_ms)
+            pod_reports = getattr(search, "pod_reports", ())
+            for part in pod_reports or (search,):
+                registry.inc("capacity_searches_total", kernel=part.kernel)
+                for name, value in (
+                    ("capacity_bisection_steps_total", part.bisection_steps),
+                    ("capacity_shortcircuit_skips_total", part.shortcircuit_skips),
+                    ("capacity_assumed_feasible_total", part.assumed_feasible),
+                ):
+                    registry.inc(name, float(value))
+                if part.warm_start_used:
+                    registry.inc("capacity_warm_start_hits_total")
+                registry.observe(
+                    "capacity_packs_per_search", float(part.packer_passes)
+                )
+            if not pod_reports:
+                continue
+            for report in pod_reports:
+                pod = str(report.index)
+                jobs = len({row[1] for row in report.assignments})
+                registry.observe("pod_solve_ms", report.wall_ms, pod=pod)
+                registry.observe("pod_capacity_ms", report.capacity_ms, pod=pod)
+                registry.inc("pod_jobs_total", float(jobs), pod=pod)
+            registry.set_gauge("shard_pods", float(search.pods))
+            moves = float(search.rebalance_moves)
+            registry.inc("shard_rebalance_moves_total", moves)
+            registry.set_gauge("shard_bound_ratio", search.shard_bound_ratio)
+
+    def _record_chaos(self, record: ChaosRecord) -> None:
+        """Append a chaos ground-truth record."""
+        assert self._loop is not None and self._trace is not None
+        self._trace.add_chaos(record, at_ms=self._loop.now_ms)
+
+    def _record_failure(self, record: FailureRecord) -> None:
+        """Append a failure as the server detected it."""
+        assert self._trace is not None
+        self._trace.add_failure(record, at_ms=record.detected_at_ms)
+        self._tel.maybe_sample(record.detected_at_ms)
 
     def _drain_round(self) -> None:
         """Close the active round: stamp its drain instant on its record."""
         assert self._loop is not None
         now = self._loop.now_ms
         self._round_active = False
-        record = replace(self._rounds[-1], drained_at_ms=now)
-        self._rounds[-1] = record
+        self._rounds[-1] = replace(self._rounds[-1], drained_at_ms=now)
         if self._tracer is not None and self._round_span is not None:
             self._tracer.end(self._round_span, sim_time_ms=now)
             self._round_span = None
-        tel = self._tel
-        if not tel.enabled:
-            return
-        tel.observe("round_latency_ms", now - record.scheduled_at_ms)
-        tel.maybe_sample(now)
+        self._tel.maybe_sample(now)
 
     # ------------------------------------------------------------------
     # chaos wiring
@@ -947,11 +1000,6 @@ class CentralServer:
         )
         self._round_index += 1
         self._round_active = True
-        tel = self._tel
-        if tel.enabled:
-            tel.inc("scheduler_rounds_total")
-            tel.inc("scheduler_jobs_total", float(len(jobs)))
-            tel.observe("scheduling_wall_ms", scheduling_wall_ms)
 
         for phone_id, pipeline in self._pipelines.items():
             for assignment in schedule.for_phone(phone_id):
@@ -1241,15 +1289,7 @@ class CentralServer:
             ),
             at_ms=now,
         )
-        tel = self._tel
-        if tel.enabled:
-            tel.inc("completions_total")
-            tel.observe(
-                "local_execution_ms",
-                data.local_execution_ms,
-                kind="execute",
-            )
-            tel.maybe_sample(now)
+        self._tel.maybe_sample(now)
         if self._on_result is not None:
             self._on_result(
                 assignment.job_id,
@@ -1299,7 +1339,6 @@ class CentralServer:
             ),
             at_ms=now,
         )
-        self._tel.inc("resilience_events_total", kind=kind)
 
     def _cancel_guard_tokens(self, op: _Operation) -> None:
         if op.timeout_token is not None:

@@ -42,7 +42,7 @@ from ..core.serialize import (
 )
 from ..sim.chaos import ChaosMonkey, ChaosPlan, ResiliencePolicy
 from ..sim.entities import FleetGroundTruth
-from ..sim.server import CentralServer
+from ..sim.server import CentralServer, RunResult
 from ..workloads.arrivals import poisson_arrivals
 from ..workloads.mixes import paper_task_profiles
 from .invariants import Violation
@@ -59,6 +59,7 @@ __all__ = [
     "derive_seeds",
     "generate_instance",
     "generate_scenario",
+    "run_checked",
     "run_scenario",
     "scenario_workload",
     "minimize_scenario",
@@ -413,23 +414,22 @@ def scenario_workload(
     return initial, arrivals
 
 
-def run_scenario(
-    scenario: Scenario, *, arm_telemetry: bool = True
-) -> FuzzOutcome:
-    """Execute one scenario end to end and apply the oracle.
+def run_checked(
+    scenario: Scenario, *, run_id: str, arm_telemetry: bool = True
+) -> tuple[RunResult | None, tuple[Violation, ...], str | None]:
+    """Run one scenario end to end with the oracle armed.
 
-    A crash inside the simulator is reported as a synthetic
-    ``no-crash`` violation via ``error`` rather than propagating — the
-    fuzzer treats "the simulation blew up" as a finding, not a tooling
-    failure.
+    Returns ``(result, violations, error)``.  A crash inside the
+    simulator is a finding, not a tooling failure: it comes back as no
+    result, a synthetic ``no-crash`` violation and the error text.
+    ``arm_telemetry`` arms a tracer (named ``run_id``) so the oracle
+    also checks the run's span tree.
     """
     telemetry = None
     if arm_telemetry:
         from ..obs.telemetry import Telemetry
 
-        telemetry = Telemetry.create(
-            run_id=f"fuzz-{scenario.seed}", tracing=True
-        )
+        telemetry = Telemetry.create(run_id=run_id, tracing=True)
     initial, arrivals = scenario_workload(scenario)
     try:
         server = build_scenario_server(
@@ -437,18 +437,9 @@ def run_scenario(
         )
         result = server.run(initial, arrivals=arrivals)
     except Exception as exc:  # noqa: BLE001 - crashes are findings
-        return FuzzOutcome(
-            scenario=scenario,
-            digest=scenario.digest(),
-            violations=(
-                Violation(
-                    invariant="no-crash",
-                    scope="run",
-                    message=f"{type(exc).__name__}: {exc}",
-                ),
-            ),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+        crash = Violation(invariant="no-crash", scope="run", message=error)
+        return None, (crash,), error
 
     oracle = Oracle()
     spans = telemetry.tracer.spans if telemetry is not None else None
@@ -458,10 +449,27 @@ def run_scenario(
         )
     )
     violations.extend(oracle.check_rounds(result, collect=True))
+    return result, tuple(violations), None
+
+
+def run_scenario(
+    scenario: Scenario, *, arm_telemetry: bool = True
+) -> FuzzOutcome:
+    """Execute one scenario end to end and apply the oracle."""
+    result, violations, error = run_checked(
+        scenario, run_id=f"fuzz-{scenario.seed}", arm_telemetry=arm_telemetry
+    )
+    if result is None:
+        return FuzzOutcome(
+            scenario=scenario,
+            digest=scenario.digest(),
+            violations=violations,
+            error=error,
+        )
     return FuzzOutcome(
         scenario=scenario,
         digest=scenario.digest(),
-        violations=tuple(violations),
+        violations=violations,
         makespan_ms=result.measured_makespan_ms,
         rounds=len(result.rounds),
         completions=len(result.trace.completions),

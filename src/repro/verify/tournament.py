@@ -47,15 +47,7 @@ from pathlib import Path
 
 from ..core.policies import DEFAULT_POLICY, POLICY_NAMES, run_energy_joules
 from ..sim.chaos import ChaosMonkey
-from .fuzz import (
-    Scenario,
-    build_scenario_server,
-    derive_seeds,
-    generate_scenario,
-    scenario_workload,
-)
-from .invariants import Violation
-from .oracle import Oracle
+from .fuzz import Scenario, derive_seeds, generate_scenario, run_checked
 
 __all__ = [
     "TOURNAMENT_FORMAT",
@@ -372,43 +364,17 @@ def run_leg(scenario: Scenario, *, arm_telemetry: bool = True) -> TournamentLeg:
     """Run one scenario, oracle armed, and score the three metrics.
 
     Simulator crashes are findings, not tooling failures: they surface
-    as a synthetic ``no-crash`` violation, mirroring the fuzzer.
+    as a synthetic ``no-crash`` violation, as in the fuzzer
+    (:func:`~repro.verify.fuzz.run_checked`).
     """
-    telemetry = None
-    if arm_telemetry:
-        from ..obs.telemetry import Telemetry
-
-        telemetry = Telemetry.create(
-            run_id=f"tournament-{scenario.policy}-{scenario.seed}",
-            tracing=True,
-        )
-    initial, arrivals = scenario_workload(scenario)
-    try:
-        server = build_scenario_server(
-            scenario, telemetry=telemetry, record_instances=True
-        )
-        result = server.run(initial, arrivals=arrivals)
-    except Exception as exc:  # noqa: BLE001 - crashes are findings
-        return TournamentLeg(
-            policy=scenario.policy,
-            regime="",
-            scenario_seed=scenario.seed,
-            scenario_digest=scenario.digest(),
-            makespan_ms=0.0,
-            energy_j=0.0,
-            recovery_ms=0.0,
-            violations=("no-crash",),
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    oracle = Oracle()
-    spans = telemetry.tracer.spans if telemetry is not None else None
-    violations: list[Violation] = list(
-        oracle.check_run(
-            result, scenario.jobs, spans=spans, collect=True
-        )
+    result, violations, error = run_checked(
+        scenario,
+        run_id=f"tournament-{scenario.policy}-{scenario.seed}",
+        arm_telemetry=arm_telemetry,
     )
-    violations.extend(oracle.check_rounds(result, collect=True))
-    makespan, energy, recovery = _leg_metrics(result, scenario)
+    makespan, energy, recovery = (
+        (0.0, 0.0, 0.0) if result is None else _leg_metrics(result, scenario)
+    )
     return TournamentLeg(
         policy=scenario.policy,
         regime="",
@@ -418,6 +384,7 @@ def run_leg(scenario: Scenario, *, arm_telemetry: bool = True) -> TournamentLeg:
         energy_j=energy,
         recovery_ms=recovery,
         violations=tuple(v.invariant for v in violations),
+        error=error,
     )
 
 

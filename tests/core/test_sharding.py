@@ -604,22 +604,67 @@ class TestShardedScheduler:
         # The diagnostic ratio still reports against the bisection floor.
         assert scheduler.last_result.shard_bound_ratio > 0.0
 
-    def test_telemetry_labels_per_pod(self, fleet_instance):
+    def test_telemetry_labels_per_pod(self):
         from repro.obs import Telemetry
 
         telemetry = Telemetry.create(run_id="sharded-test")
-        scheduler = ShardedScheduler(
-            pods=2, pod_workers=None, telemetry=telemetry
-        )
-        scheduler.schedule(fleet_instance)
+        result = sharded_run(None, telemetry=telemetry)
         registry = telemetry.registry
         pods_seen = {
             labels["pod"] for labels in registry.series_labels("pod_solve_ms")
         }
-        assert pods_seen == {"0", "1"}
-        assert registry.gauge_value("shard_bound_ratio") is not None
-        assert registry.gauge_value("shard_pods") == 2.0
-        assert registry.counter_value("pod_jobs_total", pod="0") > 0
+        assert pods_seen == {"0", "1", "2", "3"}
+        last = result.rounds[-1]
+        assert registry.gauge_value("shard_bound_ratio") == (
+            last.shard_bound_ratio
+        )
+        assert registry.gauge_value("shard_pods") == 4.0
+        assert sum(
+            registry.counter_value("pod_jobs_total", pod=pod)
+            for pod in pods_seen
+        ) == sum(len(record.job_ids) for record in result.rounds)
+        assert registry.counter_value("shard_rebalance_moves_total") == sum(
+            record.search.rebalance_moves for record in result.rounds
+        )
+
+    def test_pooled_and_serial_runs_count_alike(self, monkeypatch):
+        """The registry is derived from each round's assembled pod
+        searches, so pooling cannot change a count, and every
+        ``capacity_*`` counter sums the round records."""
+        from repro.obs import Telemetry
+
+        monkeypatch.setenv("REPRO_CPUS", "2")
+        counters = {}
+        for workers in (None, 2):
+            telemetry = Telemetry.create(run_id=f"pods-{workers}")
+            result = sharded_run(workers, telemetry=telemetry)
+            searches = [record.search for record in result.rounds]
+            assert len(searches) == 2
+            assert all(search.pods == 4 for search in searches)
+            registry = telemetry.registry
+            assert registry.counter_value(
+                "capacity_searches_total", kernel="python"
+            ) == sum(len(search.pod_reports) for search in searches)
+            for metric, field in (
+                ("capacity_bisection_steps_total", "bisection_steps"),
+                ("capacity_shortcircuit_skips_total", "shortcircuit_skips"),
+                ("capacity_assumed_feasible_total", "assumed_feasible"),
+            ):
+                assert registry.counter_value(metric) == sum(
+                    getattr(search, field) for search in searches
+                )
+            assert registry.counter_value(
+                "capacity_warm_start_hits_total"
+            ) == sum(
+                report.warm_start_used
+                for search in searches
+                for report in search.pod_reports
+            )
+            packs = registry.histogram("capacity_packs_per_search")
+            assert packs.sum == sum(search.packer_passes for search in searches)
+            counters[workers] = registry.to_dict()["counters"]
+        assert counters[None] == counters[2]
+        assert multiprocessing.active_children() == []
 
 
 class TestRoundOneKernelRouting:

@@ -14,64 +14,118 @@ from repro.core.packing import GreedyPacker
 from repro.obs import Telemetry
 from repro.sim.campaign import ContinuousCampaign
 from repro.sim.engine import EventLoop
+from repro.sim.failures import FailurePlan, PlannedFailure
+from repro.sim.server import CentralServer
 from repro.verify.oracle import Oracle
 
 from ..conftest import make_instance
+from ..sim.test_server import make_jobs, make_setup
+
+
+def pack_spans(tel):
+    return [span for span in tel.tracer.spans if span.name == "pack"]
 
 
 class TestCapacityAndSchedulerMetrics:
+    """The search and the scheduler write nothing to the registry.
+
+    Each pack is a ``pack`` span and each search's counters live on its
+    result; the server derives the registry from its round records.
+    """
+
     def test_capacity_search_counts_probes(self):
         tel = Telemetry.create(run_id="cap")
-        instance = make_instance(
-            n_breakable=8, n_atomic=4, n_phones=8, seed=3
+        phones, truth, predictor, b = make_setup(n_phones=6)
+        server = CentralServer(
+            phones,
+            truth,
+            predictor,
+            CwcScheduler(warm_start=True, telemetry=tel),
+            b,
+            failure_plan=FailurePlan([PlannedFailure("p3", 1_000.0)]),
+            telemetry=tel,
         )
-        CapacitySearch(telemetry=tel).run(instance)
+        result = server.run(make_jobs(n_breakable=8, n_atomic=4))
+        searches = [record.search for record in result.rounds]
+        assert len(searches) == 2
         registry = tel.registry
-        assert registry.counter_value("capacity_searches_total", kernel="python") >= 1
-        probes = registry.counter_value(
-            "capacity_probes_total", outcome="feasible"
-        ) + registry.counter_value(
-            "capacity_probes_total", outcome="infeasible"
-        )
-        assert probes > 0
-        assert registry.counter_value("capacity_bisection_steps_total") > 0
-        assert registry.histogram("capacity_packs_per_search").count == 1
-        assert registry.histogram("pack_wall_ms", kernel="python").count > 0
+        assert registry.counter_value(
+            "capacity_searches_total", kernel="python"
+        ) == len(searches)
+        for metric, field in (
+            ("capacity_bisection_steps_total", "bisection_steps"),
+            ("capacity_shortcircuit_skips_total", "shortcircuit_skips"),
+            ("capacity_assumed_feasible_total", "assumed_feasible"),
+            ("capacity_warm_start_hits_total", "warm_start_used"),
+        ):
+            assert registry.counter_value(metric) == sum(
+                getattr(search, field) for search in searches
+            )
+        packs = registry.histogram("capacity_packs_per_search")
+        assert packs.count == len(searches)
+        assert packs.sum == sum(search.packer_passes for search in searches)
 
     def test_scheduler_wrapper_metrics(self):
-        tel = Telemetry.create(run_id="sched")
+        """A bare scheduler's facts are on its span, not in the registry."""
+        tel = Telemetry.create(run_id="sched", tracing=True)
         scheduler = CwcScheduler(telemetry=tel)
         instance = make_instance(
             n_breakable=6, n_atomic=2, n_phones=6, seed=4
         )
         scheduler.schedule(instance)
-        registry = tel.registry
-        assert registry.counter_value("schedule_items_total") == 8
-        assert registry.counter_value("schedule_bins_total") == 6
-        assert (
-            registry.histogram("schedule_wall_ms", scheduler=scheduler.name)
-            .count
-            == 1
+        assert len(tel.registry) == 0
+        (span,) = [s for s in tel.tracer.spans if s.name == "schedule"]
+        assert span.attrs["jobs"] == 8
+        assert span.attrs["phones"] == 6
+        assert span.attrs["scheduler"] == scheduler.name
+
+    def test_round_metrics_are_the_round_records(self):
+        tel = Telemetry.create(run_id="rounds", tracing=True)
+        phones, truth, predictor, b = make_setup(n_phones=6)
+        server = CentralServer(
+            phones,
+            truth,
+            predictor,
+            CwcScheduler(telemetry=tel),
+            b,
+            failure_plan=FailurePlan([PlannedFailure("p3", 1_000.0)]),
+            telemetry=tel,
+            record_instances=True,
         )
-        assert registry.gauge_value("schedule_last_capacity_ms") > 0
+        result = server.run(make_jobs(n_breakable=8, n_atomic=4))
+        rounds = result.rounds
+        registry = tel.registry
+        assert registry.counter_value("scheduler_rounds_total") == len(rounds)
+        assert registry.counter_value("scheduler_jobs_total") == sum(
+            len(record.job_ids) for record in rounds
+        )
+        wall = registry.histogram("scheduling_wall_ms")
+        assert wall.count == len(rounds)
+        assert wall.sum == sum(record.scheduling_wall_ms for record in rounds)
+        assert registry.gauge_value("schedule_last_capacity_ms") == (
+            rounds[-1].capacity_ms
+        )
+        round_spans = [s for s in tel.tracer.spans if s.name == "round"]
+        assert [s.attrs["phones"] for s in round_spans] == [
+            len(record.instance.phones) for record in rounds
+        ]
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_pack_wall_ms_times_every_probe(self, kernel):
-        """The search times its own probes; the kernels keep no stats."""
-        tel = Telemetry.create(run_id="probe-wall")
+        """Each probe's ``pack`` span holds its wall time and verdict;
+        the kernels keep no stats."""
+        tel = Telemetry.create(run_id="probe-wall", tracing=True)
         instance = make_instance(
             n_breakable=6, n_atomic=3, n_phones=6, seed=5
         )
-        CapacitySearch(telemetry=tel, kernel=kernel).run(instance)
-        registry = tel.registry
-        probes = sum(
-            registry.counter_value("capacity_probes_total", outcome=o)
-            for o in ("feasible", "infeasible")
-        )
-        wall = registry.histogram("pack_wall_ms", kernel=kernel)
-        assert probes > 0
-        assert wall.count == probes
-        assert wall.sum >= 0.0
+        result = CapacitySearch(telemetry=tel, kernel=kernel).run(instance)
+        spans = pack_spans(tel)
+        assert len(spans) == result.packer_passes > 0
+        for span in spans:
+            assert span.wall_ms >= 0.0
+            assert isinstance(span.attrs["feasible"], bool)
+        assert any(not span.attrs["feasible"] for span in spans)
+        assert len(tel.registry) == 0
         packer = GreedyPacker(instance)
         packer.pack(1e9)
         assert not hasattr(packer, "packs_issued")
@@ -80,25 +134,59 @@ class TestCapacityAndSchedulerMetrics:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_every_pack_is_a_counted_probe(self, kernel, warm):
-        """Hint verification and materialisation count like any probe."""
+        """Hint verification and materialisation are ``pack`` spans too."""
         instance = make_instance(
             n_breakable=6, n_atomic=3, n_phones=6, seed=5
         )
         hint = None
         if warm:
             hint = CapacitySearch(kernel=kernel).run(instance).capacity_ms
-        tel = Telemetry.create(run_id="probe-count")
+        tel = Telemetry.create(run_id="probe-count", tracing=True)
         result = CapacitySearch(telemetry=tel, kernel=kernel).run(
             instance, warm_hint_ms=hint
         )
         assert result.warm_start_used is warm
-        registry = tel.registry
-        probes = sum(
-            registry.counter_value("capacity_probes_total", outcome=o)
-            for o in ("feasible", "infeasible")
+        assert len(pack_spans(tel)) == result.packer_passes > 0
+
+
+class TestKilledRunMetrics:
+    def test_kill_derives_the_registry_from_the_partial_record(self):
+        """A run killed at its second scheduling instant still fills the
+        registry, from the rounds and timeline recorded before the kill."""
+
+        class Killed(Exception):
+            pass
+
+        def kill_at_second_round(server, round_index):
+            if round_index == 1:
+                raise Killed
+
+        tel = Telemetry.create(run_id="killed")
+        phones, truth, predictor, b = make_setup(n_phones=6)
+        server = CentralServer(
+            phones,
+            truth,
+            predictor,
+            CwcScheduler(telemetry=tel),
+            b,
+            failure_plan=FailurePlan([PlannedFailure("p3", 1_000.0)]),
+            telemetry=tel,
+            on_round=kill_at_second_round,
         )
-        wall = registry.histogram("pack_wall_ms", kernel=kernel)
-        assert probes == wall.count == result.packer_passes > 0
+        with pytest.raises(Killed):
+            server.run(make_jobs(n_breakable=8, n_atomic=4))
+        trace = server._trace
+        registry = tel.registry
+        assert registry.counter_value("scheduler_rounds_total") == 1
+        assert registry.counter_value("capacity_searches_total", kernel="python") == 1
+        assert registry.counter_value("completions_total") == len(
+            trace.completions
+        ) > 0
+        assert sum(
+            registry.counter_value("failures_total", online=online)
+            for online in ("true", "false")
+        ) == len(trace.failures) == 1
+        assert registry.histogram("round_latency_ms").count == 1
 
 
 class TestEngineCounters:

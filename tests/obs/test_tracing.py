@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.obs.tracing import (
-    SpanContext,
     SpanError,
     SpanOrderError,
     SpanSchemaError,
@@ -134,17 +133,17 @@ def test_abort_open_closes_innermost_first_as_interrupted():
 
 
 def test_context_pickles_and_adopt_rehomes_worker_spans():
+    """A worker's spans cross the process boundary as pickled dicts."""
     clock = FakeClock(start=200.0, step=0.1)
     parent = Tracer("t", wall_clock=clock)
     wait = parent.start("probe_wait")
-    ctx = parent.context(wait, process="workers/w-1")
-    ctx = pickle.loads(pickle.dumps(ctx))
-    assert isinstance(ctx, SpanContext)
 
-    worker = Tracer.from_context(ctx, wall_clock=FakeClock(start=200.05, step=0.1))
+    worker = Tracer(
+        process="workers/w-1", wall_clock=FakeClock(start=200.05, step=0.1)
+    )
     with worker.span("probe_pack", capacity_ms=123.0):
         pass
-    shipped = worker.drain_dicts()
+    shipped = pickle.loads(pickle.dumps(worker.drain_dicts()))
     assert worker.spans == ()
 
     adopted = parent.adopt(shipped, parent=wait)
