@@ -1,9 +1,9 @@
 """Extension bench: CWC as a week-long overnight service.
 
-Runs five nights on the paper testbed with realistic unplug failures
-and adaptive bandwidth re-measurement, printing per-night makespans,
-failures, and prediction error (which should collapse after the first
-nights as the predictor learns the fleet).  Each night is one
+Runs five nights on the paper testbed with realistic unplug failures,
+measuring every link before each night (Sec 3.1), and prints per-night
+makespans, failures, and prediction error (which should collapse after
+the first nights as the predictor learns the fleet).  Each night is one
 ``CentralServer`` run; unfinished work joins the next night's queue.
 
 ``campaign_shaped_searches`` replays the capacity searches a campaign
@@ -20,7 +20,6 @@ from repro.core.greedy import CwcScheduler
 from repro.core.instance import SchedulingInstance
 from repro.netmodel.measurement import measure_fleet
 from repro.core.prediction import RuntimePredictor
-from repro.netmodel.scheduler import MeasurementScheduler
 from repro.sim.entities import FleetGroundTruth
 from repro.sim.failures import RandomUnplugModel
 from repro.sim.server import CentralServer
@@ -29,8 +28,6 @@ from repro.workloads.mixes import (
     paper_task_profiles,
     paper_testbed,
 )
-
-MS_PER_DAY = 24.0 * 3_600_000.0
 
 
 def test_bench_five_night_campaign(once):
@@ -41,7 +38,6 @@ def test_bench_five_night_campaign(once):
         predictor = RuntimePredictor(profiles, alpha=1.0)
         scheduler = CwcScheduler()
         unplug = RandomUnplugModel([0.02] * 6 + [0.25] + [0.08] * 17)
-        measurement = MeasurementScheduler()
         rng = random.Random(8)
         phone_ids = [phone.phone_id for phone in testbed.phones]
         backlog = ()
@@ -50,7 +46,7 @@ def test_bench_five_night_campaign(once):
             jobs = backlog + evaluation_workload(
                 seed=300 + night, instances_per_task=15
             )
-            b = measurement.measure_due(testbed.links, night * MS_PER_DAY)
+            b = measure_fleet(testbed.links)
             plan = unplug.sample_plan(
                 phone_ids, start_hour=0.0, duration_hours=6.0, rng=rng
             )

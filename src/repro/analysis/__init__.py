@@ -8,7 +8,6 @@ from .costs import (
     EnergyCostModel,
     paper_cost_table,
 )
-from .compare import SchedulerComparison, compare_schedulers, render_comparison
 from .gantt import render_timeline
 from .stats import EmpiricalCdf, percentile, summarize
 from .tables import render_cdf_series, render_table
@@ -26,9 +25,6 @@ __all__ = [
     "TEGRA3_PHONE",
     "DevicePower",
     "EmpiricalCdf",
-    "SchedulerComparison",
-    "compare_schedulers",
-    "render_comparison",
     "EnergyCostModel",
     "paper_cost_table",
     "PredictionValidation",

@@ -6,9 +6,7 @@ paper notes the scheduling program extends with ``l_ij <= r_i`` (any
 partition assigned to phone *i* is at most its RAM).  This module
 implements that extension:
 
-* :class:`RamConstraint` — per-phone partition caps derived from
-  :class:`~repro.core.model.PhoneSpec.ram_mb` (with a configurable
-  fraction reserved for the OS and the task executable);
+* :class:`RamConstraint` — per-phone partition caps, in KB;
 * :func:`clamp_fit` — the hook the packer uses to cap partition sizes;
 * :func:`validate_ram` — post-hoc check that a schedule respects the
   caps (used by tests and the simulated server).
@@ -16,25 +14,22 @@ implements that extension:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .model import PhoneSpec
 from .schedule import InfeasibleScheduleError, Schedule
 
 __all__ = ["RamConstraint", "validate_ram"]
-
-_KB_PER_MB = 1024.0
 
 
 @dataclass(frozen=True)
 class RamConstraint:
     """Per-phone cap on the input partition size (KB).
 
-    ``usable_fraction`` models the share of physical RAM actually
-    available to a CWC task once the OS, the Android runtime, and the
-    task executable are resident — the paper's "1 GB RAM per phone is
-    enough" remark assumes the input partition fits in memory.
+    A cap is the share of a phone's RAM left to a CWC task once the OS,
+    the Android runtime, and the task executable are resident — the
+    paper's "1 GB RAM per phone is enough" remark assumes the input
+    partition fits in memory.
     """
 
     caps_kb: Mapping[str, float]
@@ -45,21 +40,6 @@ class RamConstraint:
                 raise ValueError(
                     f"RAM cap for {phone_id!r} must be > 0, got {cap!r}"
                 )
-
-    @classmethod
-    def from_phones(
-        cls, phones: Iterable[PhoneSpec], *, usable_fraction: float = 0.5
-    ) -> "RamConstraint":
-        if not 0.0 < usable_fraction <= 1.0:
-            raise ValueError(
-                f"usable_fraction must lie in (0, 1], got {usable_fraction!r}"
-            )
-        return cls(
-            caps_kb={
-                phone.phone_id: phone.ram_mb * _KB_PER_MB * usable_fraction
-                for phone in phones
-            }
-        )
 
     def cap_kb(self, phone_id: str) -> float:
         """Partition cap for a phone; unknown phones are unconstrained."""

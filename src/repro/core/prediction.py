@@ -145,15 +145,6 @@ class RuntimePredictor:
         self._learned[key] = new
         return new
 
-    def forget(self, phone_id: str | None = None) -> None:
-        """Drop learned estimates (all of them, or one phone's)."""
-        if phone_id is None:
-            self._learned.clear()
-            return
-        self._learned = {
-            key: value for key, value in self._learned.items() if key[0] != phone_id
-        }
-
     def learned_pairs(self) -> dict[tuple[str, str], float]:
         """Snapshot of the (phone, task) pairs refined by observation."""
         return dict(self._learned)

@@ -681,7 +681,7 @@ class ShardedScheduler:
             trial[hi_k], trial[lo_k] = resolved
             new_max = max(report.capacity_ms for report in trial)
             if new_max >= old_max:
-                break  # the move did not help; keep the solved pods
+                break  # no gain: keep the old reports, drop both re-solves
             specs = list(specs)
             specs[hi_k], specs[lo_k] = new_hi, new_lo
             reports = trial

@@ -7,16 +7,13 @@ from .links import (
     kbps_to_b_ms_per_kb,
 )
 from .measurement import BandwidthMeasurement, measure_fleet, measure_link
-from .scheduler import LinkMeasurementState, MeasurementScheduler
 from .variability import Ar1Process
 
 __all__ = [
     "Ar1Process",
     "BandwidthMeasurement",
     "DEFAULT_PROFILES",
-    "LinkMeasurementState",
     "LinkProfile",
-    "MeasurementScheduler",
     "WirelessLink",
     "kbps_to_b_ms_per_kb",
     "measure_fleet",

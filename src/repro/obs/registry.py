@@ -6,8 +6,9 @@ needs:
 
 * **counters** — monotonically increasing floats (``inc``);
 * **gauges** — last-write-wins floats (``set_gauge``);
-* **histograms** — fixed cumulative buckets declared up front (or the
-  default latency buckets), plus ``sum`` and ``count``.
+* **histograms** — fixed cumulative buckets (the default latency
+  buckets, or those a restored snapshot carries), plus ``sum`` and
+  ``count``.
 
 The registry is plain data: picklable, byte-stable in :meth:`to_dict`
 (sorted keys), and renderable as Prometheus text exposition
@@ -144,17 +145,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Set a gauge to its latest value."""
         self._gauges[metric_key(name, labels)] = float(value)
-
-    def declare_histogram(
-        self, name: str, buckets: tuple[float, ...]
-    ) -> None:
-        """Fix the bucket bounds for every series of ``name``."""
-        existing = self._histogram_buckets.get(name)
-        if existing is not None and existing != tuple(buckets):
-            raise ValueError(
-                f"histogram {name!r} already declared with different buckets"
-            )
-        self._histogram_buckets[name] = tuple(buckets)
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Record one observation into a histogram."""

@@ -114,25 +114,3 @@ class AvailabilityForecast:
             survival *= max(0.0, 1.0 - profile[hour] * slice_hours)
             elapsed += slice_hours
         return survival
-
-    def rank_phones(
-        self,
-        phone_ids: Sequence[str],
-        *,
-        start_hour: float,
-        duration_hours: float,
-    ) -> list[tuple[str, float]]:
-        """Phones ordered most-reliable first for the given window."""
-        scored = [
-            (
-                phone_id,
-                self.survival_probability(
-                    phone_id,
-                    start_hour=start_hour,
-                    duration_hours=duration_hours,
-                ),
-            )
-            for phone_id in phone_ids
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored

@@ -214,16 +214,6 @@ class ChaosPlan:
             or self._corruptions
         )
 
-    def fault_count(self) -> int:
-        """Total number of planned faults across all classes."""
-        return (
-            len(self._failures)
-            + len(self._slowdowns)
-            + len(self._bandwidth)
-            + len(self._crashes)
-            + len(self._corruptions)
-        )
-
     def phone_ids(self) -> frozenset[str]:
         """Every phone named by at least one fault."""
         ids = set(self._failures.phone_ids)

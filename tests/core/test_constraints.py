@@ -23,11 +23,6 @@ def make_instance(ram_mb=(64.0, 64.0), input_kb=100_000.0, atomic=False):
 
 
 class TestRamConstraint:
-    def test_from_phones_derives_caps(self):
-        phones = (PhoneSpec(phone_id="p", cpu_mhz=800.0, ram_mb=1024.0),)
-        constraint = RamConstraint.from_phones(phones, usable_fraction=0.5)
-        assert constraint.cap_kb("p") == pytest.approx(512 * 1024)
-
     def test_unknown_phone_unconstrained(self):
         constraint = RamConstraint(caps_kb={"p": 100.0})
         assert constraint.cap_kb("other") == float("inf")
@@ -45,8 +40,6 @@ class TestRamConstraint:
     def test_validation(self):
         with pytest.raises(ValueError):
             RamConstraint(caps_kb={"p": 0.0})
-        with pytest.raises(ValueError):
-            RamConstraint.from_phones((), usable_fraction=0.0)
 
 
 class TestSchedulerWithRam:

@@ -105,20 +105,6 @@ class TestRuntimePredictor:
         with pytest.raises(ValueError):
             self.make(alpha=1.5)
 
-    def test_forget_one_phone(self):
-        predictor = self.make(alpha=1.0)
-        predictor.observe(FAST, "primes", 9.0)
-        predictor.observe(REF, "primes", 12.0)
-        predictor.forget(FAST.phone_id)
-        assert predictor.predict_ms_per_kb(FAST, "primes") == pytest.approx(5.0)
-        assert predictor.predict_ms_per_kb(REF, "primes") == pytest.approx(12.0)
-
-    def test_forget_all(self):
-        predictor = self.make(alpha=1.0)
-        predictor.observe(FAST, "primes", 9.0)
-        predictor.forget()
-        assert not predictor.learned_pairs()
-
     def test_learned_pairs_snapshot_is_copy(self):
         predictor = self.make(alpha=1.0)
         predictor.observe(FAST, "primes", 9.0)

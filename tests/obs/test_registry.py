@@ -98,14 +98,6 @@ class TestHistogram:
         assert histogram is not None
         assert histogram.buckets == DEFAULT_BUCKETS_MS
 
-    def test_declared_buckets_apply_and_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.declare_histogram("latency_ms", (1.0, 2.0))
-        registry.observe("latency_ms", 1.5)
-        assert registry.histogram("latency_ms").buckets == (1.0, 2.0)
-        with pytest.raises(ValueError):
-            registry.declare_histogram("latency_ms", (5.0,))
-
 
 class TestMergeAndSerialise:
     def make_registry(self):
@@ -118,10 +110,16 @@ class TestMergeAndSerialise:
     def test_to_dict_roundtrip(self):
         registry = self.make_registry()
         snapshot = registry.to_dict()
+        wide = Histogram(buckets=(10.0, 100.0))
+        wide.observe(50.0)
+        snapshot["histograms"]["wide_ms"] = wide.to_dict()
         clone = MetricsRegistry.from_dict(snapshot)
         assert clone.to_dict() == snapshot
         assert clone.counter_value("jobs_total", kind="a") == 3.0
         assert clone.histogram("latency_ms").count == 1
+        # Restored non-default buckets apply to new series of that name.
+        clone.observe("wide_ms", 5.0, kind="b")
+        assert clone.histogram("wide_ms", kind="b").buckets == (10.0, 100.0)
 
     def test_to_dict_is_deterministic(self):
         a = self.make_registry().to_dict()
@@ -137,7 +135,6 @@ class TestPrometheusRendering:
         registry = MetricsRegistry()
         registry.inc("jobs_total", 3.0, kind="a")
         registry.set_gauge("queue_depth", 7.0)
-        registry.declare_histogram("latency_ms", (10.0, 100.0))
         registry.observe("latency_ms", 5.0)
         registry.observe("latency_ms", 50.0)
         text = registry.render_prometheus()

@@ -77,18 +77,6 @@ class TestValidation:
             AvailabilityForecast({"p": profile})
 
 
-class TestRanking:
-    def test_reliable_phone_ranks_first(self):
-        forecast = AvailabilityForecast(
-            {"flaky": [0.5] * 24, "solid": [0.01] * 24}
-        )
-        ranked = forecast.rank_phones(
-            ["flaky", "solid"], start_hour=0.0, duration_hours=6.0
-        )
-        assert ranked[0][0] == "solid"
-        assert ranked[0][1] > ranked[1][1]
-
-
 class TestFromStudy:
     def test_built_from_generated_logs(self):
         study = generate_study(days=14, seed=5)

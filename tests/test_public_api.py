@@ -59,7 +59,6 @@ MODULES = (
     "repro.netmodel.links",
     "repro.netmodel.measurement",
     "repro.netmodel.variability",
-    "repro.netmodel.scheduler",
     "repro.power.battery",
     "repro.power.charging",
     "repro.power.throttle",
@@ -84,7 +83,6 @@ MODULES = (
     "repro.analysis.costs",
     "repro.analysis.tables",
     "repro.analysis.gantt",
-    "repro.analysis.compare",
     "repro.verify.invariants",
     "repro.verify.oracle",
     "repro.verify.differential",
